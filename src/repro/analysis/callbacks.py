@@ -96,10 +96,10 @@ class Customization:
         if not self._derived:
             return
         # The loop below edits node dicts in place; a columnar-backed
-        # tree must drop its (now stale) arrays first.
-        mark = getattr(tree, "mark_mutated", None)
-        if mark is not None:
-            mark()
+        # tree must drop its (now stale) arrays first (lazy import — the
+        # engine depends on this package).
+        from ..engine import invalidate_everywhere
+        invalidate_everywhere(tree)
         names = tree.schema.names()
         plans = []
         for metric, fn, inclusive in self._derived:

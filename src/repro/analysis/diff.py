@@ -24,7 +24,7 @@ from typing import Dict, Optional, Sequence
 from ..core.metric import Aggregation, Metric, MetricSchema
 from ..core.profile import Profile
 from ..errors import AnalysisError
-from . import viewtree_columnar
+from . import formula, viewtree_columnar
 from .transform import KeyFn, transform
 from .viewtree import ViewNode, ViewTree, default_merge_key
 
@@ -139,6 +139,8 @@ def add_delta_column(tree: ViewTree, metric_index: int,
         raise AnalysisError("delta columns only apply to diff trees")
     if mode not in ("subtract", "ratio"):
         raise AnalysisError("mode must be 'subtract' or 'ratio'")
+    # Lazy import: the engine depends on this package.
+    from ..engine import forget_everywhere
     metric = tree.schema[metric_index]
     suffix = "delta" if mode == "subtract" else "ratio"
     column = tree.schema.add(Metric(
@@ -146,22 +148,39 @@ def add_delta_column(tree: ViewTree, metric_index: int,
         unit=metric.unit if mode == "subtract" else "",
         description="%s of %s (treatment vs baseline)" % (suffix, metric.name),
         aggregation=Aggregation.SUM))
-    for node in tree.nodes():
-        before = node.baseline.get(metric_index, 0.0)
-        after = node.inclusive.get(metric_index, 0.0)
-        if mode == "subtract":
-            node.inclusive[column] = after - before
-        else:
-            node.inclusive[column] = after / before if before else 0.0
-    # In-place mutation: drop the tree from any engine cache (lazy import —
-    # the engine depends on this package).
-    from ..engine import invalidate_everywhere
-    invalidate_everywhere(tree)
+    cvt = tree.columnar()
+    if cvt is not None:
+        # The formula engine's "-" and "/" are exactly the loop below.
+        env = {"after": viewtree_columnar.value_column(cvt, metric_index),
+               "before": viewtree_columnar.value_column(cvt, metric_index,
+                                                        "baseline")}
+        values = formula.evaluate_columns(
+            formula.parse("after - before" if mode == "subtract"
+                          else "after / before"), env, cvt.n_rows)
+        viewtree_columnar.add_column(tree, column, values)
+    else:
+        for node in tree.nodes():
+            before = node.baseline.get(metric_index, 0.0)
+            after = node.inclusive.get(metric_index, 0.0)
+            if mode == "subtract":
+                node.inclusive[column] = after - before
+            else:
+                node.inclusive[column] = after / before if before else 0.0
+    # In-place mutation: drop the tree from any engine cache.
+    forget_everywhere(tree)
     return column
 
 
 def summarize(tree: ViewTree) -> Dict[str, int]:
-    """Count nodes per differential tag (used in reports and tests)."""
+    """Count nodes per differential tag (used in reports and tests).
+
+    Tags are keyed in the order the node walk first meets them; a
+    columnar-backed tree is counted off its tag codes without building
+    the facade.
+    """
+    cvt = tree.columnar()
+    if cvt is not None:
+        return viewtree_columnar.tag_counts(cvt)
     counts: Dict[str, int] = {}
     for node in tree.nodes():
         if node.tag:

@@ -24,12 +24,18 @@ where the miss rate is pathological.
 Identifiers name metrics; dotted/at-suffixed names (``inclusive.bytes@2``)
 are resolved by the environment, letting multi-profile views expose
 per-profile columns.  Metric names with spaces can be backtick-quoted.
-Division by zero evaluates to 0 rather than raising: profiles are full of
-contexts where the denominator metric was never measured, and a viewer must
-keep rendering.
+Evaluation never raises on values: division or modulo by zero, ``0 ^ -1``,
+a negative base to a fractional power, an overflowing power and
+``inf % x`` all evaluate to 0.  Profiles are full of contexts where the
+denominator metric was never measured, and a viewer must keep rendering.
 
 Built-in functions: ``min``, ``max``, ``abs``, ``sqrt``, ``log``, ``log2``,
 ``log10``, ``if`` (``if(cond, then, else)`` with nonzero = true).
+
+:func:`derive` evaluates a formula once per view node.  On a columnar-
+backed view it runs :func:`evaluate_columns` over the value matrix
+instead, which yields the same float64 bits as :func:`evaluate` row by
+row; the scalar evaluator stays as the object path and the test oracle.
 """
 
 from __future__ import annotations
@@ -39,8 +45,11 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Mapping, Optional, Union
 
+import numpy as np
+
 from ..core.metric import Aggregation, Metric
 from ..errors import FormulaError, Span
+from . import viewtree_columnar
 from .viewtree import ViewTree
 
 
@@ -323,6 +332,27 @@ def parse(source: str) -> Expr:
 
 # -- evaluation ---------------------------------------------------------------
 
+
+def _power(left: float, right: float) -> float:
+    """``left ^ right``; 0 where Python's ``**`` raises or leaves the reals."""
+    try:
+        result = left ** right
+    except (OverflowError, ZeroDivisionError):
+        return 0.0
+    # A negative base to a fractional power is complex in Python 3.
+    return 0.0 if isinstance(result, complex) else float(result)
+
+
+def _modulo(left: float, right: float) -> float:
+    """``left % right`` as C ``fmod``; 0 for a zero divisor or ``inf % x``."""
+    if not right:
+        return 0.0
+    try:
+        return math.fmod(left, right)
+    except ValueError:
+        return 0.0
+
+
 _FUNCTIONS: Dict[str, Callable[..., float]] = {
     "min": min,
     "max": max,
@@ -338,11 +368,28 @@ _ARITY = {"min": 2, "max": 2, "abs": 1, "sqrt": 1, "log": 1, "log2": 1,
           "log10": 1, "if": 3}
 
 
+def _unknown_metric(expr: Ref, names) -> FormulaError:
+    return FormulaError("unknown metric %r (have: %s)" % (
+        expr.name, ", ".join(sorted(names))), span=expr.span)
+
+
+def _check_call(expr: Call) -> None:
+    """Raise for an unknown function or a wrong argument count."""
+    if expr.name not in _FUNCTIONS:
+        raise FormulaError("unknown function %r (have: %s)" % (
+            expr.name, ", ".join(sorted(_FUNCTIONS))), span=expr.span)
+    expected = _ARITY[expr.name]
+    if len(expr.args) != expected:
+        raise FormulaError("%s() takes %d arguments, got %d"
+                           % (expr.name, expected, len(expr.args)),
+                           span=expr.span)
+
+
 def evaluate(expr: Expr, env: Mapping[str, float]) -> float:
     """Evaluate an AST against a name→value environment.
 
-    Unknown names raise :class:`FormulaError`; division by zero yields 0
-    (see module docstring).
+    Unknown names, unknown functions and wrong arities raise
+    :class:`FormulaError`; values never raise (see module docstring).
     """
     if isinstance(expr, Num):
         return expr.value
@@ -350,9 +397,7 @@ def evaluate(expr: Expr, env: Mapping[str, float]) -> float:
         try:
             return float(env[expr.name])
         except KeyError:
-            raise FormulaError("unknown metric %r (have: %s)" % (
-                expr.name, ", ".join(sorted(env))),
-                span=expr.span) from None
+            raise _unknown_metric(expr, env) from None
     if isinstance(expr, Unary):
         value = evaluate(expr.operand, env)
         return -value if expr.op == "-" else value
@@ -368,12 +413,9 @@ def evaluate(expr: Expr, env: Mapping[str, float]) -> float:
         if expr.op == "/":
             return left / right if right else 0.0
         if expr.op == "%":
-            return math.fmod(left, right) if right else 0.0
+            return _modulo(left, right)
         if expr.op == "^":
-            try:
-                return float(left ** right)
-            except (OverflowError, ValueError):
-                return 0.0
+            return _power(left, right)
         if expr.op in _COMPARE_OPS:
             result = {
                 ">": left > right, "<": left < right,
@@ -383,15 +425,8 @@ def evaluate(expr: Expr, env: Mapping[str, float]) -> float:
             return 1.0 if result else 0.0
         raise FormulaError("unknown operator %r" % expr.op)
     if isinstance(expr, Call):
-        fn = _FUNCTIONS.get(expr.name)
-        if fn is None:
-            raise FormulaError("unknown function %r (have: %s)" % (
-                expr.name, ", ".join(sorted(_FUNCTIONS))), span=expr.span)
-        expected = _ARITY[expr.name]
-        if len(expr.args) != expected:
-            raise FormulaError("%s() takes %d arguments, got %d"
-                               % (expr.name, expected, len(expr.args)),
-                               span=expr.span)
+        _check_call(expr)
+        fn = _FUNCTIONS[expr.name]
         return float(fn(*(evaluate(arg, env) for arg in expr.args)))
     raise FormulaError("unevaluable node %r" % (expr,))
 
@@ -401,27 +436,117 @@ def evaluate_str(source: str, env: Mapping[str, float]) -> float:
     return evaluate(parse(source), env)
 
 
+# -- column-wise evaluation -----------------------------------------------------
+
+_ARRAY_ARITHMETIC = {"+": "add", "-": "subtract", "*": "multiply"}
+_ARRAY_COMPARE = {">": "greater", "<": "less", ">=": "greater_equal",
+                  "<=": "less_equal", "==": "equal", "!=": "not_equal"}
+
+
+def _elementwise(fn: Callable[..., float], *columns):
+    """Apply a scalar function row by row (exact, never vectorized)."""
+    rows = [column.tolist() for column in columns]
+    return np.array([fn(*cells) for cells in zip(*rows)], dtype=np.float64)
+
+
+def evaluate_columns(expr: Expr, env: Mapping[str, object], rows: int):
+    """Evaluate an AST over whole columns: ``env`` maps names to float64
+    arrays of length ``rows``; returns a float64 array of that length,
+    possibly one of ``env``'s own (copy before writing into it).
+
+    Row ``i`` of the result has the same bits as :func:`evaluate` over row
+    ``i`` of the environment: ``+ - * /`` and comparisons are numpy
+    operations with the scalar IEEE semantics, ``min``/``max``/``if``
+    select with the scalar argument-order rules, and ``^``, ``%``,
+    ``sqrt`` and the logarithms run the scalar functions per row (numpy's
+    versions differ on NaN, on negative bases and in the last ulp).
+
+    One thing no evaluator fixes: which payload survives ``+`` or ``*``
+    of two NaNs.  CPython keeps the second operand's until the adaptive
+    interpreter specializes the bytecode, then the first (numpy's), so
+    NaN payloads are equal only up to that choice.
+    """
+    if isinstance(expr, Num):
+        return np.full(rows, expr.value, dtype=np.float64)
+    if isinstance(expr, Ref):
+        try:
+            return np.asarray(env[expr.name], dtype=np.float64)
+        except KeyError:
+            raise _unknown_metric(expr, env) from None
+    if isinstance(expr, Unary):
+        value = evaluate_columns(expr.operand, env, rows)
+        return np.negative(value) if expr.op == "-" else value
+    if isinstance(expr, Binary):
+        left = evaluate_columns(expr.left, env, rows)
+        right = evaluate_columns(expr.right, env, rows)
+        op = expr.op
+        with np.errstate(all="ignore"):
+            if op in _ARRAY_ARITHMETIC:
+                return getattr(np, _ARRAY_ARITHMETIC[op])(left, right)
+            if op == "/":
+                return np.where(right != 0, left / right, 0.0)
+        if op == "%":
+            return _elementwise(_modulo, left, right)
+        if op == "^":
+            return _elementwise(_power, left, right)
+        if op in _ARRAY_COMPARE:
+            return getattr(np, _ARRAY_COMPARE[op])(left, right).astype(
+                np.float64)
+        raise FormulaError("unknown operator %r" % op)
+    if isinstance(expr, Call):
+        _check_call(expr)
+        args = [evaluate_columns(arg, env, rows) for arg in expr.args]
+        name = expr.name
+        if name == "min":   # min(a, b) is b only when b < a (NaN keeps a)
+            return np.where(args[1] < args[0], args[1], args[0])
+        if name == "max":
+            return np.where(args[1] > args[0], args[1], args[0])
+        if name == "abs":
+            return np.abs(args[0])
+        if name == "if":    # NaN is a true condition, as in Python
+            return np.where(args[0] != 0, args[1], args[2])
+        return _elementwise(_FUNCTIONS[name], *args)
+    raise FormulaError("unevaluable node %r" % (expr,))
+
+
 def derive(tree: ViewTree, name: str, formula: str, unit: str = "",
            description: str = "", inclusive: bool = True,
            aggregation: Aggregation = Aggregation.SUM) -> int:
     """Add a derived metric column to a view tree via a formula.
 
     The formula is evaluated per node against that node's existing metric
-    values (inclusive by default).  Returns the new column index.
+    values (inclusive by default; absent values read as 0).  Deriving an
+    existing name again recomputes its column.  Returns the column index.
+    A formula error raises before anything changes.
+
+    Columnar-backed trees keep their arrays: the formula runs once over
+    the value matrix and the column lands copy-on-write (see
+    :func:`~repro.analysis.viewtree_columnar.add_column`).
     """
+    # Lazy import: the engine depends on this package.
+    from ..engine import forget_everywhere
     expr = parse(formula)
     names = tree.schema.names()
+    # Values never raise, so one evaluation over zeros raises exactly the
+    # name, function and arity errors — before the schema changes.
+    evaluate(expr, dict.fromkeys(names, 0.0))
     index = tree.schema.add(Metric(name=name, unit=unit,
                                    description=description or formula,
                                    aggregation=aggregation))
-    for node in tree.nodes():
-        table = node.inclusive if inclusive else node.exclusive
-        env = {metric_name: table.get(i, 0.0)
+    cvt = tree.columnar()
+    if cvt is not None:
+        plane = "inclusive" if inclusive else "exclusive"
+        env = {metric_name: viewtree_columnar.value_column(cvt, i, plane)
                for i, metric_name in enumerate(names)}
-        table[index] = evaluate(expr, env)
-    # The tree's content changed in place: any engine serving it under its
-    # pre-mutation digest must forget it (lazy import — the engine depends
-    # on this package).
-    from ..engine import invalidate_everywhere
-    invalidate_everywhere(tree)
+        viewtree_columnar.add_column(
+            tree, index, evaluate_columns(expr, env, cvt.n_rows), inclusive)
+    else:
+        for node in tree.nodes():
+            table = node.inclusive if inclusive else node.exclusive
+            env = {metric_name: table.get(i, 0.0)
+                   for i, metric_name in enumerate(names)}
+            table[index] = evaluate(expr, env)
+    # The content changed: no engine may keep serving (or keying) the tree
+    # under its pre-mutation digest.
+    forget_everywhere(tree)
     return index

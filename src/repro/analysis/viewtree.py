@@ -289,13 +289,14 @@ class ViewTree:
         return self._columnar
 
     def mark_mutated(self) -> None:
-        """Drop the columnar snapshot after in-place facade mutation.
+        """Drop the columnar snapshot before in-place facade mutation.
 
-        Mutators (``formula.derive``, ``diff.add_delta_column``, derived
-        -metric callbacks) edit the materialized ``ViewNode`` dicts; the
-        arrays no longer agree, so array-path consumers must fall back
-        to the objects.  Materializes first so no data is lost when a
-        mutator is applied to a never-touched lazy tree.
+        Mutators that edit the materialized ``ViewNode`` dicts (derived
+        -metric callbacks) leave the arrays disagreeing, so array-path
+        consumers must fall back to the objects.  Materializes first so
+        no data is lost when a mutator is applied to a never-touched lazy
+        tree.  (``formula.derive`` and ``diff.add_delta_column`` keep the
+        arrays: they install a new snapshot instead.)
         """
         if self._columnar is not None:
             if self._root is None:

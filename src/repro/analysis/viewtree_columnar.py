@@ -253,14 +253,15 @@ class ColumnarViewTree:
                  "inclusive", "incl_present", "exclusive", "excl_present",
                  "baseline", "base_present", "tag_codes",
                  "hist", "hist_present", "hist_first", "n_series",
-                 "row_sources", "node_objects",
+                 "cell_order", "row_sources", "node_objects",
                  "_depth_groups_cache", "_size", "_vp")
 
     def __init__(self, parent, depth, token, frame_id, frames, merge_keys,
                  shape, inclusive, incl_present, exclusive, excl_present,
                  baseline=None, base_present=None, tag_codes=None,
                  hist=None, hist_present=None, hist_first=None,
-                 n_series=0, row_sources=None, default_keys=True) -> None:
+                 n_series=0, row_sources=None, default_keys=True,
+                 cell_order=None) -> None:
         self.parent = parent
         self.depth = depth
         #: Merge token per row; ``merge_keys[token[i]]`` is the dict key
@@ -290,6 +291,11 @@ class ColumnarViewTree:
         #: order for the facade (sessions read ``next(iter(...))``).
         self.hist_first = hist_first
         self.n_series = n_series
+        #: Value plane name → int64 ``[R, M]`` insertion rank per cell, for
+        #: planes whose facade dicts are not filled ascending by column
+        #: (a merge that met a higher column first, a re-derived column
+        #: some rows lacked); planes not listed fill ascending.
+        self.cell_order: Dict[str, object] = cell_order or {}
         #: ``row_sources(row) -> SourceList`` or None for source-free rows.
         self.row_sources = row_sources
         #: After :meth:`materialize`: the ``ViewNode`` per row.
@@ -341,6 +347,16 @@ class ColumnarViewTree:
             return SourceList()
         return provider(row)
 
+    def with_planes(self, **planes) -> "ColumnarViewTree":
+        """A copy carrying the given value planes (``inclusive=...``,
+        ``incl_present=...``, ...) and sharing everything else: structure
+        arrays, row sources, the facade and the structural caches."""
+        clone = ColumnarViewTree.__new__(ColumnarViewTree)
+        for slot in ColumnarViewTree.__slots__:
+            setattr(clone, slot, planes[slot] if slot in planes
+                    else getattr(self, slot))
+        return clone
+
     # -- facade ------------------------------------------------------------
 
     def materialize(self) -> ViewNode:
@@ -349,8 +365,9 @@ class ColumnarViewTree:
         Rows are already in creation order, so a single ascending pass
         reproduces the object transforms' child insertion order, and
         per-dict cells are inserted ascending by column — matching how
-        the object loops fill them — except aggregate histograms, which
-        replay their recorded encounter order.
+        the object loops fill them — except aggregate histograms and the
+        planes listed in ``cell_order``, which replay their recorded
+        insertion order.
         """
         np = _np
         n_rows = self.n_rows
@@ -382,12 +399,17 @@ class ColumnarViewTree:
 
         def fill(matrix, presence, attr):
             rows, cols = np.nonzero(presence)
+            rank = self.cell_order.get(attr)
+            if rank is not None:
+                order = np.lexsort((rank[rows, cols], rows))
+                rows = rows[order]
+                cols = cols[order]
             cells = matrix[rows, cols]
             for row, col, value in zip(rows.tolist(), cols.tolist(),
                                        cells.tolist()):
                 getattr(nodes[row], attr)[col] = value
 
-        if self.incl_present.all():
+        if self.incl_present.all() and "inclusive" not in self.cell_order:
             for row, values in enumerate(self.inclusive.tolist()):
                 nodes[row].inclusive = dict(enumerate(values))
         else:
@@ -410,6 +432,125 @@ class ColumnarViewTree:
                 nodes[row].histogram[col] = values
         self.node_objects = nodes
         return nodes[0]
+
+
+# ---------------------------------------------------------------------------
+# column access and copy-on-write column writes
+# ---------------------------------------------------------------------------
+
+#: Value plane name → its presence mask's attribute.
+_PRESENCE = {"inclusive": "incl_present", "exclusive": "excl_present",
+             "baseline": "base_present"}
+
+
+def _cell_ranks(cvt: ColumnarViewTree, plane: str):
+    """Insertion rank per cell of one plane (ascending column order when
+    the plane has no recorded order)."""
+    rank = cvt.cell_order.get(plane)
+    if rank is not None:
+        return rank
+    matrix = getattr(cvt, plane)
+    return _np.broadcast_to(_np.arange(matrix.shape[1], dtype=_np.int64),
+                            matrix.shape)
+
+
+def _if_unordered(rank, presence):
+    """``rank`` when some row's present cells are not ranked ascending by
+    column (the facade order needs it), else None."""
+    rows, cols = _np.nonzero(presence)
+    ranks = rank[rows, cols]
+    same_row = rows[1:] == rows[:-1]
+    if (same_row & (ranks[1:] < ranks[:-1])).any():
+        return rank
+    return None
+
+
+def value_column(cvt: ColumnarViewTree, index: int, plane: str = "inclusive"):
+    """Metric column ``index`` of one value plane as float64[R], with
+    absent cells (and columns the plane lacks) read as 0.0 — what
+    ``node.<plane>.get(index, 0.0)`` gives on the facade."""
+    np = _np
+    matrix = getattr(cvt, plane)
+    if matrix is None or index >= matrix.shape[1]:
+        return np.zeros(cvt.n_rows, dtype=np.float64)
+    presence = getattr(cvt, _PRESENCE[plane])
+    return np.where(presence[:, index], matrix[:, index], 0.0)
+
+
+def add_column(tree: ViewTree, index: int, values,
+               inclusive: bool = True) -> None:
+    """Set metric column ``index`` of every row of a columnar-backed tree
+    to ``values`` (float64[R]) in the inclusive or exclusive plane,
+    keeping the array backing.
+
+    Copy-on-write: a new :class:`ColumnarViewTree` with fresh value planes
+    (both widened to the new column count) replaces the old one in a
+    single assignment, so a reader still holding the old snapshot never
+    sees a half-written array.  A materialized facade gets the values
+    too, so node references stay valid.
+
+    A row that lacked the column gets the key last, as a dict
+    assignment would; where that is not ascending order, the plane's
+    ``cell_order`` records it.
+    """
+    cvt = tree.columnar()
+    np = _np
+    plane = "inclusive" if inclusive else "exclusive"
+    n_rows = cvt.n_rows
+    width = max(cvt.inclusive.shape[1], cvt.exclusive.shape[1], index + 1)
+    order = dict(cvt.cell_order)
+    rank = order.get(plane)
+    presence = getattr(cvt, _PRESENCE[plane])
+    if index < presence.shape[1]:
+        added = ~presence[:, index]
+        if rank is None and presence[added, index + 1:].any():
+            rank = _cell_ranks(cvt, plane)
+    else:
+        added = np.ones(n_rows, dtype=bool)
+    planes = {}
+    for name in ("inclusive", "exclusive"):
+        matrix = getattr(cvt, name)
+        mask = getattr(cvt, _PRESENCE[name])
+        name_rank = rank if name == plane else order.get(name)
+        if name != plane and matrix.shape[1] == width:
+            continue  # untouched and wide enough: shared as is
+        fresh = np.zeros((n_rows, width), dtype=np.float64)
+        fresh_mask = np.zeros((n_rows, width), dtype=bool)
+        fresh[:, :matrix.shape[1]] = matrix
+        fresh_mask[:, :mask.shape[1]] = mask
+        if name_rank is not None:
+            fresh_rank = np.zeros((n_rows, width), dtype=np.int64)
+            fresh_rank[:, :name_rank.shape[1]] = name_rank
+            if name == plane:
+                fresh_rank[added, index] = int(name_rank.max()) + 1
+            order[name] = fresh_rank
+        if name == plane:
+            fresh[:, index] = values
+            fresh_mask[:, index] = True
+        planes[name] = fresh
+        planes[_PRESENCE[name]] = fresh_mask
+    if cvt.node_objects is not None:
+        for node, value in zip(cvt.node_objects, values.tolist()):
+            getattr(node, plane)[index] = value
+    tree._columnar = cvt.with_planes(cell_order=order, **planes)
+
+
+def tag_counts(cvt: ColumnarViewTree) -> Dict[str, int]:
+    """Rows per differential tag, keyed in the order the facade walk
+    (``ViewTree.nodes()``) first meets each tag."""
+    np = _np
+    codes = cvt.tag_codes
+    if codes is None:
+        return {}
+    counts = np.bincount(codes, minlength=len(_TAGS)).tolist()
+    tagged = np.flatnonzero(codes)
+    first = np.full(len(_TAGS), cvt.n_rows, dtype=np.int64)
+    np.minimum.at(first, codes[tagged].astype(np.int64),
+                  cvt.creation_visit_positions()[tagged])
+    first = first.tolist()
+    present = [code for code in range(1, len(_TAGS)) if counts[code]]
+    present.sort(key=lambda code: first[code])
+    return {_TAGS[code]: counts[code] for code in present}
 
 
 def from_viewtree(tree: ViewTree) -> Optional[ColumnarViewTree]:
@@ -1033,6 +1174,33 @@ _COMBINABLE = frozenset((Aggregation.SUM, Aggregation.MIN, Aggregation.MAX,
                          Aggregation.MEAN, Aggregation.LAST))
 
 
+def _combine(op: Aggregation, series):
+    """``op.combine`` along the last axis of ``series`` (``[..., T]``).
+
+    MIN/MAX select like Python's ``min``/``max`` — a NaN in front stays,
+    a later one is skipped, ties keep the earlier value — and SUM/MEAN
+    add in list order from 0.0 like ``sum`` (numpy's ``min`` propagates
+    NaN, and its ``sum`` adds pairwise).
+    """
+    np = _np
+    if op is Aggregation.LAST:
+        return series[..., -1]
+    if op in (Aggregation.MIN, Aggregation.MAX):
+        result = series[..., 0]
+        for t in range(1, series.shape[-1]):
+            value = series[..., t]
+            better = value < result if op is Aggregation.MIN \
+                else value > result
+            result = np.where(better, value, result)
+        return result
+    result = np.zeros(series.shape[:-1], dtype=np.float64)
+    with np.errstate(all="ignore"):
+        for t in range(series.shape[-1]):
+            result = result + series[..., t]
+        return result / series.shape[-1] if op is Aggregation.MEAN \
+            else result
+
+
 def merge_columnar(trees: Sequence[ColumnarViewTree],
                    remaps: Sequence[Sequence[int]],
                    operators: Sequence[Aggregation],
@@ -1041,8 +1209,10 @@ def merge_columnar(trees: Sequence[ColumnarViewTree],
     """Vectorized ``aggregate.merge_trees`` over aligned columnar rows.
 
     One histogram tensor gather-scatter per input tree replaces the
-    per-node dict merging; the statistic columns then fall out of whole-
-    tensor reductions (``sum``/``min``/``max`` along the series axis).
+    per-node dict merging; the statistic columns then fall out of folds
+    along the series axis (:func:`_combine`).  Cell insertion
+    ranks replay the object loop's dict orders: inclusive cells follow
+    the histogram's encounter order, exclusive cells their own.
     """
     np = _np
     union = _union_rows(trees)
@@ -1051,55 +1221,67 @@ def merge_columnar(trees: Sequence[ColumnarViewTree],
     n_ops = len(operators)
     ops = list(operators)
     sum_position = ops.index(Aggregation.SUM) if Aggregation.SUM in ops else 0
+    n_stats = base_metrics * n_ops
 
     hist = np.zeros((n_rows, base_metrics, n_trees), dtype=np.float64)
     hist_count = np.zeros((n_rows, base_metrics), dtype=np.int64)
-    hist_first = np.full((n_rows, base_metrics), np.iinfo(np.int64).max,
-                         dtype=np.int64)
-    exclusive = np.zeros((n_rows, base_metrics * n_ops), dtype=np.float64)
-    excl_count = np.zeros((n_rows, base_metrics * n_ops), dtype=np.int64)
-    max_metrics = max(base_metrics, 1)
+    never = np.iinfo(np.int64).max
+    hist_first = np.full((n_rows, base_metrics), never, dtype=np.int64)
+    exclusive = np.zeros((n_rows, n_stats), dtype=np.float64)
+    excl_count = np.zeros((n_rows, n_stats), dtype=np.int64)
+    excl_first = np.full((n_rows, n_stats), never, dtype=np.int64)
+    # Encounter rank of an input cell: (tree, creation-DFS visit of its
+    # row, its rank within the row's dict), packed into one int64.
+    bound = 1 + max(max(tree.inclusive.shape[1], tree.exclusive.shape[1],
+                        *(int(rank.max()) + 1
+                          for rank in tree.cell_order.values()))
+                    for tree in trees)
     for index, tree in enumerate(trees):
         remap = np.asarray(remaps[index], dtype=np.int64)
+        row_rank = (index * union.max_rank + union.visit[index]) * bound
         rows, cols = np.nonzero(tree.incl_present)
         res = union.row_of[index][rows]
         unified = remap[cols]
-        hist[res, unified, index] = tree.inclusive[rows, cols]
+        # The object loop adds into a zero-filled series: 0.0 + value.
+        hist[res, unified, index] = 0.0 + tree.inclusive[rows, cols]
         hist_count[res, unified] += 1
-        rank = ((index * union.max_rank + union.visit[index][rows])
-                * max_metrics + cols)
-        np.minimum.at(hist_first, (res, unified), rank)
+        np.minimum.at(hist_first, (res, unified),
+                      row_rank[rows] + _cell_ranks(tree, "inclusive")[rows,
+                                                                     cols])
         rows, cols = np.nonzero(tree.excl_present)
         res = union.row_of[index][rows]
         stat = remap[cols] * n_ops + sum_position
         exclusive[res, stat] += tree.exclusive[rows, cols]
         excl_count[res, stat] += 1
+        np.minimum.at(excl_first, (res, stat),
+                      row_rank[rows] + _cell_ranks(tree, "exclusive")[rows,
+                                                                     cols])
     hist_present = hist_count > 0
+    excl_present = excl_count > 0
 
-    inclusive = np.zeros((n_rows, base_metrics * n_ops), dtype=np.float64)
-    incl_present = np.zeros((n_rows, base_metrics * n_ops), dtype=bool)
+    inclusive = np.zeros((n_rows, n_stats), dtype=np.float64)
+    incl_present = np.zeros((n_rows, n_stats), dtype=bool)
     for position, op in enumerate(ops):
-        if op is Aggregation.SUM:
-            stat = hist.sum(axis=2)
-        elif op is Aggregation.MIN:
-            stat = hist.min(axis=2) if n_trees else hist.sum(axis=2)
-        elif op is Aggregation.MAX:
-            stat = hist.max(axis=2) if n_trees else hist.sum(axis=2)
-        elif op is Aggregation.MEAN:
-            stat = hist.sum(axis=2) / max(n_trees, 1)
-        else:  # LAST
-            stat = hist[:, :, -1] if n_trees else hist.sum(axis=2)
-        inclusive[:, position::n_ops] = stat
+        inclusive[:, position::n_ops] = _combine(op, hist)
         incl_present[:, position::n_ops] = hist_present
+    # A node's stat columns are set per histogram entry, operators inner.
+    incl_rank = (np.repeat(np.where(hist_present, hist_first, 0), n_ops,
+                           axis=1) * n_ops
+                 + np.tile(np.arange(n_ops, dtype=np.int64), base_metrics))
+    order = {"inclusive": _if_unordered(incl_rank, incl_present),
+             "exclusive": _if_unordered(np.where(excl_present, excl_first, 0),
+                                        excl_present)}
 
     cvt = ColumnarViewTree(
         parent=union.parent, depth=union.depth, token=union.token,
         frame_id=union.frame_id, frames=union.frames,
         merge_keys=union.merge_keys, shape=shape,
         inclusive=inclusive, incl_present=incl_present,
-        exclusive=exclusive, excl_present=excl_count > 0,
+        exclusive=exclusive, excl_present=excl_present,
         hist=hist, hist_present=hist_present, hist_first=hist_first,
-        n_series=n_trees, row_sources=_union_sources(trees, union))
+        n_series=n_trees, row_sources=_union_sources(trees, union),
+        cell_order={plane: rank for plane, rank in order.items()
+                    if rank is not None})
     return ViewTree.columnar_backed(schema, shape, cvt)
 
 
@@ -1113,27 +1295,35 @@ def diff_columnar(base: ColumnarViewTree, treatment: ColumnarViewTree,
     n_rows = union.n_rows
     n_metrics = len(schema)
 
-    def scatter(tree, mapping, remap_cols, matrix, presence, count, attr):
-        rows, cols = np.nonzero(presence)
+    order = {}
+
+    def scatter(tree, mapping, remap_cols, attr, target):
+        """One input plane into a fresh result plane (at most one input
+        cell per result cell); returns (values, presence)."""
+        rows, cols = np.nonzero(getattr(tree, _PRESENCE[attr]))
         res = mapping[rows]
         unified = remap_cols[cols]
-        matrix[res, unified] += getattr(tree, attr)[rows, cols]
-        count[res, unified] += 1
+        matrix = np.zeros((n_rows, n_metrics), dtype=np.float64)
+        presence = np.zeros((n_rows, n_metrics), dtype=bool)
+        matrix[res, unified] = 0.0 + getattr(tree, attr)[rows, cols]
+        presence[res, unified] = True
+        # The object loop copies the input dict's order through the remap.
+        if attr in tree.cell_order or (np.diff(remap_cols) < 0).any():
+            rank = np.zeros((n_rows, n_metrics), dtype=np.int64)
+            rank[res, unified] = _cell_ranks(tree, attr)[rows, cols]
+            rank = _if_unordered(rank, presence)
+            if rank is not None:
+                order[target] = rank
+        return matrix, presence
 
     base_cols = np.asarray(base_remap, dtype=np.int64)
     treat_cols = np.asarray(treat_remap, dtype=np.int64)
-    baseline = np.zeros((n_rows, n_metrics), dtype=np.float64)
-    base_count = np.zeros((n_rows, n_metrics), dtype=np.int64)
-    scatter(base, union.row_of[0], base_cols, baseline, base.incl_present,
-            base_count, "inclusive")
-    inclusive = np.zeros((n_rows, n_metrics), dtype=np.float64)
-    incl_count = np.zeros((n_rows, n_metrics), dtype=np.int64)
-    scatter(treatment, union.row_of[1], treat_cols, inclusive,
-            treatment.incl_present, incl_count, "inclusive")
-    exclusive = np.zeros((n_rows, n_metrics), dtype=np.float64)
-    excl_count = np.zeros((n_rows, n_metrics), dtype=np.int64)
-    scatter(treatment, union.row_of[1], treat_cols, exclusive,
-            treatment.excl_present, excl_count, "exclusive")
+    baseline, base_present = scatter(base, union.row_of[0], base_cols,
+                                     "inclusive", "baseline")
+    inclusive, incl_present = scatter(treatment, union.row_of[1], treat_cols,
+                                      "inclusive", "inclusive")
+    exclusive, excl_present = scatter(treatment, union.row_of[1], treat_cols,
+                                      "exclusive", "exclusive")
 
     in_base = np.zeros(n_rows, dtype=bool)
     in_base[union.row_of[0]] = True
@@ -1152,8 +1342,9 @@ def diff_columnar(base: ColumnarViewTree, treatment: ColumnarViewTree,
         parent=union.parent, depth=union.depth, token=union.token,
         frame_id=union.frame_id, frames=union.frames,
         merge_keys=union.merge_keys, shape=shape,
-        inclusive=inclusive, incl_present=incl_count > 0,
-        exclusive=exclusive, excl_present=excl_count > 0,
-        baseline=baseline, base_present=base_count > 0, tag_codes=codes,
-        row_sources=_union_sources([base, treatment], union))
+        inclusive=inclusive, incl_present=incl_present,
+        exclusive=exclusive, excl_present=excl_present,
+        baseline=baseline, base_present=base_present, tag_codes=codes,
+        row_sources=_union_sources([base, treatment], union),
+        cell_order=order)
     return ViewTree.columnar_backed(schema, shape, cvt)

@@ -37,7 +37,8 @@ from typing import Dict, Iterable, List, Optional
 
 from ..analysis.transform import bottom_up, flat, top_down
 from ..analysis.aggregate import aggregate_profiles, merge_trees
-from ..analysis.diff import diff_profiles, diff_trees
+from ..analysis.diff import diff_profiles, diff_trees, summarize
+from ..analysis.formula import derive
 from ..core.atomicio import atomic_write_text
 from ..core.cct_columnar import ColumnarCCT, numpy_available
 from ..core.digest import profile_digest, viewtree_digest
@@ -126,6 +127,11 @@ def _assert_layouts_equal(name: str, fast_layout, ref_layout) -> None:
                 "tier %r: layout rects differ (columnar vs object)" % name)
 
 
+#: Derived before the aggregate/diff checks, so the gate covers the
+#: column-wise formula path and the compare path on derived views.
+_GATE_FORMULA = "if(`{0}` > 0, `{0}` / (`{0}` + 1), `{0}` % 7) ^ 0.5"
+
+
 def _check_equality(name: str, fast, ref, fast_other, other) -> None:
     """The oracle gate: digests, trees, views, ops, and rects must agree."""
     if profile_digest(fast) != profile_digest(ref):
@@ -141,17 +147,27 @@ def _check_equality(name: str, fast, ref, fast_other, other) -> None:
         ref_views[label] = build(ref)
         _assert_view_digests(name, label, fast_views[label],
                              ref_views[label])
+    fast_second = top_down(fast_other)
+    ref_second = top_down(other)
+    source = _GATE_FORMULA.format(fast.schema.names()[0])
+    for tree in (fast_views["top_down"], ref_views["top_down"],
+                 fast_second, ref_second):
+        derive(tree, "gate_derived", source)
+    _assert_view_digests(name, "derived", fast_views["top_down"],
+                         ref_views["top_down"])
     fast_views["aggregate"] = merge_trees(
-        [fast_views["top_down"], top_down(fast_other)])
-    ref_views["aggregate"] = merge_trees(
-        [ref_views["top_down"], top_down(other)])
+        [fast_views["top_down"], fast_second])
+    ref_views["aggregate"] = merge_trees([ref_views["top_down"], ref_second])
     _assert_view_digests(name, "aggregate", fast_views["aggregate"],
                          ref_views["aggregate"])
-    fast_views["diff"] = diff_trees(fast_views["top_down"],
-                                    top_down(fast_other))
-    ref_views["diff"] = diff_trees(ref_views["top_down"], top_down(other))
+    fast_views["diff"] = diff_trees(fast_views["top_down"], fast_second)
+    ref_views["diff"] = diff_trees(ref_views["top_down"], ref_second)
     _assert_view_digests(name, "diff", fast_views["diff"],
                          ref_views["diff"])
+    if (list(summarize(fast_views["diff"]).items())
+            != list(summarize(ref_views["diff"]).items())):
+        raise OracleMismatch(
+            "tier %r: diff tag counts differ (columnar vs object)" % name)
     _assert_layouts_equal(name, layout(fast_views["top_down"]),
                           layout(ref_views["top_down"]))
 

@@ -5,10 +5,12 @@ See :mod:`repro.engine.engine` for the design discussion and
 """
 
 from .cache import CacheStats, LRUCache
-from .engine import AnalysisEngine, get_engine, invalidate_everywhere
+from .engine import (AnalysisEngine, forget_everywhere, get_engine,
+                     invalidate_everywhere)
 from .parallel import WorkerPool, default_worker_count
 
 __all__ = [
     "AnalysisEngine", "CacheStats", "LRUCache", "WorkerPool",
-    "default_worker_count", "get_engine", "invalidate_everywhere",
+    "default_worker_count", "forget_everywhere", "get_engine",
+    "invalidate_everywhere",
 ]

@@ -348,24 +348,34 @@ _default_engine: Optional[AnalysisEngine] = None
 _default_lock = threading.Lock()
 
 
+def forget_everywhere(value: Any) -> int:
+    """Forget ``value`` in every live engine: cache entries holding it and
+    its memoized digest.
+
+    Every in-place tree mutator calls this (directly or through
+    :func:`invalidate_everywhere`) so a mutated tree is never served, or
+    keyed, under its pre-mutation content, whichever engine cached it.
+    ``formula.derive`` and ``diff.add_delta_column`` need only this half:
+    on a columnar-backed tree they install a new array snapshot rather
+    than edit the facade.  Returns the total number of entries dropped.
+    """
+    return sum(engine.invalidate_value(value) for engine in list(_live_engines))
+
+
 def invalidate_everywhere(value: Any) -> int:
-    """Forget ``value`` in every live engine's cache.
+    """:func:`forget_everywhere`, after dropping a columnar backing.
 
-    The in-place tree mutators (the formula engine's ``derive``, the diff
-    module's ``add_delta_column``) call this so a mutated tree is never
-    served under its pre-mutation content key, whichever engine cached it.
-    Returns the total number of entries dropped.
-
-    Columnar-backed view trees additionally drop their array backing here
-    (after forcing the facade, so pending lazy reads keep pre-mutation
-    values out of the picture): the mutators write through the ``ViewNode``
-    objects, and a survivor columnar plane would keep serving — and
-    digesting — the stale values.
+    For mutators that write through the ``ViewNode`` facade dicts of a
+    possibly columnar-backed tree (``Customization.finish``): the arrays
+    would no longer agree, and a surviving columnar plane would keep
+    serving — and digesting — stale values.  ``mark_mutated`` forces the
+    facade before dropping the arrays, so no lazily pending values are
+    lost.
     """
     mark = getattr(value, "mark_mutated", None)
     if mark is not None:
         mark()
-    return sum(engine.invalidate_value(value) for engine in list(_live_engines))
+    return forget_everywhere(value)
 
 
 def get_engine() -> AnalysisEngine:

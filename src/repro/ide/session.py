@@ -19,7 +19,7 @@ from ..analysis import query as query_mod
 from ..analysis.viewtree import ViewNode, ViewTree
 from ..core.profile import Profile
 from ..engine import AnalysisEngine, get_engine
-from ..errors import EasyViewError, ProtocolError
+from ..errors import EasyViewError, FormulaError, ProtocolError
 from ..viz.histogram import sparkline, trend_label
 from ..viz.layout import FlameLayout
 from .actions import Capabilities, CodeLink, FloatingWindow, Hover
@@ -507,7 +507,7 @@ class ViewerSession:
         try:
             result = self._dispatch(request)
             return pvp.Response.success(request.id, result)
-        except ProtocolError as exc:
+        except (ProtocolError, FormulaError) as exc:
             return pvp.Response.failure(request.id, pvp.INVALID_PARAMS,
                                         str(exc))
         except (TypeError, ValueError, KeyError, AttributeError) as exc:
@@ -666,9 +666,10 @@ class ViewerSession:
             pvp.require_params(request, "profileId", "name", "formula")
             shape = params.get("shape", "top_down")
             tree = self.view(int(params["profileId"]), shape)
-            # derive() mutates the tree in place and drops it from every
-            # engine cache, so no content-equal profile can be served the
-            # derived-column tree under the pre-mutation key.
+            # derive() adds the column to this pinned tree object (a new
+            # array snapshot, plus the facade if built) and drops the tree
+            # from every engine cache, so no content-equal profile is
+            # served the derived-column tree under the pre-mutation key.
             index = formula_mod.derive(tree, params["name"],
                                        params["formula"],
                                        unit=params.get("unit", ""))

@@ -265,7 +265,9 @@ def _layout_columnar(tree: ViewTree, cvt, metric_index: int,
     # Emitted children per laid-out row, in sibling sort order — feeds the
     # emission-order replay below.
     kept_children: dict = {}
-    if width[0] >= min_width:
+    # The object walk skips a rect when ``width < min_width`` and a child
+    # when ``value <= 0``; the negations keep its NaN behaviour.
+    if not width[0] < min_width:
         emitted[0] = True
     else:
         skipped = int(sizes[0])
@@ -279,7 +281,7 @@ def _layout_columnar(tree: ViewTree, cvt, metric_index: int,
         if max_depth is not None and level > max_depth:
             break
         rows = ids[level_start[level]:level_start[level + 1]]
-        cand = rows[(value[rows] > 0) & emitted[parent[rows]]]
+        cand = rows[~(value[rows] <= 0) & emitted[parent[rows]]]
         if cand.size == 0:
             break
         # Sort candidates by (parent, -value0, name, file); lexsort is
@@ -299,8 +301,20 @@ def _layout_columnar(tree: ViewTree, cvt, metric_index: int,
         starts[1:] = p[1:] != p[:-1]
         anchor = np.maximum.accumulate(
             np.where(starts, np.arange(ranked.size, dtype=np.int64), 0))
-        x[ranked] = x[p] + (running - running[anchor])
-        keep = w >= min_width
+        offset = running - running[anchor]
+        if not np.isfinite(offset).all():
+            # An infinite or NaN width (an overflowing scale, a NaN
+            # metric) poisons the differenced sums of every later
+            # sibling group; replay the push loop's cursor instead.
+            cursor = 0.0
+            for i, (step, first) in enumerate(zip(w.tolist(),
+                                                  starts.tolist())):
+                if first:
+                    cursor = 0.0
+                offset[i] = cursor
+                cursor += step
+        x[ranked] = x[p] + offset
+        keep = ~(w < min_width)
         emitted[ranked] = keep
         if keep.any():
             deepest = level

@@ -36,13 +36,21 @@ class TreeTable:
                  metrics: Optional[Sequence[str]] = None,
                  inclusive: bool = True) -> None:
         self.tree = tree
-        if metrics is None:
-            self.columns = list(range(len(tree.schema)))
-        else:
-            self.columns = [tree.schema.index_of(name) for name in metrics]
+        #: Explicitly chosen columns; None follows the live schema, so
+        #: metrics derived after the table was built show up.
+        self._columns: Optional[List[int]] = (
+            None if metrics is None
+            else [tree.schema.index_of(name) for name in metrics])
         self.inclusive = inclusive
         self.sort_column = self.columns[0] if self.columns else 0
         self._expanded: Set[int] = {id(tree.root)}
+
+    @property
+    def columns(self) -> List[int]:
+        """Column indices shown, in display order."""
+        if self._columns is None:
+            return list(range(len(self.tree.schema)))
+        return self._columns
 
     # -- fold state ----------------------------------------------------------
 
@@ -84,6 +92,7 @@ class TreeTable:
     def rows(self) -> List[TableRow]:
         """The currently visible rows, respecting fold state and sorting."""
         result: List[TableRow] = []
+        columns = self.columns
 
         def visible_children(node: ViewNode) -> List[ViewNode]:
             children = list(node.children.values())
@@ -94,7 +103,7 @@ class TreeTable:
             result.append(TableRow(
                 node=node, depth=depth,
                 expanded=id(node) in self._expanded,
-                values=[self._value(node, c) for c in self.columns]))
+                values=[self._value(node, c) for c in columns]))
             if id(node) in self._expanded:
                 for child in visible_children(node):
                     emit(child, depth + 1)

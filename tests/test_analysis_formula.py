@@ -167,6 +167,45 @@ class TestEdgeCases:
     def test_percent_binds_like_multiplication(self):
         assert evaluate_str("1 + 7 % 3", {}) == 2.0
 
+    # Values never raise: each of these escaped as a Python exception.
+
+    def test_zero_to_negative_power_is_zero(self):
+        assert evaluate_str("0 ^ -1", {}) == 0.0  # was ZeroDivisionError
+
+    def test_negative_base_fractional_power_is_zero(self):
+        assert evaluate_str("(-8) ^ 0.5", {}) == 0.0  # was TypeError
+
+    def test_infinite_modulo_is_zero(self):
+        assert evaluate_str("a % 2", {"a": math.inf}) == 0.0  # ValueError
+
+
+class TestFailedDerive:
+    """A formula error raises before the tree changes at all."""
+
+    @pytest.mark.parametrize("source", ["cpu / nosuch", "frob(cpu)",
+                                        "max(cpu)", "cpu +"])
+    @pytest.mark.parametrize("columnar", [True, False])
+    def test_failed_derive_changes_nothing(self, simple_profile, source,
+                                           columnar):
+        from repro.core.cct_columnar import from_cct
+        from repro.core.digest import viewtree_digest
+        from repro.engine import AnalysisEngine
+        if columnar:
+            simple_profile.attach_columnar(
+                from_cct(simple_profile.cct, len(simple_profile.schema)))
+        engine = AnalysisEngine()
+        tree = engine.transform(simple_profile, "top_down")
+        snapshot = tree.columnar()
+        names = tree.schema.names()
+        digest = viewtree_digest(tree)
+        with pytest.raises(FormulaError):
+            derive(tree, "x", source)
+        assert tree.schema.names() == names
+        assert tree.columnar() is snapshot
+        assert viewtree_digest(tree) == digest
+        assert engine.transform(simple_profile, "top_down") is tree
+        assert derive(tree, "good", "cpu * 2") == len(names)
+
 
 class TestSpans:
     """Every FormulaError carries the offending character span."""

@@ -10,9 +10,10 @@ from repro.analysis.formula import derive
 from repro.analysis.transform import top_down, transform
 from repro.analysis.viewtree import line_merge_key
 from repro.core.digest import profile_digest, schema_digest, viewtree_digest
+from repro.core.metric import Metric
 from repro.engine import (AnalysisEngine, LRUCache, WorkerPool,
-                          default_worker_count, get_engine,
-                          invalidate_everywhere)
+                          default_worker_count, forget_everywhere,
+                          get_engine, invalidate_everywhere)
 
 
 def build(entries, tool="test", metrics=("cpu",)):
@@ -360,6 +361,21 @@ class TestEngineInvalidation:
         tree = engine.transform(build(ENTRIES), "top_down")
         assert invalidate_everywhere(tree) == 1
         assert invalidate_everywhere(tree) == 0
+
+    def test_forget_keeps_arrays_invalidate_drops_them(self):
+        from repro.core.cct_columnar import from_cct
+        engine = AnalysisEngine()
+        profile = build(ENTRIES)
+        profile.attach_columnar(from_cct(profile.cct, len(profile.schema)))
+        tree = engine.transform(profile, "top_down")
+        stale = engine._tree_digest(tree)
+        tree.schema.add(Metric("late"))
+        assert forget_everywhere(tree) == 1
+        assert tree.columnar() is not None
+        assert engine._tree_digest(tree) != stale  # memo dropped too
+        assert engine.transform(profile, "top_down") is not tree
+        invalidate_everywhere(tree)
+        assert tree.columnar() is None
 
     def test_layout_of_mutated_tree_recomputed(self):
         engine = AnalysisEngine()

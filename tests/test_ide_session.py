@@ -204,6 +204,54 @@ class TestMultiProfileRequests:
             ide.request("view/deriveMetric", profileId=ide.profile_id,
                         name="x", formula="cpu +")
 
+    @pytest.mark.parametrize("formula", ["cpu / nosuch", "frob(cpu)",
+                                         "max(cpu)", "cpu +"])
+    def test_formula_error_is_invalid_params_and_changes_nothing(
+            self, ide, formula):
+        from repro.ide import protocol as pvp
+        response = ide.session.handle(pvp.Request(
+            method="view/deriveMetric", id=1,
+            params={"profileId": ide.profile_id, "name": "x",
+                    "formula": formula}))
+        assert response.error["code"] == pvp.INVALID_PARAMS
+        result = ide.request("view/deriveMetric", profileId=ide.profile_id,
+                             name="cpu_us", formula="cpu / 1000")
+        assert result["metricIndex"] == 2  # cpu, alloc, then cpu_us
+
+    def test_derive_on_columnar_view_keeps_arrays_and_node_refs(
+            self, tmp_path):
+        from repro.profilers.corpus import generate_bytes, tier
+        path = tmp_path / "small.pb.gz"
+        path.write_bytes(generate_bytes(tier("small")))
+        ide = MockIDE()
+        profile_id = ide.open_profile(str(path))
+        rows = ide.request("view/tableExpand", profileId=profile_id,
+                           hotPath=True)["rows"]
+        tree = ide.session.view(profile_id, "top_down")
+        ref = rows[0]["ref"]
+        node = ide.session.get(profile_id).node_by_ref(ref)
+        index = ide.request("view/deriveMetric", profileId=profile_id,
+                            name="per_sample",
+                            formula="cpu / samples")["metricIndex"]
+        assert tree.columnar() is not None
+        assert ide.session.get(profile_id).node_by_ref(ref) is node
+        samples = node.inclusive[tree.schema.index_of("samples")]
+        assert node.inclusive[index] == (
+            node.inclusive[tree.schema.index_of("cpu")] / samples
+            if samples else 0.0)
+        row = ide.request("view/table", profileId=profile_id)["rows"][0]
+        assert row["values"][index] == node.inclusive[index]
+
+    def test_table_lists_derived_column(self, ide):
+        before = ide.request("view/table", profileId=ide.profile_id)
+        assert before["columns"] == ["cpu", "alloc"]
+        ide.request("view/deriveMetric", profileId=ide.profile_id,
+                    name="cpu_us", formula="cpu / 1000")
+        after = ide.request("view/table", profileId=ide.profile_id)
+        assert after["columns"] == ["cpu", "alloc", "cpu_us"]
+        work = next(row for row in after["rows"] if "main" in row["label"])
+        assert work["values"][2] == pytest.approx(work["values"][0] / 1000)
+
 
 class TestEngineStats:
     def test_engine_stats_request(self, ide):

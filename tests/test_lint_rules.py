@@ -69,6 +69,12 @@ class TestFormulaRules:
         assert rules_of(diags) == {"EV104"}
         assert "1024" in diags[0].message
 
+    @pytest.mark.parametrize("constant", ["(0 ^ -1)", "((-8) ^ 0.5)"])
+    def test_ev104_folds_constants_that_used_to_raise(self, constant):
+        source = "cycles * %s" % constant
+        [diag] = lint_formula(source, metrics=METRICS)
+        assert diag.rule == "EV104" and "evaluates to 0" in diag.message
+
     def test_ev104_not_raised_for_plain_literals(self):
         assert lint_formula("cycles * 2", metrics=METRICS) == []
         assert lint_formula("cycles + -3", metrics=METRICS) == []

@@ -7,8 +7,9 @@ aggregate and diff results, same flame-graph rectangles.  The object path
 is kept alive purely as the oracle these tests hold the vectorized path
 against — on corpus fixtures, synthetic workloads, a 10k-deep call chain,
 and randomized trees via hypothesis round-trips.  Also here: regression
-tests for the invalidation fix that landed with the pipeline (a mutated
-facade must drop its columnar backing, or digests serve stale bytes).
+tests for in-place mutation (column-wise mutators keep the backing and
+stay equal to the object path; facade edits must drop it, or digests
+serve stale bytes).
 """
 
 import dataclasses
@@ -194,20 +195,37 @@ class TestDiffOracle:
 
 
 class TestMutationInvalidation:
-    """A mutated facade must drop its columnar backing (the satellite fix:
-    without ``invalidate_everywhere`` → ``mark_mutated``, the digest and
-    serialization paths read pre-mutation array bytes)."""
+    """In-place mutators: ``derive`` and ``add_delta_column`` install a new
+    array snapshot (copy-on-write) that matches the object path byte for
+    byte; only facade-dict edits drop the backing (without
+    ``mark_mutated``, the digest would read pre-mutation array bytes)."""
 
-    def test_derive_drops_backing_and_redigests(self, corpus_raw):
+    def test_derive_keeps_backing_and_redigests(self, corpus_raw):
         tree = transform(pprof.parse(corpus_raw), "top_down")
-        assert tree.columnar() is not None
+        oracle = transform(pprof.parse(corpus_raw), "top_down")
+        oracle.mark_mutated()
+        snapshot = tree.columnar()
         before = viewtree_digest(tree)
         first = tree.schema.names()[0]
         column = formula.derive(tree, "doubled", "2 * %s" % first)
-        assert tree.columnar() is None
+        assert formula.derive(oracle, "doubled", "2 * %s" % first) == column
+        assert tree.columnar() is not None
+        # Copy-on-write: the old snapshot keeps its arrays unchanged.
+        assert tree.columnar() is not snapshot
+        assert snapshot.n_metrics == column
         assert viewtree_digest(tree) != before
+        assert viewtree_digest(tree) == viewtree_digest(oracle)
+        assert_views_identical(tree, oracle)
         root = tree.root
         assert root.inclusive[column] == 2 * root.inclusive.get(0, 0.0)
+
+    def test_facade_edit_drops_backing(self, corpus_raw):
+        from repro.analysis.callbacks import Customization
+        custom = Customization().derive(Metric("one"), lambda node, env: 1.0)
+        tree = transform(pprof.parse(corpus_raw), "top_down",
+                         customization=custom)
+        assert tree.columnar() is None
+        assert tree.root.inclusive[tree.schema.index_of("one")] == 1.0
 
     def test_derive_matches_object_path(self, corpus_raw):
         col_tree = transform(pprof.parse(corpus_raw), "top_down")
@@ -226,16 +244,23 @@ class TestMutationInvalidation:
         assert len(child.sources) > 0
         assert all(source.frame is not None for source in child.sources)
 
-    def test_add_delta_column_drops_backing(self, corpus_raw,
-                                            corpus_raw_alt):
+    @pytest.mark.parametrize("mode", ["subtract", "ratio"])
+    def test_add_delta_column_keeps_backing(self, corpus_raw, corpus_raw_alt,
+                                            mode):
         diffed = diff_trees(
             transform(pprof.parse(corpus_raw), "top_down"),
             transform(pprof.parse(corpus_raw_alt), "top_down"))
-        assert diffed.columnar() is not None
+        oracle = diff_trees(
+            transform(pprof.parse(corpus_raw), "top_down"),
+            transform(pprof.parse(corpus_raw_alt), "top_down"))
+        oracle.mark_mutated()
         before = viewtree_digest(diffed)
-        add_delta_column(diffed, 0)
-        assert diffed.columnar() is None
+        assert add_delta_column(diffed, 0, mode) == \
+            add_delta_column(oracle, 0, mode)
+        assert diffed.columnar() is not None
         assert viewtree_digest(diffed) != before
+        assert viewtree_digest(diffed) == viewtree_digest(oracle)
+        assert_views_identical(diffed, oracle)
 
 
 class TestLayoutOracle:
