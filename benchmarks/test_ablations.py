@@ -183,8 +183,8 @@ class TestGcGuardAblation:
         from repro.core.gcguard import no_gc
 
         def build():
-            # collect_after deliberately off: the reclaim happens outside
-            # the interactive open path (and outside the timer).
+            # No collection on exit: the reclaim happens outside the
+            # interactive open path (and outside the timer).
             with no_gc():
                 return parse_pprof(large_bytes)
 

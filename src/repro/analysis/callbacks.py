@@ -51,6 +51,11 @@ class Customization:
         transforms skip per-node callback dispatch entirely."""
         return not self._elide_fns and not self._remap_fns
 
+    def has_hooks(self) -> bool:
+        """True when any callback is registered, derived metrics included:
+        a view built with hooks differs from the plain one."""
+        return bool(self._elide_fns or self._remap_fns or self._derived)
+
     # -- registration ------------------------------------------------------
 
     def elide_if(self, fn: ElideFn) -> "Customization":

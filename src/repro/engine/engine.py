@@ -132,7 +132,7 @@ class AnalysisEngine:
         """Memoized :func:`repro.analysis.transform.transform`."""
         customization = kwargs.get("customization")
         compute = lambda: transform_fn(profile, shape, **kwargs)
-        if customization is not None and not customization.is_passthrough():
+        if customization is not None and customization.has_hooks():
             # User callbacks may close over arbitrary state; never cache.
             return self._bypass("transform", compute)
         try:

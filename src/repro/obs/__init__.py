@@ -7,7 +7,7 @@ and rendering the resulting traces as EasyView flame graphs in the tool
 itself (the same dogfooding hpctoolkit and pprof practice on their own
 infrastructures).
 
-Two process-wide singletons, lazily created:
+Three process-wide singletons, lazily created:
 
 * :func:`get_registry` — the :class:`~repro.obs.metrics.MetricsRegistry`
   holding every named counter/gauge/histogram (the PVP server's request
@@ -16,6 +16,9 @@ Two process-wide singletons, lazily created:
   ring the exporters drain.  Disabled by default; enabled by
   ``EASYVIEW_OBS=1`` in the environment, :func:`configure`, or the
   ``easyview obs`` subcommands.
+* :func:`watch_collector` — the :class:`~repro.obs.runtime.CollectorClock`
+  ``gc.callbacks`` hook timing cyclic collections into
+  ``runtime.gc_seconds``; installed by the PVP servers, never at import.
 
 The instrumented subsystems call :func:`get_tracer` once at import (or
 first use) and wrap their hot paths in ``tracer.span(...)``; with the
@@ -26,23 +29,27 @@ keeps the disabled overhead under the 5 % budget asserted in
 
 from __future__ import annotations
 
+import gc
 import threading
 from typing import Optional
 
 from .metrics import (Counter, Gauge, Histogram, MetricsRegistry,
                       DEFAULT_BUCKETS)
 from .prom import registry_prometheus, to_prometheus
+from .runtime import CollectorClock
 from .tracer import Span, Tracer, env_enabled
 
 __all__ = [
     "Counter", "Gauge", "Histogram", "MetricsRegistry", "DEFAULT_BUCKETS",
     "Span", "Tracer", "configure", "get_registry", "get_tracer",
-    "trace_span", "env_enabled", "registry_prometheus", "to_prometheus",
+    "trace_span", "watch_collector", "env_enabled", "registry_prometheus",
+    "to_prometheus",
 ]
 
 _lock = threading.Lock()
 _registry: Optional[MetricsRegistry] = None
 _tracer: Optional[Tracer] = None
+_collector_clock: Optional[CollectorClock] = None
 
 
 def get_registry() -> MetricsRegistry:
@@ -64,6 +71,22 @@ def get_tracer() -> Tracer:
             if _tracer is None:
                 _tracer = Tracer(enabled=env_enabled(), registry=registry)
     return _tracer
+
+
+def watch_collector() -> CollectorClock:
+    """The process-wide :class:`CollectorClock`, installed into
+    ``gc.callbacks`` on first call (each PVP request dispatcher calls it
+    as it is created, so importing this package changes nothing)."""
+    global _collector_clock
+    if _collector_clock is None:
+        histogram = get_registry().histogram(
+            "runtime.gc_seconds",
+            description="cyclic garbage collection passes, all generations")
+        with _lock:
+            if _collector_clock is None:
+                _collector_clock = CollectorClock(histogram)
+                gc.callbacks.append(_collector_clock)
+    return _collector_clock
 
 
 def configure(enabled: Optional[bool] = None,

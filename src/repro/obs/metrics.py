@@ -122,7 +122,10 @@ class Histogram:
         self._count = 0
         self._min: Optional[float] = None
         self._max: Optional[float] = None
-        self._lock = threading.Lock()
+        # Reentrant: ``runtime.gc_seconds`` is observed from a gc callback,
+        # which can fire at any container allocation — including those
+        # ``to_dict`` and ``reset`` make while holding this lock.
+        self._lock = threading.RLock()
 
     def observe(self, value: float) -> None:
         """Record one observation."""
@@ -166,22 +169,28 @@ class Histogram:
             self._max = None
 
     def to_dict(self) -> Dict[str, Any]:
+        # Copy first, then build: a reentrant observation can only land
+        # while the copy is allocated, never between the fields read.
         with self._lock:
-            cumulative = 0
-            buckets: List[Dict[str, Any]] = []
-            for bound, count in zip(self.buckets, self._counts):
-                cumulative += count
-                buckets.append({"le": bound, "count": cumulative})
-            buckets.append({"le": "+Inf", "count": cumulative
-                            + self._counts[-1]})
-            return {
-                "count": self._count,
-                "sum": self._sum,
-                "mean": self._sum / self._count if self._count else 0.0,
-                "min": self._min,
-                "max": self._max,
-                "buckets": buckets,
-            }
+            counts = list(self._counts)
+            total = self._sum
+            count = self._count
+            low = self._min
+            high = self._max
+        cumulative = 0
+        buckets: List[Dict[str, Any]] = []
+        for bound, in_bucket in zip(self.buckets, counts):
+            cumulative += in_bucket
+            buckets.append({"le": bound, "count": cumulative})
+        buckets.append({"le": "+Inf", "count": cumulative + counts[-1]})
+        return {
+            "count": count,
+            "sum": total,
+            "mean": total / count if count else 0.0,
+            "min": low,
+            "max": high,
+            "buckets": buckets,
+        }
 
     def __repr__(self) -> str:
         return "Histogram(%r, n=%d)" % (self.name, self.count)

@@ -23,11 +23,11 @@ output is byte-identical to the original codec preserved in
 
 from __future__ import annotations
 
-import gc
 import struct
 from dataclasses import dataclass, field
 from typing import List
 
+from ..core.gcguard import no_gc
 from ..obs import get_registry, get_tracer
 from . import wire
 from .fastwire import (Buffer, PackedInt64Batch, Reader, Writer, as_view,
@@ -322,16 +322,9 @@ class ProfileMessage:
         # Same allocation-burst reasoning as ``pprof_pb.Profile.parse``:
         # pausing the cyclic collector while hundreds of thousands of
         # acyclic containers are born beats letting gen-0 sweeps rescan
-        # the growing graph every ~700 allocations.  (Inline mirror of
-        # ``core.gcguard.no_gc``; importing it here would be circular.)
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
+        # the growing graph every ~700 allocations.
+        with no_gc():
             return cls._parse_impl(data)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
 
     @classmethod
     def _parse_impl(cls, data: Buffer) -> "ProfileMessage":

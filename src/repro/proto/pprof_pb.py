@@ -20,11 +20,11 @@ as :mod:`repro.proto.reference` and asserted equal in the codec tests.
 
 from __future__ import annotations
 
-import gc
 import gzip
 from dataclasses import dataclass, field
 from typing import List
 
+from ..core.gcguard import no_gc
 from ..obs import get_registry, get_tracer
 from . import wire
 from .fastwire import (_UNPACK_FIXED32, _UNPACK_FIXED64, Buffer,
@@ -720,17 +720,9 @@ class Profile:
         # in one burst; with the collector enabled, generation-0 sweeps
         # fire every ~700 allocations and rescan the ever-growing object
         # graph, costing more than the decode itself.  Nothing allocated
-        # here is cyclic, so pause collection for the duration.  (Inline
-        # mirror of ``core.gcguard.no_gc``, which cannot be imported here:
-        # ``core.serialize`` imports this package.)
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
+        # here is cyclic, so pause collection for the duration.
+        with no_gc():
             return cls._parse_impl(data)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
 
     @classmethod
     def parse_columnar(cls, data: Buffer):
@@ -745,14 +737,8 @@ class Profile:
         """
         _parse_calls.inc()
         _parse_bytes.inc(len(data))
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
+        with no_gc():
             return cls._parse_impl(data, defer_samples=True)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
 
     @classmethod
     def _parse_impl(cls, data: Buffer, defer_samples: bool = False):

@@ -12,9 +12,11 @@ module is that shared half:
 * the **dispatcher** — :class:`Dispatcher` wraps one
   :class:`~repro.ide.session.ViewerSession` and executes one request
   under a tracer span with latency accounting, the
-  crashed-handler-to-``INTERNAL_ERROR`` mapping, and structured
-  slow-request logging carrying both the trace id *and* the session id
-  (so a slow interaction in a thousand-session server is attributable);
+  crashed-handler-to-``INTERNAL_ERROR`` mapping, the request-scoped
+  cyclic collector policy (:data:`~repro.core.gcguard.REQUEST_COLLECTOR`),
+  and structured slow-request logging carrying the trace id, the session
+  id and the collector seconds (so a slow interaction in a
+  thousand-session server is attributable);
 * the **supersession map** — :func:`supersede_key` names which requests
   describe the *same pane* such that a newer one makes a queued older
   one worthless (the socket transport answers the older one with
@@ -33,8 +35,9 @@ import sys
 import time
 from typing import Any, IO, Optional, Tuple
 
+from ..core.gcguard import REQUEST_COLLECTOR
 from ..errors import ProtocolError
-from ..obs import get_registry, get_tracer
+from ..obs import get_registry, get_tracer, watch_collector
 from ..ide.protocol import (INTERNAL_ERROR, INVALID_REQUEST, PARSE_ERROR,
                             Request, Response, parse_message)
 from ..ide import protocol as pvp
@@ -134,9 +137,15 @@ class Dispatcher:
     keeps serving.  Every request is counted, timed into the
     ``server.request_seconds`` histogram, and tracked by the
     ``server.inflight`` gauge; requests slower than ``slow_seconds``
-    emit one structured JSON log line with the trace id *and* the
-    session id, so a slow interaction can be joined to its spans and
-    attributed to its client.
+    emit one structured JSON log line with the trace id, the session id
+    and the seconds cyclic collections stalled it, so a slow interaction
+    can be joined to its spans and attributed to its client.
+
+    Handlers run under :data:`~repro.core.gcguard.REQUEST_COLLECTOR`:
+    a request that starts with nothing else in flight runs with the
+    cyclic collector off, and its survivors are frozen when the process
+    has no request in flight.  Constructing a dispatcher installs the
+    ``runtime.gc_seconds`` collector hook (once per process).
 
     Thread-safety: :meth:`handle` touches only the wrapped session, the
     (lock-protected) obs instruments, and the log stream; the socket
@@ -164,6 +173,11 @@ class Dispatcher:
             "server.inflight", "requests currently being handled")
         self._latency = registry.histogram(
             "server.request_seconds", description="per-request latency")
+        self._frozen = registry.gauge(
+            "runtime.gc_frozen_objects",
+            "objects frozen out of the cyclic collector by the request "
+            "policy (its own count)")
+        self._gc_clock = watch_collector()
 
     @property
     def session_id(self) -> str:
@@ -174,6 +188,7 @@ class Dispatcher:
         tracer = get_tracer()
         self._requests.inc()
         self._inflight.inc()
+        gc_before = self._gc_clock.seconds
         started = time.perf_counter()
         trace_id = None
         try:
@@ -183,7 +198,8 @@ class Dispatcher:
                 if span is not None:
                     trace_id = span.trace_id
                 try:
-                    response = self.session.handle(message)
+                    with REQUEST_COLLECTOR.request():
+                        response = self.session.handle(message)
                 except Exception as exc:  # the handler crashed: answer,
                     self._crashes.inc()   # don't die
                     if span is not None:
@@ -198,22 +214,28 @@ class Dispatcher:
                     span.set("ok", response.ok)
         finally:
             elapsed = time.perf_counter() - started
+            gc_seconds = self._gc_clock.seconds - gc_before
             self._inflight.dec()
             self._latency.observe(elapsed)
+            self._frozen.set(REQUEST_COLLECTOR.frozen_objects)
         if not response.ok:
             self._errors.inc()
         if elapsed >= self.slow_seconds:
             self._slow.inc()
-            self._log_slow(message, elapsed, trace_id, response.ok)
+            self._log_slow(message, elapsed, gc_seconds, trace_id,
+                           response.ok)
         return response
 
-    def _log_slow(self, message: Request, elapsed: float,
+    def _log_slow(self, message: Request, elapsed: float, gc_seconds: float,
                   trace_id: Optional[str], ok: bool) -> None:
         try:
             self._log.write(json.dumps({
                 "event": "slow_request",
                 "method": message.method,
                 "seconds": round(elapsed, 6),
+                # Collections stop every thread, so this counts passes
+                # that other requests' allocations started, too.
+                "gcSeconds": round(gc_seconds, 6),
                 "traceId": trace_id,
                 "sessionId": self.session_id,
                 "ok": ok,

@@ -254,6 +254,25 @@ class TestEngineMemoization:
         assert engine.cache.stats.bypasses == 2
         assert not t1.find_by_name("idle")
 
+    def test_derived_metric_customization_bypasses(self):
+        # A derive-only customization passes nodes through unchanged but
+        # adds a column: caching it under the plain key served the
+        # derived tree to later plain requests.
+        engine = AnalysisEngine()
+        profile = build(ENTRIES)
+        custom = Customization().derive(Metric("twice"),
+                                        lambda node, env: 2.0)
+        derived = engine.transform(profile, "top_down",
+                                   customization=custom)
+        plain = engine.transform(profile, "top_down")
+        assert derived.schema.names() == ["cpu", "twice"]
+        assert plain is not derived
+        assert plain.schema.names() == ["cpu"]
+        assert engine.cache.stats.bypasses == 1
+        # An empty customization is the plain transform and shares it.
+        assert engine.transform(profile, "top_down",
+                                customization=Customization()) is plain
+
     def test_unknown_key_fn_bypasses(self):
         engine = AnalysisEngine()
         profile = build(ENTRIES)
