@@ -166,8 +166,8 @@ def add_delta_column(tree: ViewTree, metric_index: int,
                 node.inclusive[column] = after - before
             else:
                 node.inclusive[column] = after / before if before else 0.0
-    # In-place mutation: drop the tree from any engine cache.
-    forget_everywhere(tree)
+    # In-place mutation: drop the tree from any engine cache and re-key it.
+    forget_everywhere(tree, "delta", metric_index, mode)
     return column
 
 

@@ -546,7 +546,8 @@ def derive(tree: ViewTree, name: str, formula: str, unit: str = "",
             env = {metric_name: table.get(i, 0.0)
                    for i, metric_name in enumerate(names)}
             table[index] = evaluate(expr, env)
-    # The content changed: no engine may keep serving (or keying) the tree
-    # under its pre-mutation digest.
-    forget_everywhere(tree)
+    # The content changed: no engine may keep serving the tree under its
+    # pre-mutation key, and the key moves on by this derivation.
+    forget_everywhere(tree, "derive", name, formula, unit, description,
+                      inclusive, int(aggregation))
     return index

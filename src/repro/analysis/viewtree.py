@@ -14,7 +14,9 @@ from __future__ import annotations
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..core.cct import CCTNode
+from ..core.digest import viewtree_digest
 from ..core.frame import Frame, FrameKind, ROOT_FRAME
+from ..core.keys import CONTENT, derived_key
 from ..core.metric import MetricSchema
 
 #: Key under which children are merged; produced by a key function.
@@ -251,6 +253,13 @@ class ViewTree:
     never pay for the facade.
     """
 
+    #: Engine cache keys (:mod:`repro.core.keys`): the derivation key the
+    #: engine puts on the trees it returns (moved on by the in-place
+    #: mutators, see :meth:`rekey`), and the memoized content-digest
+    #: fallback.  Trees however built start with neither.
+    _derivation_key: Optional[str] = None
+    _content_key: Optional[str] = None
+
     #: The shape of the view: "top_down", "bottom_up", "flat", or a
     #: decorated shape such as "diff:top_down" / "aggregate:top_down".
     def __init__(self, schema: MetricSchema, shape: str = "top_down") -> None:
@@ -302,6 +311,27 @@ class ViewTree:
             if self._root is None:
                 self._root = self._columnar.materialize()
             self._columnar = None
+
+    def cache_key(self) -> str:
+        """The engine's cache key: the derivation key, or else the content
+        digest, memoized on the tree until :meth:`rekey`."""
+        key = self._derivation_key or self._content_key
+        if key is None:
+            key = self._content_key = CONTENT + viewtree_digest(self)
+        return key
+
+    def rekey(self, *derivation) -> None:
+        """Move the cache key past an in-place mutation.
+
+        ``derivation`` names the mutation and its canonical arguments; a
+        keyed tree then gets H(old key, *derivation).  Without one, or
+        with no key taken yet, the tree falls back to a fresh content
+        digest on next use.
+        """
+        old = self._derivation_key or self._content_key
+        self._content_key = None
+        self._derivation_key = (derived_key((old,) + derivation)
+                                if old is not None and derivation else None)
 
     def nodes(self) -> Iterator[ViewNode]:
         """Pre-order iteration over all nodes."""

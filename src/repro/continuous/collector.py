@@ -24,6 +24,10 @@ in reused layers:
   :meth:`~repro.store.ProfileStore.ingest`, whose WAL batches them
   into immutable segments at its own ``flush_records`` cadence.
 
+Bodies over ``max_body_bytes``, and pprof bodies under it that would
+inflate past the decoder's budget
+(:data:`~repro.proto.pprof_pb.MAX_INFLATED_BYTES`), get 413.
+
 Endpoints: ``POST /upload``, ``GET /healthz`` (JSON counters),
 ``GET /metrics`` (Prometheus text — satellite of this PR).
 """
@@ -35,6 +39,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Set, Tuple
 
+from ..errors import OversizedError
 from ..lint import has_errors
 from ..lint.profile_lint import lint_profile
 from ..obs import get_registry, get_tracer, registry_prometheus
@@ -211,6 +216,12 @@ class Collector:
             from ..converters import parse_bytes
             try:
                 profile = parse_bytes(envelope.blob, format=envelope.format)
+            except OversizedError as exc:
+                # Under the body cap, but inflating past the budget.
+                self._rejected.inc()
+                self._unmark(envelope.digest)
+                return 413, {"error": {"code": "oversized",
+                                       "message": str(exc)}}
             except Exception as exc:
                 self._rejected.inc()
                 self._unmark(envelope.digest)

@@ -83,6 +83,10 @@ def parse_bytes(data: bytes, format: Optional[str] = None,
     bulk CCT construction allocates millions of acyclic containers, and
     suppressing generational collections during the build is one of the
     §V-C efficiency levers.
+
+    The profile is keyed by (converter name, ``data``) for the analysis
+    engine's cache (:meth:`~repro.core.profile.Profile.set_source`): one
+    hash of the bytes here instead of a content digest per request.
     """
     from ..core.gcguard import no_gc
     from ..obs import get_tracer
@@ -93,6 +97,7 @@ def parse_bytes(data: bytes, format: Optional[str] = None,
             profile = converter.parse(data)
     if not profile.meta.tool:
         profile.meta.tool = converter.name
+    profile.set_source(converter.name, data)
     return profile
 
 

@@ -19,7 +19,7 @@ from typing import Dict, List
 from ..builder import ProfileBuilder
 from ..core.frame import Frame, intern_frame
 from ..core.profile import Profile
-from ..errors import FormatError
+from ..errors import FormatError, OversizedError
 from ..proto import pprof_pb
 from .base import Converter, register
 
@@ -212,6 +212,8 @@ def parse(data: bytes) -> Profile:
     """
     try:
         message, block = pprof_pb.loads_columnar(data)
+    except OversizedError:
+        raise
     except Exception as exc:
         raise FormatError("not a pprof profile: %s" % exc) from exc
 
@@ -236,6 +238,8 @@ def parse_object(data: bytes) -> Profile:
     """
     try:
         message = pprof_pb.loads(data)
+    except OversizedError:
+        raise
     except Exception as exc:
         raise FormatError("not a pprof profile: %s" % exc) from exc
 

@@ -225,6 +225,13 @@ class CCT:
         Mutation through the node API invalidates automatically (the
         version stamp no longer matches), so calling this by hand is only
         needed after writing ``node.metrics`` dictionaries directly.
+
+        Such direct writes (into node dicts, or into a profile's point
+        objects) bypass the engine's cache-key stamp too
+        (:meth:`~repro.core.profile.Profile.stamp`): a profile parsed
+        from bytes keeps serving its source key.  Go through the node API
+        (``add_value``/``set_value``), or assign a new tree to
+        ``Profile.cct``, to change a profile that may already be cached.
         """
         for node in self.nodes():
             node.inclusive.clear()

@@ -26,17 +26,24 @@ class Aggregation(enum.IntEnum):
     LAST = 4
 
     def combine(self, values: List[float]) -> float:
-        """Fold a list of values with this rule (empty list → 0)."""
+        """Fold a list of values with this rule (empty list → 0).
+
+        SUM and MEAN add left to right from 0.0, as the columnar merge
+        does (``viewtree_columnar._combine``): ``sum`` compensates its
+        rounding since Python 3.12, so it would disagree with the arrays
+        in the last bits on one interpreter and not on another.
+        """
         if not values:
             return 0.0
-        if self is Aggregation.SUM:
-            return float(sum(values))
+        if self is Aggregation.SUM or self is Aggregation.MEAN:
+            total = 0.0
+            for value in values:
+                total += value
+            return total if self is Aggregation.SUM else total / len(values)
         if self is Aggregation.MIN:
             return float(min(values))
         if self is Aggregation.MAX:
             return float(max(values))
-        if self is Aggregation.MEAN:
-            return float(sum(values)) / len(values)
         return float(values[-1])
 
 

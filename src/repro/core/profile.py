@@ -8,11 +8,13 @@ metadata (producing tool, capture time, duration).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..errors import SchemaError
 from .cct import CCT, CCTNode
+from .digest import profile_digest, schema_digest
 from .frame import Frame
+from .keys import CONTENT, source_key
 from .metric import Metric, MetricSchema
 from .monitor import MonitoringPoint, POINT_ARITY, PointKind
 
@@ -47,6 +49,10 @@ class Profile:
         self.schema = schema if schema is not None else MetricSchema()
         self.points: List[MonitoringPoint] = []
         self.meta = meta if meta is not None else ProfileMeta()
+        #: (key, stamp) pairs: the source key taken at parse, and the
+        #: memoized content digest (see :meth:`cache_key`).
+        self._source: Optional[Tuple[str, Tuple]] = None
+        self._content: Optional[Tuple[str, Tuple]] = None
 
     # -- representations ---------------------------------------------------
 
@@ -93,6 +99,50 @@ class Profile:
         col = from_cct(self.cct, len(self.schema))
         self._columnar = col
         return col
+
+    # -- cache keys --------------------------------------------------------
+
+    def stamp(self) -> Tuple:
+        """What must stay the same for a cache key taken now to hold.
+
+        While the columnar snapshot is in sync the stamp holds it, and the
+        object tree a consumer materialized from it (``to_cct``) does not
+        move the stamp; otherwise it holds the object CCT and its mutation
+        counter.  Both are held as objects, never as ``id()``: CPython
+        reuses a freed object's address, and a reused id would match a
+        stamp taken before.  The schema digest and the point count cover
+        :meth:`add_metric` and :meth:`add_point`.  Writes straight into
+        node dicts or point objects are not seen (see
+        :meth:`~repro.core.cct.CCT.clear_inclusive_cache`).
+        """
+        col = self.columnar()
+        cct = None if col is not None else self._cct
+        return (col, cct, cct._version if cct is not None else None,
+                schema_digest(self.schema), len(self.points))
+
+    def set_source(self, format: str, data: bytes) -> None:
+        """Key this profile by the bytes it was parsed from."""
+        self._source = (source_key(format, data), self.stamp())
+
+    def cache_key(self) -> str:
+        """The engine's cache key for this profile's current content.
+
+        The source key while the stamp still equals the one taken at
+        parse; after that (or for a profile built in process) the content
+        digest, computed once per stamp.
+        """
+        stamp = self.stamp()
+        source = self._source
+        if source is not None:
+            if source[1] == stamp:
+                return source[0]
+            # Mutated since parse: the bytes no longer describe it.
+            self._source = None
+        content = self._content
+        if content is None or content[1] != stamp:
+            content = (CONTENT + profile_digest(self), stamp)
+            self._content = content
+        return content[0]
 
     # -- construction ------------------------------------------------------
 

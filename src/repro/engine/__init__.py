@@ -1,4 +1,4 @@
-"""The shared analysis engine: content-keyed memoization + worker pool.
+"""The shared analysis engine: derivation-keyed memoization + worker pool.
 
 See :mod:`repro.engine.engine` for the design discussion and
 ``docs/ENGINE.md`` for the cache-key and invalidation contract.

@@ -1,10 +1,11 @@
 """The engine's LRU result cache with hit/miss/eviction accounting.
 
 One cache instance backs one :class:`~repro.engine.AnalysisEngine`.  Keys
-are ``(operation, *content digests, *canonicalized options)`` tuples built
-by the engine; values are whatever the operation produced (view trees,
-layouts, attribution tables).  The cache is thread-safe: the engine's
-worker pool may populate it from several threads at once.
+are ``(operation, *input keys, *canonicalized options)`` tuples built by
+the engine (input keys: :mod:`repro.core.keys`); values are whatever the
+operation produced (view trees, layouts, attribution tables).  The cache
+is thread-safe: the engine's worker pool may populate it from several
+threads at once.
 """
 
 from __future__ import annotations

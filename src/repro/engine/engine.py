@@ -5,17 +5,26 @@ analysis pipeline; on a large profile recomputing a transform or a diff per
 keystroke busts the paper's sub-second interaction budget (§VI).  The
 :class:`AnalysisEngine` sits between the consumers (the PVP viewer session,
 :class:`~repro.viz.flamegraph.FlameGraph`, the CLI) and the analysis
-functions, memoizing results in an LRU cache keyed by *content digests*
-(:mod:`repro.core.digest`) plus canonicalized options.
+functions, memoizing results in an LRU cache keyed by *how each input was
+derived* (:mod:`repro.core.keys`) plus canonicalized options:
 
-Keying by content rather than identity buys two properties:
+* a profile parsed from bytes carries a source key — one hash of the
+  bytes at parse — for as long as its mutation stamp holds
+  (:meth:`~repro.core.profile.Profile.cache_key`); the same bytes opened
+  twice share one cached transform;
+* every view tree the engine returns carries the derivation key of the
+  entry it was stored under, so a layout, diff, merge or annotation of it
+  never hashes the tree;
+* anything else — profiles built in process or mutated past their
+  stamp, trees built outside the engine or changed through node
+  callbacks — falls back to its content digest (:mod:`repro.core.digest`),
+  memoized on the object.
 
-* **Invalidation for free** — mutating a profile (new samples, new points)
-  changes its digest, so the next request recomputes; no dirty bits, no
-  explicit invalidation calls.
-* **Cross-object sharing** — two equal profiles (the same file opened
-  twice, a profile round-tripped through serialization) share one cached
-  transform.
+Profiles with equal content but different bytes (a pprof file and its
+``.ezvw`` round trip) therefore no longer share entries.  The in-place
+tree mutators re-key what they change and drop it from every engine
+(:func:`forget_everywhere`), so no cached result is served under a key
+its content has moved past.
 
 Options that cannot be canonicalized — a user callback customization, an
 arbitrary zoom root — bypass the cache rather than risking a wrong hit;
@@ -37,7 +46,7 @@ from ..analysis import diff as diff_mod
 from ..analysis.transform import transform as transform_fn
 from ..analysis.viewtree import (ViewNode, ViewTree, default_merge_key,
                                  line_merge_key)
-from ..core.digest import profile_digest, viewtree_digest
+from ..core.keys import derived_key
 from ..core.metric import Aggregation
 from ..core.profile import Profile
 from ..obs import get_tracer
@@ -85,25 +94,7 @@ class AnalysisEngine:
                  max_workers: Optional[int] = None) -> None:
         self.cache = LRUCache(capacity)
         self.pool = WorkerPool(max_workers)
-        #: id(tree) → (weakref, digest).  View trees are pinned by their
-        #: consumers (the session's ``opened.views``) and only mutated
-        #: through functions that call :func:`invalidate_everywhere`, so
-        #: their digests can be memoized per object; profiles mutate freely
-        #: (converters keep appending samples) and are digested fresh on
-        #: every request.
-        self._tree_digests: Dict[int, Tuple[Any, str]] = {}
         _live_engines.add(self)
-
-    def _tree_digest(self, tree: ViewTree) -> str:
-        key = id(tree)
-        entry = self._tree_digests.get(key)
-        if entry is not None and entry[0]() is tree:
-            return entry[1]
-        digest = viewtree_digest(tree)
-        ref = weakref.ref(
-            tree, lambda _, k=key: self._tree_digests.pop(k, None))
-        self._tree_digests[key] = (ref, digest)
-        return digest
 
     # -- cache plumbing ----------------------------------------------------
 
@@ -117,6 +108,10 @@ class AnalysisEngine:
             if found:
                 return value
             value = compute()
+            # A tree computed through another memoized operation (a
+            # window's aggregate) keeps the key it was first stored under.
+            if isinstance(value, ViewTree) and value._derivation_key is None:
+                value._derivation_key = derived_key(key)
             self.cache.store(key, value)
             return value
 
@@ -142,7 +137,7 @@ class AnalysisEngine:
         except _Uncacheable:
             return self._bypass("transform", compute)
         return self._memoize("transform",
-                             (profile_digest(profile), shape, options),
+                             (profile.cache_key(), shape, options),
                              compute)
 
     def layout(self, tree: ViewTree, metric_index: int = 0,
@@ -159,7 +154,7 @@ class AnalysisEngine:
             return self._bypass("layout", compute)
         return self._memoize(
             "layout",
-            (self._tree_digest(tree), metric_index, canvas_width, min_width,
+            (tree.cache_key(), metric_index, canvas_width, min_width,
              max_depth),
             compute)
 
@@ -176,8 +171,7 @@ class AnalysisEngine:
             return self._bypass("diff", compute)
         return self._memoize(
             "diff",
-            (self._tree_digest(baseline), self._tree_digest(treatment),
-             options),
+            (baseline.cache_key(), treatment.cache_key(), options),
             compute)
 
     def diff_profiles(self, baseline: Profile, treatment: Profile,
@@ -187,8 +181,8 @@ class AnalysisEngine:
         """Memoized :func:`repro.analysis.diff.diff_profiles`."""
         return self._memoize(
             "diff",
-            (profile_digest(baseline), profile_digest(treatment), shape,
-             metric, tolerance),
+            (baseline.cache_key(), treatment.cache_key(), shape, metric,
+             tolerance),
             lambda: diff_mod.diff_profiles(baseline, treatment, shape=shape,
                                            metric=metric,
                                            tolerance=tolerance))
@@ -204,7 +198,7 @@ class AnalysisEngine:
             return self._bypass("aggregate", compute)
         return self._memoize(
             "aggregate",
-            (tuple(self._tree_digest(tree) for tree in trees), options),
+            (tuple(tree.cache_key() for tree in trees), options),
             compute)
 
     def aggregate_profiles(self, profiles: Sequence[Profile],
@@ -233,7 +227,7 @@ class AnalysisEngine:
 
         return self._memoize(
             "aggregate",
-            (tuple(profile_digest(p) for p in profiles), options),
+            (tuple(p.cache_key() for p in profiles), options),
             compute)
 
     def aggregate_window(self, window_key: str, loader: Callable[[], Any],
@@ -270,14 +264,14 @@ class AnalysisEngine:
     def line_attribution(self, tree: ViewTree) -> Dict:
         """Memoized per-(file, line) exclusive-value attribution."""
         from ..ide.annotations import line_attribution
-        return self._memoize("annotation", (self._tree_digest(tree), "lines"),
+        return self._memoize("annotation", (tree.cache_key(), "lines"),
                              lambda: line_attribution(tree))
 
     def assembly_attribution(self, tree: ViewTree) -> Dict:
         """Memoized per-line assembly annotations."""
         from ..ide.annotations import assembly_attribution
         return self._memoize("annotation",
-                             (self._tree_digest(tree), "assembly"),
+                             (tree.cache_key(), "assembly"),
                              lambda: assembly_attribution(tree))
 
     def code_lenses(self, tree: ViewTree, file: Optional[str] = None,
@@ -313,19 +307,8 @@ class AnalysisEngine:
 
     # -- maintenance -------------------------------------------------------
 
-    def invalidate_value(self, value: Any) -> int:
-        """Forget cache entries holding ``value`` (mutated-in-place results).
-
-        Also drops the object's memoized digest, so the next request keys
-        it by its post-mutation content.  Returns the number of cache
-        entries dropped.
-        """
-        self._tree_digests.pop(id(value), None)
-        return self.cache.forget_value(value)
-
     def clear(self) -> None:
-        """Drop every cached result and digest memo (counters survive)."""
-        self._tree_digests.clear()
+        """Drop every cached result (counters survive)."""
         self.cache.clear()
 
     def reset_stats(self) -> None:
@@ -348,18 +331,25 @@ _default_engine: Optional[AnalysisEngine] = None
 _default_lock = threading.Lock()
 
 
-def forget_everywhere(value: Any) -> int:
-    """Forget ``value`` in every live engine: cache entries holding it and
-    its memoized digest.
+def forget_everywhere(value: Any, *derivation: Hashable) -> int:
+    """Forget ``value`` in every live engine and move its cache key.
 
     Every in-place tree mutator calls this (directly or through
     :func:`invalidate_everywhere`) so a mutated tree is never served, or
-    keyed, under its pre-mutation content, whichever engine cached it.
+    keyed, under its pre-mutation key, whichever engine cached it.  A
+    mutator that can name what it did passes ``derivation`` — the
+    operation and its canonical arguments — and the tree is re-keyed
+    from its old key (:meth:`~repro.analysis.viewtree.ViewTree.rekey`);
+    otherwise the tree falls back to its content digest.
     ``formula.derive`` and ``diff.add_delta_column`` need only this half:
     on a columnar-backed tree they install a new array snapshot rather
     than edit the facade.  Returns the total number of entries dropped.
     """
-    return sum(engine.invalidate_value(value) for engine in list(_live_engines))
+    dropped = sum(engine.cache.forget_value(value)
+                  for engine in list(_live_engines))
+    if isinstance(value, ViewTree):
+        value.rekey(*derivation)
+    return dropped
 
 
 def invalidate_everywhere(value: Any) -> int:
@@ -370,7 +360,8 @@ def invalidate_everywhere(value: Any) -> int:
     would no longer agree, and a surviving columnar plane would keep
     serving — and digesting — stale values.  ``mark_mutated`` forces the
     facade before dropping the arrays, so no lazily pending values are
-    lost.
+    lost.  The tree's derivation key goes too: callbacks are not a
+    derivation a key can name, so it falls back to its content digest.
     """
     mark = getattr(value, "mark_mutated", None)
     if mark is not None:

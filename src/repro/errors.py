@@ -43,6 +43,10 @@ class FormatError(EasyViewError):
     """A profile payload does not conform to its declared format."""
 
 
+class OversizedError(FormatError):
+    """A payload would inflate past its decompression budget."""
+
+
 class ConversionError(EasyViewError):
     """A converter could not map a foreign profile into EasyView's model."""
 

@@ -423,7 +423,7 @@ class ViewerSession:
 
         Every ``store/*`` request names its store directory; the session
         keeps one live instance per directory, all sharing the session's
-        engine so query results land in the same digest-keyed cache as
+        engine so query results land in the same cache as
         file-backed views.
         """
         import os
@@ -667,9 +667,10 @@ class ViewerSession:
             shape = params.get("shape", "top_down")
             tree = self.view(int(params["profileId"]), shape)
             # derive() adds the column to this pinned tree object (a new
-            # array snapshot, plus the facade if built) and drops the tree
-            # from every engine cache, so no content-equal profile is
-            # served the derived-column tree under the pre-mutation key.
+            # array snapshot, plus the facade if built), drops the tree
+            # from every engine cache and re-keys it, so no profile of the
+            # same bytes is served the derived-column tree under the
+            # pre-mutation key.
             index = formula_mod.derive(tree, params["name"],
                                        params["formula"],
                                        unit=params.get("unit", ""))

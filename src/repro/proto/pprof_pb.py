@@ -21,10 +21,12 @@ as :mod:`repro.proto.reference` and asserted equal in the codec tests.
 from __future__ import annotations
 
 import gzip
+import zlib
 from dataclasses import dataclass, field
 from typing import List
 
 from ..core.gcguard import no_gc
+from ..errors import OversizedError
 from ..obs import get_registry, get_tracer
 from . import wire
 from .fastwire import (_UNPACK_FIXED32, _UNPACK_FIXED64, Buffer,
@@ -1142,11 +1144,55 @@ def dumps(profile: Profile, compress: bool = True) -> bytes:
         return raw
 
 
+#: The most bytes a gzipped payload may inflate to: the top of the
+#: paper's 1 MB → 1 GB profile range (Fig. 5).  Deflate reaches ~1000:1,
+#: so a cap on the compressed size alone (the collector's body limit)
+#: does not bound memory.
+MAX_INFLATED_BYTES = 1 << 30
+
+
+#: Output bytes per inflate step.  A step's buffer is copied once more
+#: when it completes, so this (not the budget) bounds the extra memory a
+#: refused payload costs on top of what it inflated to.
+_INFLATE_STEP = 1 << 18
+
+
+def gunzip(data: bytes) -> bytes:
+    """``gzip.decompress`` that stops at :data:`MAX_INFLATED_BYTES`.
+
+    Inflates member after member, as ``gzip.decompress`` does, in steps
+    capped at what is left of the budget, and raises
+    :class:`~repro.errors.OversizedError` once the output would pass it.
+    Truncated or corrupt streams raise ``EOFError`` or ``zlib.error``.
+    """
+    budget = MAX_INFLATED_BYTES
+    parts: List[bytes] = []
+    size = 0
+    while data:
+        inflater = zlib.decompressobj(16 + zlib.MAX_WBITS)
+        while not inflater.eof:
+            want = min(_INFLATE_STEP, budget - size + 1)
+            part = inflater.decompress(data, want)
+            size += len(part)
+            if size > budget:
+                raise OversizedError(
+                    "gzip payload inflates past %d bytes" % budget)
+            parts.append(part)
+            data = inflater.unconsumed_tail
+            if len(part) < want and not inflater.eof:
+                # Short of the cap, a step stops only when input runs out.
+                raise EOFError("gzip payload ended before the "
+                               "end-of-stream marker")
+        # Members may follow, after optional zero padding.
+        data = inflater.unused_data.lstrip(b"\x00")
+    return b"".join(parts)
+
+
 def loads(data: bytes) -> Profile:
     """Parse a pprof payload, transparently handling gzip framing."""
     with _tracer.span("codec.pprof.parse", bytes=len(data)):
         if data[:2] == GZIP_MAGIC:
-            data = gzip.decompress(data)
+            data = gunzip(data)
         return Profile.parse(data)
 
 
@@ -1158,5 +1204,5 @@ def loads_columnar(data: bytes):
     """
     with _tracer.span("codec.pprof.parse", bytes=len(data)):
         if data[:2] == GZIP_MAGIC:
-            data = gzip.decompress(data)
+            data = gunzip(data)
         return Profile.parse_columnar(data)

@@ -312,10 +312,12 @@ class ProfileStore:
         """Merge-on-read: select, load, and aggregate matching profiles.
 
         Profile loads fan out through the engine's worker pool; the merge
-        itself is the engine's memoized ``aggregate_profiles``, keyed by
-        the profiles' content digests — so re-running a query over
-        unchanged data is a cache hit, whichever segments the records
-        live in (compaction does not change the answer *or* the key).
+        itself is the engine's memoized ``aggregate_profiles``.  Loaded
+        profiles carry no source key (compaction rewrites the blobs), so
+        it is keyed by their content digests, each computed once per
+        loaded profile — so re-running a query over unchanged data is a
+        cache hit, whichever segments the records live in (compaction
+        does not change the answer *or* the key).
         """
         with _tracer.span("store.query") as span:
             if isinstance(query, str):

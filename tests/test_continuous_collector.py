@@ -76,6 +76,23 @@ class TestUploadHandling:
         assert payload["error"]["code"] == "oversized"
         assert not store.select("")
 
+    def test_inflation_bomb_rejected_413(self, store, monkeypatch):
+        import gzip
+        from repro.proto import pprof_pb
+        monkeypatch.setattr(pprof_pb, "MAX_INFLATED_BYTES", 1 << 20)
+        collector = Collector(store)
+        bomb = CaptureEnvelope(service="checkout", host="h1", ptype="cpu",
+                               seq=0, format="pprof",
+                               blob=gzip.compress(bytes(8 << 20)))
+        assert len(bomb.blob) < collector.max_body_bytes
+        rejected = collector.health()["rejected"]
+        status, payload = collector.handle_upload(bomb.to_headers(),
+                                                  bomb.blob)
+        assert status == 413
+        assert payload["error"]["code"] == "oversized"
+        assert collector.health()["rejected"] == rejected + 1
+        assert not store.select("")
+
     def test_missing_headers_rejected_400(self, store):
         status, payload = Collector(store).handle_upload(
             {}, b"some-bytes")

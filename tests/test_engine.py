@@ -387,11 +387,11 @@ class TestEngineInvalidation:
         profile = build(ENTRIES)
         profile.attach_columnar(from_cct(profile.cct, len(profile.schema)))
         tree = engine.transform(profile, "top_down")
-        stale = engine._tree_digest(tree)
+        stale = tree.cache_key()
         tree.schema.add(Metric("late"))
         assert forget_everywhere(tree) == 1
         assert tree.columnar() is not None
-        assert engine._tree_digest(tree) != stale  # memo dropped too
+        assert tree.cache_key() != stale  # memo dropped too
         assert engine.transform(profile, "top_down") is not tree
         invalidate_everywhere(tree)
         assert tree.columnar() is None

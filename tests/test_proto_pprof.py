@@ -5,6 +5,7 @@ import gzip
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.errors import OversizedError
 from repro.proto import pprof_pb, wire
 
 
@@ -73,6 +74,65 @@ class TestRoundTrip:
         once = pprof_pb.Profile.parse(original.serialize())
         twice = pprof_pb.Profile.parse(once.serialize())
         assert once.serialize() == twice.serialize()
+
+
+class TestBoundedGunzip:
+    """The inflate budget at the pprof ingress, shrunk to keep tests small."""
+
+    BUDGET = 4 << 20
+    #: Step buffers and bookkeeping on top of the budget itself.
+    SLACK = 1 << 20
+
+    @pytest.fixture(autouse=True)
+    def small_budget(self, monkeypatch):
+        monkeypatch.setattr(pprof_pb, "MAX_INFLATED_BYTES", self.BUDGET)
+
+    def test_bomb_refused_under_bounded_memory(self):
+        import tracemalloc
+        # Zeros deflate ~1000:1: 64 KiB here would inflate to 64 MiB.
+        bomb = gzip.compress(bytes(16 * self.BUDGET), compresslevel=9)
+        tracemalloc.start()
+        try:
+            for decode in (pprof_pb.loads, pprof_pb.loads_columnar):
+                with pytest.raises(OversizedError):
+                    decode(bomb)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < self.BUDGET + self.SLACK
+
+    def test_converter_reraises_the_typed_error(self):
+        from repro.converters import parse_bytes
+        bomb = gzip.compress(bytes(2 * self.BUDGET))
+        for fmt in ("pprof", None):
+            with pytest.raises(OversizedError):
+                parse_bytes(bomb, format=fmt)
+
+    def test_exactly_the_budget_decodes(self):
+        payload = bytes(self.BUDGET)
+        assert pprof_pb.gunzip(gzip.compress(payload)) == payload
+        with pytest.raises(OversizedError):
+            pprof_pb.gunzip(gzip.compress(payload + b"x"))
+
+    def test_truncated_and_bit_flipped_raise_format_error(self):
+        from repro.converters import parse_bytes
+        from repro.errors import FormatError
+        data = pprof_pb.dumps(build_reference_profile())
+        flipped = bytearray(data)
+        flipped[len(data) // 2] ^= 0xFF
+        for bad in (data[:-4], data[:len(data) // 2], bytes(flipped),
+                    data + b"junk"):
+            with pytest.raises(FormatError) as excinfo:
+                parse_bytes(bad, format="pprof")
+            assert not isinstance(excinfo.value, OversizedError)
+
+    def test_multi_member_gzip_decodes(self):
+        raw = pprof_pb.dumps(build_reference_profile(), compress=False)
+        half = len(raw) // 2
+        members = (gzip.compress(raw[:half]) + gzip.compress(raw[half:])
+                   + b"\x00" * 8)
+        assert pprof_pb.gunzip(members) == gzip.decompress(members) == raw
+        assert pprof_pb.loads(members).period == 10_000_000
 
 
 class TestWireCompatibility:

@@ -160,6 +160,24 @@ class TestAggregateOracle:
         assert viewtree_digest(merged_col) == viewtree_digest(merged_obj)
 
 
+    @pytest.mark.parametrize("series", [
+        [1e16, 1.0, -1e16],
+        [1.0, float("nan"), 2.0, float("inf")],
+        [float("inf"), 1.0, float("-inf")],
+        [0.1, 0.2, 0.3, -0.6, 1e-17],
+    ])
+    @pytest.mark.parametrize("op", [Aggregation.SUM, Aggregation.MEAN])
+    def test_fold_order_matches_columnar(self, op, series):
+        """The object merge folds SUM/MEAN left to right like the arrays,
+        on every interpreter (``sum`` compensates from Python 3.12 on)."""
+        import math
+        import numpy as np
+        want = float(viewtree_columnar._combine(
+            op, np.array([series], dtype=np.float64))[0])
+        got = op.combine(series)
+        assert got == want or (math.isnan(got) and math.isnan(want))
+
+
 class TestDiffOracle:
     @pytest.mark.parametrize("shape", SHAPES)
     def test_diff(self, corpus_raw, corpus_raw_alt, shape):
