@@ -10,8 +10,7 @@ writes ``BENCH_cct.json`` at the repo root, and enforces three things:
   :class:`repro.bench.cct.OracleMismatch` if not).
 * **The cold-open target when it is measurable**: >= 3x the object-path
   cold open on the large tier, asserted only when the large tier is
-  enabled (``EASYVIEW_BENCH_LARGE`` != 0) and numpy is available — the
-  object fallback is correct but not 3x.
+  enabled (``EASYVIEW_BENCH_LARGE`` != 0).
 * **The view-build target when it is measurable**: the columnar top-down
   build >= 1.5x the object transform on the large tier, same gating.
 
@@ -26,7 +25,6 @@ import os
 from repro.bench.cct import (COLD_OPEN_TARGET_SPEEDUP, QUICK_TIERS,
                              VIEW_BUILD_TARGET_SPEEDUP, run_cct_bench,
                              write_report)
-from repro.core.cct_columnar import numpy_available
 
 REPORT_PATH = os.path.join(os.path.dirname(__file__), os.pardir,
                            "BENCH_cct.json")
@@ -46,7 +44,7 @@ def test_cct_columnar(corpus):
         assert entry["equality"]["layouts_identical"]
         assert entry["cold_open"]["columnar_s"] > 0
 
-    if large_enabled and numpy_available():
+    if large_enabled:
         speedup = report["tiers"]["large"]["cold_open"]["speedup"]
         assert speedup >= COLD_OPEN_TARGET_SPEEDUP, (
             "large-tier cold-open speedup %.2fx below the %.1fx target; "

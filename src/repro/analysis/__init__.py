@@ -32,7 +32,7 @@ from .timerange import (activity_series, find_phases, range_diff,
 from .transform import bottom_up, flat, top_down, transform
 from .traversal import (Order, VisitAction, ancestors, bfs, common_ancestor,
                         iterate, postorder, preorder, visit)
-from .viewtree import ViewNode, ViewTree, default_merge_key, line_merge_key
+from .viewtree import ViewNode, ViewTree
 
 __all__ = [
     "aggregate_profiles", "merge_trees", "snapshot_series", "snapshot_totals",
@@ -56,5 +56,5 @@ __all__ = [
     "bottom_up",
     "flat", "top_down", "transform", "Order", "VisitAction", "ancestors",
     "bfs", "common_ancestor", "iterate", "postorder", "preorder", "visit",
-    "ViewNode", "ViewTree", "default_merge_key", "line_merge_key",
+    "ViewNode", "ViewTree",
 ]

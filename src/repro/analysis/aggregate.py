@@ -20,8 +20,8 @@ from ..core.monitor import PointKind
 from ..core.profile import Profile
 from ..errors import AnalysisError
 from . import viewtree_columnar
-from .transform import KeyFn, top_down, transform
-from .viewtree import ViewNode, ViewTree, default_merge_key
+from .transform import top_down, transform
+from .viewtree import ViewTree
 
 #: The statistics attached per input metric when aggregating.
 DEFAULT_OPERATORS: Tuple[Aggregation, ...] = (
@@ -29,8 +29,8 @@ DEFAULT_OPERATORS: Tuple[Aggregation, ...] = (
 
 
 def merge_trees(trees: Sequence[ViewTree],
-                operators: Sequence[Aggregation] = DEFAULT_OPERATORS,
-                key_fn: KeyFn = default_merge_key) -> ViewTree:
+                operators: Sequence[Aggregation] = DEFAULT_OPERATORS
+                ) -> ViewTree:
     """Merge view trees of the same shape into one aggregate tree.
 
     The result's schema holds, for every input metric ``m``, one derived
@@ -64,11 +64,7 @@ def merge_trees(trees: Sequence[ViewTree],
             stat_columns[(index, op)] = column
 
     columnar = [tree.columnar() for tree in trees]
-    if (key_fn is default_merge_key
-            and all(cvt is not None and cvt.default_keys
-                    for cvt in columnar)
-            and all(op in viewtree_columnar._COMBINABLE
-                    for op in operators)):
+    if all(cvt is not None for cvt in columnar):
         remaps = [[base_schema.index_of(name) for name in tree.schema.names()]
                   for tree in trees]
         return viewtree_columnar.merge_columnar(
@@ -93,7 +89,7 @@ def merge_trees(trees: Sequence[ViewTree],
                     (unified, Aggregation.SUM),
                     stat_columns[(unified, operators[0])]), value)
             for child in src.children.values():
-                stack.append((child, dst.child(child.frame, key_fn)))
+                stack.append((child, dst.child(child.frame)))
 
     for node in result.root.walk():
         for unified, series in node.histogram.items():

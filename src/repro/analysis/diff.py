@@ -25,8 +25,8 @@ from ..core.metric import Aggregation, Metric, MetricSchema
 from ..core.profile import Profile
 from ..errors import AnalysisError
 from . import formula, viewtree_columnar
-from .transform import KeyFn, transform
-from .viewtree import ViewNode, ViewTree, default_merge_key
+from .transform import transform
+from .viewtree import ViewTree
 
 TAG_ADDED = "A"
 TAG_DELETED = "D"
@@ -37,8 +37,7 @@ TAG_SAME = "="
 
 def diff_trees(baseline: ViewTree, treatment: ViewTree,
                metric_index: int = 0,
-               tolerance: float = 0.0,
-               key_fn: KeyFn = default_merge_key) -> ViewTree:
+               tolerance: float = 0.0) -> ViewTree:
     """Diff two view trees of the same shape.
 
     The result's ``inclusive``/``exclusive`` hold the *treatment* values,
@@ -57,9 +56,7 @@ def diff_trees(baseline: ViewTree, treatment: ViewTree,
 
     base_columnar = baseline.columnar()
     treat_columnar = treatment.columnar()
-    if (key_fn is default_merge_key
-            and base_columnar is not None and base_columnar.default_keys
-            and treat_columnar is not None and treat_columnar.default_keys):
+    if base_columnar is not None and treat_columnar is not None:
         return viewtree_columnar.diff_columnar(
             base_columnar, treat_columnar, base_remap, treat_remap,
             schema, result.shape, metric_index, tolerance)
@@ -75,7 +72,7 @@ def diff_trees(baseline: ViewTree, treatment: ViewTree,
                 dst.baseline.get(base_remap[local], 0.0) + value)
         dst.sources.extend(src.sources)
         for child in src.children.values():
-            stack.append((child, dst.child(child.frame, key_fn)))
+            stack.append((child, dst.child(child.frame)))
 
     seen = set()
     stack = [(treatment.root, result.root)]
@@ -88,7 +85,7 @@ def diff_trees(baseline: ViewTree, treatment: ViewTree,
             dst.add_exclusive(treat_remap[local], value)
         dst.sources.extend(src.sources)
         for child in src.children.values():
-            stack.append((child, dst.child(child.frame, key_fn)))
+            stack.append((child, dst.child(child.frame)))
 
     for node in result.nodes():
         if node is result.root:

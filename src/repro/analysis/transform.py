@@ -8,10 +8,11 @@
 * The **flat** tree discards call paths and groups by load module → file →
   function, highlighting hot shared libraries and files.
 
-Every transform merges contexts with a configurable key (default: name +
-file + module) and produces a :class:`~repro.analysis.viewtree.ViewTree`
-carrying both inclusive and exclusive values, optionally invoking the user's
-node-visit customization hooks (§V-B).
+Every transform merges contexts on their frame's merge key (name + file +
+module, :meth:`~repro.core.frame.Frame.merge_key`) and produces a
+:class:`~repro.analysis.viewtree.ViewTree` carrying both inclusive and
+exclusive values, optionally invoking the user's node-visit customization
+hooks (§V-B).
 """
 
 from __future__ import annotations
@@ -25,19 +26,15 @@ from . import viewtree_columnar
 from .callbacks import Customization
 from .metrics import compute_inclusive
 from .traversal import postorder, preorder
-from .viewtree import MergeKey, ViewNode, ViewTree, default_merge_key
-
-KeyFn = Callable[[Frame], MergeKey]
+from .viewtree import ViewNode, ViewTree
 
 
 def top_down(profile: Profile,
-             key_fn: KeyFn = default_merge_key,
              customization: Optional[Customization] = None) -> ViewTree:
     """Build the top-down view tree from a profile's CCT."""
     custom = customization or Customization.empty()
     passthrough = custom.is_passthrough()
-    plain_keys = key_fn is default_merge_key
-    if passthrough and plain_keys:
+    if passthrough:
         columnar = profile.columnar()
         if columnar is not None:
             tree = viewtree_columnar.build_top_down(profile, columnar)
@@ -72,7 +69,7 @@ def top_down(profile: Profile,
                 if custom.elides(child):
                     continue
                 frame = custom.remap(child.frame)
-            key = frame.merge_key() if plain_keys else key_fn(frame)
+            key = frame.merge_key()
             view_child = children_map.get(key)
             if view_child is None:
                 view_child = ViewNode(frame, parent=view_node)
@@ -83,7 +80,6 @@ def top_down(profile: Profile,
 
 
 def bottom_up(profile: Profile,
-              key_fn: KeyFn = default_merge_key,
               customization: Optional[Customization] = None) -> ViewTree:
     """Build the bottom-up view: hot contexts first, callers below.
 
@@ -93,7 +89,7 @@ def bottom_up(profile: Profile,
     quantity Fig. 6 uses to expose ``brk`` as the hotspot.
     """
     custom = customization or Customization.empty()
-    if custom.is_passthrough() and key_fn is default_merge_key:
+    if custom.is_passthrough():
         columnar = profile.columnar()
         if columnar is not None:
             tree = viewtree_columnar.build_bottom_up(profile, columnar)
@@ -110,7 +106,7 @@ def bottom_up(profile: Profile,
         current: Optional[CCTNode] = node
         first = True
         while current is not None and current.frame.kind is not FrameKind.ROOT:
-            view = view.child(custom.remap(current.frame), key_fn)
+            view = view.child(custom.remap(current.frame))
             # The source is the context this row *names* (the caller at
             # this reversal depth), so code links land on its line, not
             # on the hot leaf that contributed the value.
@@ -190,11 +186,12 @@ _SHAPES: Dict[str, Callable[..., ViewTree]] = {
 }
 
 
-def transform(profile: Profile, shape: str, **kwargs) -> ViewTree:
+def transform(profile: Profile, shape: str,
+              customization: Optional[Customization] = None) -> ViewTree:
     """Dispatch to a transform by shape name."""
     try:
         fn = _SHAPES[shape]
     except KeyError:
         raise ValueError("unknown view shape %r (expected one of %s)"
                          % (shape, ", ".join(sorted(_SHAPES)))) from None
-    return fn(profile, **kwargs)
+    return fn(profile, customization)

@@ -19,18 +19,8 @@ from ..core.frame import Frame, FrameKind, ROOT_FRAME
 from ..core.keys import CONTENT, derived_key
 from ..core.metric import MetricSchema
 
-#: Key under which children are merged; produced by a key function.
+#: Key under which children are merged: :meth:`Frame.merge_key`.
 MergeKey = Tuple
-
-
-def default_merge_key(frame: Frame) -> MergeKey:
-    """Merge frames by (name, file, module), ignoring line and address."""
-    return frame.merge_key()
-
-
-def line_merge_key(frame: Frame) -> MergeKey:
-    """Merge frames only when the source line also matches."""
-    return (frame.name, frame.file, frame.line, frame.module)
 
 
 class SourceList:
@@ -164,11 +154,9 @@ class ViewNode:
 
     # -- construction ----------------------------------------------------
 
-    def child(self, frame: Frame,
-              key_fn: Callable[[Frame], MergeKey] = default_merge_key
-              ) -> "ViewNode":
+    def child(self, frame: Frame) -> "ViewNode":
         """Return the merged child for ``frame``, creating it if absent."""
-        key = key_fn(frame)
+        key = frame.merge_key()
         node = self.children.get(key)
         if node is None:
             node = ViewNode(frame, parent=self)

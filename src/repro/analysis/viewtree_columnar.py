@@ -35,7 +35,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..core.cct_columnar import _np
+import numpy as np
+
 from ..core.frame import Frame, FrameKind, intern_frame
 from ..core.metric import Aggregation
 from .viewtree import MergeKey, SourceList, ViewNode, ViewTree
@@ -43,11 +44,6 @@ from .viewtree import MergeKey, SourceList, ViewNode, ViewTree
 #: Differential tag codes: index into this tuple == value in ``tag_codes``.
 _TAGS: Tuple[Optional[str], ...] = (None, "A", "D", "+", "-", "=")
 _TAG_CODE: Dict[Optional[str], int] = {tag: i for i, tag in enumerate(_TAGS)}
-
-
-def numpy_available() -> bool:
-    """True when the columnar view kernels can run."""
-    return _np is not None
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +60,6 @@ def _visit_positions(parent, depth_groups, sizes, sibling_keys):
     walk (merge-key order), creation replay (reversed creation order),
     and the flame layout (value order).
     """
-    np = _np
     n = int(parent.shape[0])
     pre = np.zeros(n, dtype=np.int64)
     if n <= 1:
@@ -91,7 +86,6 @@ def _visit_positions(parent, depth_groups, sizes, sibling_keys):
 
 
 def _group_by_depth(depth):
-    np = _np
     ids = np.argsort(depth, kind="stable")
     levels = int(depth.max()) + 1 if depth.shape[0] else 1
     counts = np.bincount(depth, minlength=levels)
@@ -101,7 +95,6 @@ def _group_by_depth(depth):
 
 
 def _sizes_of(parent, depth_groups):
-    np = _np
     sizes = np.ones(parent.shape[0], dtype=np.int64)
     ids, start = depth_groups
     for level in range(len(start) - 2, 0, -1):
@@ -112,7 +105,6 @@ def _sizes_of(parent, depth_groups):
 
 def _merge_tokens(frames: Sequence[Frame]):
     """Merge token per frame-table entry plus the merge-key table."""
-    np = _np
     token_of: Dict[MergeKey, int] = {}
     merge_keys: List[MergeKey] = []
     out = np.empty(len(frames), dtype=np.int64)
@@ -134,7 +126,6 @@ def _renumber(parent, depth, token, frame_id, creation):
     through its parent's creator first — so ``parent[i] < i`` holds in
     the renumbered arrays and level sweeps stay valid.
     """
-    np = _np
     n_rows = parent.shape[0]
     remap = np.empty(n_rows, dtype=np.int64)
     body = np.argsort(creation[1:], kind="stable") + 1
@@ -154,7 +145,6 @@ def _renumber(parent, depth, token, frame_id, creation):
 
 def _grouped_csr(index, minlength):
     """Stable-sort ``index`` into per-group ranges: ``(order, start)``."""
-    np = _np
     order = np.argsort(index, kind="stable")
     start = np.zeros(minlength + 1, dtype=np.int64)
     np.cumsum(np.bincount(index, minlength=minlength), out=start[1:])
@@ -249,7 +239,7 @@ class ColumnarViewTree:
     """A view tree as parallel arrays (see module docstring)."""
 
     __slots__ = ("parent", "depth", "token", "frame_id", "frames",
-                 "merge_keys", "shape", "default_keys",
+                 "merge_keys", "shape",
                  "inclusive", "incl_present", "exclusive", "excl_present",
                  "baseline", "base_present", "tag_codes",
                  "hist", "hist_present", "hist_first", "n_series",
@@ -260,8 +250,7 @@ class ColumnarViewTree:
                  shape, inclusive, incl_present, exclusive, excl_present,
                  baseline=None, base_present=None, tag_codes=None,
                  hist=None, hist_present=None, hist_first=None,
-                 n_series=0, row_sources=None, default_keys=True,
-                 cell_order=None) -> None:
+                 n_series=0, row_sources=None, cell_order=None) -> None:
         self.parent = parent
         self.depth = depth
         #: Merge token per row; ``merge_keys[token[i]]`` is the dict key
@@ -272,10 +261,6 @@ class ColumnarViewTree:
         self.frames = frames
         self.merge_keys = merge_keys
         self.shape = shape
-        #: True when ``merge_keys`` are known to be default merge keys —
-        #: merge/diff re-key children through ``key_fn``, which is only a
-        #: no-op (and so array-safe) when both sides use the default.
-        self.default_keys = default_keys
         self.inclusive = inclusive
         self.incl_present = incl_present
         self.exclusive = exclusive
@@ -337,7 +322,7 @@ class ColumnarViewTree:
         order — the sibling key is the negated row id.
         """
         if self._vp is None:
-            ids = _np.arange(self.n_rows, dtype=_np.int64)
+            ids = np.arange(self.n_rows, dtype=np.int64)
             self._vp = self.visit_positions((-ids,))
         return self._vp
 
@@ -369,7 +354,6 @@ class ColumnarViewTree:
         planes listed in ``cell_order``, which replay their recorded
         insertion order.
         """
-        np = _np
         n_rows = self.n_rows
         frames = self.frames
         frame_l = self.frame_id.tolist()
@@ -450,14 +434,14 @@ def _cell_ranks(cvt: ColumnarViewTree, plane: str):
     if rank is not None:
         return rank
     matrix = getattr(cvt, plane)
-    return _np.broadcast_to(_np.arange(matrix.shape[1], dtype=_np.int64),
-                            matrix.shape)
+    return np.broadcast_to(np.arange(matrix.shape[1], dtype=np.int64),
+                           matrix.shape)
 
 
 def _if_unordered(rank, presence):
     """``rank`` when some row's present cells are not ranked ascending by
     column (the facade order needs it), else None."""
-    rows, cols = _np.nonzero(presence)
+    rows, cols = np.nonzero(presence)
     ranks = rank[rows, cols]
     same_row = rows[1:] == rows[:-1]
     if (same_row & (ranks[1:] < ranks[:-1])).any():
@@ -469,7 +453,6 @@ def value_column(cvt: ColumnarViewTree, index: int, plane: str = "inclusive"):
     """Metric column ``index`` of one value plane as float64[R], with
     absent cells (and columns the plane lacks) read as 0.0 — what
     ``node.<plane>.get(index, 0.0)`` gives on the facade."""
-    np = _np
     matrix = getattr(cvt, plane)
     if matrix is None or index >= matrix.shape[1]:
         return np.zeros(cvt.n_rows, dtype=np.float64)
@@ -494,7 +477,6 @@ def add_column(tree: ViewTree, index: int, values,
     ``cell_order`` records it.
     """
     cvt = tree.columnar()
-    np = _np
     plane = "inclusive" if inclusive else "exclusive"
     n_rows = cvt.n_rows
     width = max(cvt.inclusive.shape[1], cvt.exclusive.shape[1], index + 1)
@@ -538,7 +520,6 @@ def add_column(tree: ViewTree, index: int, values,
 def tag_counts(cvt: ColumnarViewTree) -> Dict[str, int]:
     """Rows per differential tag, keyed in the order the facade walk
     (``ViewTree.nodes()``) first meets each tag."""
-    np = _np
     codes = cvt.tag_codes
     if codes is None:
         return {}
@@ -562,9 +543,6 @@ def from_viewtree(tree: ViewTree) -> Optional[ColumnarViewTree]:
     ``cct_columnar.from_cct``, so within a parent the ascending row ids
     are the children's insertion order.
     """
-    if _np is None:
-        return None
-    np = _np
     n_metrics = len(tree.schema)
     root = tree.root
     frame_index: Dict[int, int] = {}
@@ -661,8 +639,7 @@ def from_viewtree(tree: ViewTree) -> Optional[ColumnarViewTree]:
         exclusive=exclusive, excl_present=excl_present,
         baseline=baseline, base_present=base_present, tag_codes=tag_codes,
         hist=hist, hist_present=hist_present, hist_first=hist_first,
-        n_series=n_series, row_sources=_StoredSources(source_lists),
-        default_keys=False)
+        n_series=n_series, row_sources=_StoredSources(source_lists))
     return cvt
 
 
@@ -672,7 +649,6 @@ def from_viewtree(tree: ViewTree) -> Optional[ColumnarViewTree]:
 
 def _cct_creation_positions(col):
     """Visit positions of the object top-down DFS over a columnar CCT."""
-    np = _np
     n = col.n_nodes
     ids = np.arange(n, dtype=np.int64)
     return _visit_positions(col.parent, col._by_depth(),
@@ -687,7 +663,6 @@ def build_top_down(profile, col) -> ViewTree:
     renumbers rows to the object loop's allocation order, and all value
     planes land with one ``np.add.at`` scatter each.
     """
-    np = _np
     n = col.n_nodes
     n_metrics = col.n_metrics
     frame_token, merge_keys = _merge_tokens(col.frames)
@@ -762,7 +737,6 @@ def build_bottom_up(profile, col) -> ViewTree:
     over (previous-view-row, merge-token) pairs merges the reversed
     paths level by level.
     """
-    np = _np
     n_metrics = col.n_metrics
     frame_token, merge_keys = _merge_tokens(col.frames)
     n_tokens = max(len(merge_keys), 1)
@@ -866,7 +840,6 @@ def build_flat(profile, col) -> ViewTree:
     the recursion-aware "outermost occurrence" test is a segmented
     running-max of subtree reach over pre-order, per function group.
     """
-    np = _np
     n = col.n_nodes
     n_metrics = col.n_metrics
     frames = list(col.frames)
@@ -1061,7 +1034,6 @@ def _union_rows(trees: Sequence[ColumnarViewTree]) -> _UnionRows:
     numbered in the order the object merge loop would create the nodes:
     all of tree 0's DFS first, then tree 1's unseen paths, and so on.
     """
-    np = _np
     token_union: Dict[MergeKey, int] = {}
     merge_keys: List[MergeKey] = []
     union_tok = []
@@ -1147,7 +1119,6 @@ def _union_rows(trees: Sequence[ColumnarViewTree]) -> _UnionRows:
 
 def _union_sources(trees, union: _UnionRows):
     """Per-result-row (input-tree, input-row) refs in contribution order."""
-    np = _np
     parts_res = []
     parts_tree = []
     parts_row = []
@@ -1168,12 +1139,6 @@ def _union_sources(trees, union: _UnionRows):
                          np.concatenate(parts_row)[order], start)
 
 
-#: Operators the vectorized combine handles; anything else falls back to
-#: the object path.
-_COMBINABLE = frozenset((Aggregation.SUM, Aggregation.MIN, Aggregation.MAX,
-                         Aggregation.MEAN, Aggregation.LAST))
-
-
 def _combine(op: Aggregation, series):
     """``op.combine`` along the last axis of ``series`` (``[..., T]``).
 
@@ -1182,7 +1147,6 @@ def _combine(op: Aggregation, series):
     add in list order from 0.0 like ``sum`` (numpy's ``min`` propagates
     NaN, and its ``sum`` adds pairwise).
     """
-    np = _np
     if op is Aggregation.LAST:
         return series[..., -1]
     if op in (Aggregation.MIN, Aggregation.MAX):
@@ -1214,7 +1178,6 @@ def merge_columnar(trees: Sequence[ColumnarViewTree],
     ranks replay the object loop's dict orders: inclusive cells follow
     the histogram's encounter order, exclusive cells their own.
     """
-    np = _np
     union = _union_rows(trees)
     n_rows = union.n_rows
     n_trees = len(trees)
@@ -1290,7 +1253,6 @@ def diff_columnar(base: ColumnarViewTree, treatment: ColumnarViewTree,
                   schema, shape: str, metric_index: int,
                   tolerance: float) -> ViewTree:
     """Vectorized ``diff.diff_trees`` over two aligned columnar trees."""
-    np = _np
     union = _union_rows([base, treatment])
     n_rows = union.n_rows
     n_metrics = len(schema)

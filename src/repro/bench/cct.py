@@ -7,7 +7,7 @@ line.  Both emit the same ``BENCH_cct.json`` report.
 For each corpus tier the harness measures the cold profile open (raw
 pprof bytes to a queryable CCT) through the columnar fast path
 (:func:`repro.converters.pprof.parse`) against the per-node object path
-(:func:`~repro.converters.pprof.parse_object`), with a per-phase
+(:func:`~repro.bench.pprof_oracle.parse_object`), with a per-phase
 breakdown of the columnar open (wire decode vs CCT build).  On top of
 the open it measures the whole columnar *view pipeline* against the
 object transforms — warm profile, cold view: every timed call builds a
@@ -40,10 +40,11 @@ from ..analysis.aggregate import aggregate_profiles, merge_trees
 from ..analysis.diff import diff_profiles, diff_trees, summarize
 from ..analysis.formula import derive
 from ..core.atomicio import atomic_write_text
-from ..core.cct_columnar import ColumnarCCT, numpy_available
+from ..core.cct_columnar import ColumnarCCT
 from ..core.digest import profile_digest, viewtree_digest
 from ..profilers.corpus import generate_bytes, tier
 from ..viz.layout import layout
+from .pprof_oracle import parse_object
 
 #: Tier sets: quick keeps CI under a few seconds, full adds the tier the
 #: cold-open target is defined on.
@@ -181,10 +182,10 @@ def bench_tier(name: str, repeats: int = 3) -> Dict[str, object]:
     mb = len(raw) / 1e6
 
     fast = pprof_converter.parse(raw)
-    ref = pprof_converter.parse_object(raw)
+    ref = parse_object(raw)
     columnar = fast.columnar()
     fast_other = pprof_converter.parse(raw)
-    other = pprof_converter.parse_object(raw)
+    other = parse_object(raw)
     # The gate also warms every profile-level cache (inclusive values,
     # traversal kernels), so the view timings below measure the operation,
     # not first-touch cache fills on one side only.
@@ -194,7 +195,7 @@ def bench_tier(name: str, repeats: int = 3) -> Dict[str, object]:
     times = _interleaved_best({
         "wire_decode": lambda: pprof_pb.loads_columnar(raw),
         "open_columnar": lambda: pprof_converter.parse(raw),
-        "open_object": lambda: pprof_converter.parse_object(raw),
+        "open_object": lambda: parse_object(raw),
         "digest_columnar": lambda: profile_digest(
             pprof_converter.parse(raw)),
         "digest_object": lambda: profile_digest(ref),
@@ -225,24 +226,21 @@ def bench_tier(name: str, repeats: int = 3) -> Dict[str, object]:
         "layout_object": lambda: layout(ref_view),
     }, repeats)
 
-    kernel_times = None
-    if columnar is not None:
-        # Rewrap the arrays per call so lazily-cached kernels (pre-order,
-        # subtree sizes, inclusive) are recomputed, not replayed.
-        def fresh() -> ColumnarCCT:
-            return ColumnarCCT(parent=columnar.parent,
-                               frame_id=columnar.frame_id,
-                               depth=columnar.depth,
-                               values=columnar.values,
-                               present=columnar.present,
-                               frames=columnar.frames)
+    # Rewrap the arrays per call so lazily-cached kernels (pre-order,
+    # subtree sizes, inclusive) are recomputed, not replayed.
+    def fresh() -> ColumnarCCT:
+        return ColumnarCCT(parent=columnar.parent,
+                           frame_id=columnar.frame_id,
+                           depth=columnar.depth,
+                           values=columnar.values,
+                           present=columnar.present,
+                           frames=columnar.frames)
 
-        kernel_times = _interleaved_best({
-            "preorder_columnar": lambda: fresh().preorder_ids(),
-            "preorder_object": lambda: sum(
-                1 for _ in ref.root.walk()),
-            "inclusive_columnar": lambda: fresh().inclusive(),
-        }, repeats)
+    kernel_times = _interleaved_best({
+        "preorder_columnar": lambda: fresh().preorder_ids(),
+        "preorder_object": lambda: sum(1 for _ in ref.root.walk()),
+        "inclusive_columnar": lambda: fresh().inclusive(),
+    }, repeats)
 
     def versus(key: str) -> Dict[str, float]:
         obj = view_times["%s_object" % key]
@@ -252,7 +250,7 @@ def bench_tier(name: str, repeats: int = 3) -> Dict[str, object]:
 
     cold_columnar = times["open_columnar"]
     cold_object = times["open_object"]
-    entry: Dict[str, object] = {
+    return {
         "raw_bytes": len(raw),
         "nodes": n_nodes,
         "cold_open": {
@@ -290,9 +288,7 @@ def bench_tier(name: str, repeats: int = 3) -> Dict[str, object]:
             "views_identical": True,
             "layouts_identical": True,
         },
-    }
-    if kernel_times is not None:
-        entry["throughput"] = {
+        "throughput": {
             "preorder_object_mnodes_s": round(
                 n_nodes / kernel_times["preorder_object"] / 1e6, 2),
             "preorder_columnar_mnodes_s": round(
@@ -303,8 +299,8 @@ def bench_tier(name: str, repeats: int = 3) -> Dict[str, object]:
             # object-path aggregate/diff wall times.
             "diff_s": round(view_times["diff_object"], 4),
             "aggregate_s": round(view_times["aggregate_object"], 4),
-        }
-    return entry
+        },
+    }
 
 
 def run_cct_bench(tiers: Optional[Iterable[str]] = None,
@@ -313,7 +309,6 @@ def run_cct_bench(tiers: Optional[Iterable[str]] = None,
     names: List[str] = list(tiers if tiers is not None else FULL_TIERS)
     report: Dict[str, object] = {
         "benchmark": "cct-columnar",
-        "numpy_available": numpy_available(),
         "target_cold_open_speedup_large": COLD_OPEN_TARGET_SPEEDUP,
         "target_view_build_speedup_large": VIEW_BUILD_TARGET_SPEEDUP,
         "tiers": {name: bench_tier(name, repeats=repeats)
@@ -332,9 +327,6 @@ def write_report(report: Dict[str, object],
 def format_report(report: Dict[str, object]) -> str:
     """Human-readable summary table for the CLI."""
     lines = ["columnar CCT vs object tree  (best-of-N wall time)"]
-    lines.append("numpy kernels: %s"
-                 % ("available" if report["numpy_available"] else
-                    "unavailable (object path only)"))
     header = "%-8s %10s %9s %9s %9s %9s %9s %9s %9s" % (
         "tier", "nodes", "open", "view", "botup", "flat", "aggr",
         "diff", "layout")

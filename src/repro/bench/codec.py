@@ -6,15 +6,14 @@ line.  Both emit the same ``BENCH_codec.json`` report.
 
 For each corpus tier the harness measures raw pprof decode and encode
 throughput for the fastwire path (:mod:`repro.proto.pprof_pb`) against the
-pre-change codec preserved as :mod:`repro.proto.reference`, plus the cold
-profile-open latency (raw pprof bytes all the way to a calling-context
-tree via :mod:`repro.converters.pprof`).  Every run also gates on
-correctness: the two codecs must produce equal decoded objects and
+pre-change codec preserved as :mod:`repro.proto.reference`.  The cold
+profile open (raw bytes to a calling-context tree) is timed by the CCT
+bench (:mod:`repro.bench.cct`), with a phase split.  Every run also gates
+on correctness: the two codecs must produce equal decoded objects and
 byte-identical serialized output, or :class:`CodecMismatch` is raised.
 
 The documented target is fast-path decode >= 3x the reference codec on
-the large tier (see ``docs/PERFORMANCE.md``); measured runs land well
-above it when numpy is available.
+the large tier (see ``docs/PERFORMANCE.md``).
 """
 
 from __future__ import annotations
@@ -91,20 +90,16 @@ def bench_tier(name: str, repeats: int = 3) -> Dict[str, object]:
     ref = reference.parse_pprof(raw)
     _check_equality(name, raw, fast, ref)
 
-    from ..converters import pprof as pprof_converter
-
     times = _interleaved_best({
         "decode_fast": lambda: Profile.parse(raw),
         "decode_ref": lambda: reference.parse_pprof(raw),
         "encode_fast": fast.serialize,
         "encode_ref": lambda: reference.serialize_pprof(ref),
-        "open_cold": lambda: pprof_converter.parse(raw),
     }, repeats)
     decode_fast = times["decode_fast"]
     decode_ref = times["decode_ref"]
     encode_fast = times["encode_fast"]
     encode_ref = times["encode_ref"]
-    open_cold = times["open_cold"]
 
     return {
         "raw_bytes": len(raw),
@@ -119,12 +114,6 @@ def bench_tier(name: str, repeats: int = 3) -> Dict[str, object]:
             "fastpath_s": round(encode_fast, 4),
             "speedup": round(encode_ref / encode_fast, 2),
             "fastpath_mb_s": round(mb / encode_fast, 1),
-        },
-        "cold_open": {
-            # raw pprof bytes -> parsed message -> CCT, i.e. what the IDE
-            # pays between click and first view render.
-            "fastpath_s": round(open_cold, 4),
-            "mb_s": round(mb / open_cold, 1),
         },
         "equality": {"objects_equal": True, "bytes_identical": True},
     }
@@ -161,21 +150,15 @@ def write_report(report: Dict[str, object],
 def format_report(report: Dict[str, object]) -> str:
     """Human-readable summary table for the CLI."""
     lines = ["codec fast path vs reference  (best-of-N wall time)"]
-    stats = report["kernels"]
-    lines.append("numpy kernels: %s"
-                 % ("available" if stats["numpyAvailable"] else
-                    "unavailable (pure-python fallback)"))
-    header = "%-8s %10s %14s %14s %9s %12s" % (
-        "tier", "size", "decode MB/s", "encode MB/s", "speedup",
-        "cold open")
+    header = "%-8s %10s %14s %14s %9s" % (
+        "tier", "size", "decode MB/s", "encode MB/s", "speedup")
     lines.append(header)
     for name, entry in report["tiers"].items():
         decode = entry["decode"]
         encode = entry["encode"]
-        lines.append("%-8s %9.1fM %14.1f %14.1f %8.2fx %11.3fs" % (
+        lines.append("%-8s %9.1fM %14.1f %14.1f %8.2fx" % (
             name, entry["raw_bytes"] / 1e6, decode["fastpath_mb_s"],
-            encode["fastpath_mb_s"], decode["speedup"],
-            entry["cold_open"]["fastpath_s"]))
+            encode["fastpath_mb_s"], decode["speedup"]))
     if "large" in report["tiers"]:
         speedup = report["tiers"]["large"]["decode"]["speedup"]
         lines.append("large-tier decode speedup %.2fx (target >= %.1fx)"

@@ -16,7 +16,10 @@ from __future__ import annotations
 import os
 from typing import Dict, List
 
+import numpy as np
+
 from ..builder import ProfileBuilder
+from ..core.cct_columnar import ColumnarBuilder
 from ..core.frame import Frame, intern_frame
 from ..core.profile import Profile
 from ..errors import FormatError, OversizedError
@@ -72,33 +75,19 @@ def _frame_chains(message: "pprof_pb.Profile") -> Dict[int, List[Frame]]:
     return frames_by_location
 
 
-def _accumulate_object(message: "pprof_pb.Profile", profile: Profile,
-                       metric_columns: List[int]) -> None:
-    """Replay ``message.sample`` through the object CCT."""
-    frames_by_location = _frame_chains(message)
-    # Real profiles repeat call stacks heavily, so the leaf CCT node for
-    # each distinct location-id tuple is resolved once and cached — one of
-    # the §V-C optimizations that keeps large profiles fast to open.
-    root = profile.root
-    leaf_cache: Dict[tuple, object] = {}
-    for sample in message.sample:
-        key = tuple(sample.location_id)
-        node = leaf_cache.get(key)
-        if node is None:
-            node = root
-            # pprof stacks are leaf-first; walk callers-first.
-            for location_id in reversed(sample.location_id):
-                chain = frames_by_location.get(location_id)
-                if chain is None:
-                    raise FormatError(
-                        "sample references undefined location %d"
-                        % location_id)
-                for frame in chain:
-                    node = node.child(frame)
-            leaf_cache[key] = node
-        metrics = node.metrics
-        for column, value in zip(metric_columns, sample.value):
-            metrics[column] = metrics.get(column, 0.0) + value
+def _descend_stack(location_ids: List[int],
+                   chain_fids: Dict[int, tuple], descend) -> int:
+    """Descend the frame trie along one leaf-first location stack."""
+    leaf = 0
+    # pprof stacks are leaf-first; walk callers-first.
+    for location_id in reversed(location_ids):
+        fids = chain_fids.get(location_id)
+        if fids is None:
+            raise FormatError(
+                "sample references undefined location %d" % location_id)
+        for fid in fids:
+            leaf = descend(leaf, fid)
+    return leaf
 
 
 def _build_columnar(message: "pprof_pb.Profile",
@@ -106,17 +95,14 @@ def _build_columnar(message: "pprof_pb.Profile",
                     metric_columns: List[int], n_schema: int):
     """Fold a deferred sample block straight into a columnar CCT.
 
-    Mirrors :func:`_accumulate_object` exactly — same wire-order sample
-    walk, same leaf cache, same zip-truncation value semantics — but over
-    integer frame ids, with zero :class:`~repro.core.cct.CCTNode` (and,
-    on the fast path, zero ``Sample``) objects ever constructed.
+    Mirrors the object-tree oracle
+    (:func:`repro.bench.pprof_oracle.parse_object`) exactly — same
+    wire-order sample walk, same leaf cache, same zip-truncation value
+    semantics — but over integer frame ids, with zero
+    :class:`~repro.core.cct.CCTNode` (and, on the fast path, zero
+    ``Sample``) objects ever constructed.
     """
-    from ..core import cct_columnar
-    if not cct_columnar.numpy_available():
-        return None
-    import numpy as np
-
-    bld = cct_columnar.ColumnarBuilder()
+    bld = ColumnarBuilder()
     chain_fids: Dict[int, tuple] = {
         loc_id: tuple(bld.frame_token(frame) for frame in chain)
         for loc_id, chain in _frame_chains(message).items()}
@@ -132,39 +118,24 @@ def _build_columnar(message: "pprof_pb.Profile",
     # Wire order matters: trie nodes are created at first touch, and the
     # materialized facade must reproduce the object tree's child insertion
     # order — so ok and irregular samples interleave exactly as sent.
+    # Real profiles repeat call stacks heavily, so each distinct stack's
+    # leaf is resolved once (one of the §V-C optimizations).
     for matched in block.ok:
         if matched:
             seg = decoded[offsets[2 * k]:offsets[2 * k + 1]]
             k += 1
             key = seg.tobytes()
-            leaf = leaf_cache.get(key)
-            if leaf is None:
-                leaf = 0
-                for location_id in reversed(seg.tolist()):
-                    fids = chain_fids.get(location_id)
-                    if fids is None:
-                        raise FormatError(
-                            "sample references undefined location %d"
-                            % location_id)
-                    for fid in fids:
-                        leaf = descend(leaf, fid)
-                leaf_cache[key] = leaf
-            ok_leafs.append(leaf)
         else:
             sample = next(irregular)
             key = tuple(sample.location_id)
-            leaf = leaf_cache.get(key)
-            if leaf is None:
-                leaf = 0
-                for location_id in reversed(sample.location_id):
-                    fids = chain_fids.get(location_id)
-                    if fids is None:
-                        raise FormatError(
-                            "sample references undefined location %d"
-                            % location_id)
-                    for fid in fids:
-                        leaf = descend(leaf, fid)
-                leaf_cache[key] = leaf
+        leaf = leaf_cache.get(key)
+        if leaf is None:
+            leaf = leaf_cache[key] = _descend_stack(
+                seg.tolist() if matched else sample.location_id,
+                chain_fids, descend)
+        if matched:
+            ok_leafs.append(leaf)
+        else:
             slow.append((leaf, sample.value))
 
     n_nodes = bld.n_nodes
@@ -204,11 +175,11 @@ def _build_columnar(message: "pprof_pb.Profile",
 def parse(data: bytes) -> Profile:
     """Convert a (possibly gzipped) pprof payload.
 
-    Canonical payloads stay columnar end to end — packed sample runs are
+    Payloads stay columnar end to end — packed sample runs are
     bulk-decoded into int64 arrays and folded straight into a
     :class:`~repro.core.cct_columnar.ColumnarCCT`; the object tree only
-    materializes if a consumer asks for it.  Anything the fast path cannot
-    prove canonical falls back to :func:`parse_object` semantics.
+    materializes if a consumer asks for it.  A payload without samples
+    is the bare root.
     """
     try:
         message, block = pprof_pb.loads_columnar(data)
@@ -220,32 +191,8 @@ def parse(data: bytes) -> Profile:
     builder, metric_columns = _begin(message)
     profile = builder.build()
     if block is not None:
-        columnar = _build_columnar(message, block, metric_columns,
-                                   len(profile.schema))
-        if columnar is not None:
-            profile.attach_columnar(columnar)
-            return profile
-    _accumulate_object(message, profile, metric_columns)
-    return profile
-
-
-def parse_object(data: bytes) -> Profile:
-    """Reference conversion through the per-node object CCT.
-
-    Kept verbatim as the differential oracle for :func:`parse`: the bench
-    equality gate and ``tests/test_cct_columnar.py`` assert both paths
-    produce identical trees, digests, and analysis results.
-    """
-    try:
-        message = pprof_pb.loads(data)
-    except OversizedError:
-        raise
-    except Exception as exc:
-        raise FormatError("not a pprof profile: %s" % exc) from exc
-
-    builder, metric_columns = _begin(message)
-    profile = builder.build()
-    _accumulate_object(message, profile, metric_columns)
+        profile.attach_columnar(_build_columnar(
+            message, block, metric_columns, len(profile.schema)))
     return profile
 
 

@@ -40,18 +40,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is baked into the image
-    _np = None
+import numpy as np
 
 from .cct import CCT, CCTNode
 from .frame import Frame, ROOT_FRAME
-
-
-def numpy_available() -> bool:
-    """True when the vectorized kernels can run."""
-    return _np is not None
 
 
 class ColumnarCCT:
@@ -122,17 +114,17 @@ class ColumnarCCT:
         n = self.n_nodes
         if sort_by_frame:
             rank = self._frame_ranks()
-            order = _np.lexsort((rank[self.frame_id], self.parent))
+            order = np.lexsort((rank[self.frame_id], self.parent))
         else:
-            order = _np.argsort(self.parent, kind="stable")
+            order = np.argsort(self.parent, kind="stable")
         # The root's parent is -1 and sorts first; drop it from the ranges.
         order = order[1:]
-        counts = _np.bincount(self.parent[1:] if n > 1
-                              else _np.empty(0, dtype=_np.int64),
-                              minlength=n)
-        start = _np.empty(n + 1, dtype=_np.int64)
+        counts = np.bincount(self.parent[1:] if n > 1
+                             else np.empty(0, dtype=np.int64),
+                             minlength=n)
+        start = np.empty(n + 1, dtype=np.int64)
         start[0] = 0
-        _np.cumsum(counts, out=start[1:])
+        np.cumsum(counts, out=start[1:])
         result = (order, start)
         if sort_by_frame:
             self._csr_sorted = result
@@ -144,20 +136,20 @@ class ColumnarCCT:
         """Rank of each frame-table entry under ``Frame.key()`` ordering."""
         keys = [frame.key() for frame in self.frames]
         ranking = sorted(range(len(keys)), key=keys.__getitem__)
-        ranks = _np.empty(len(keys), dtype=_np.int64)
-        ranks[ranking] = _np.arange(len(keys), dtype=_np.int64)
+        ranks = np.empty(len(keys), dtype=np.int64)
+        ranks[ranking] = np.arange(len(keys), dtype=np.int64)
         return ranks
 
     def _by_depth(self):
         """Node ids grouped by depth: ``(ids, level_start)`` with
         ``ids[level_start[d]:level_start[d + 1]]`` the nodes at depth d."""
         if self._depth_groups is None:
-            ids = _np.argsort(self.depth, kind="stable")
+            ids = np.argsort(self.depth, kind="stable")
             levels = self.max_depth() + 1
-            counts = _np.bincount(self.depth, minlength=levels)
-            start = _np.empty(levels + 1, dtype=_np.int64)
+            counts = np.bincount(self.depth, minlength=levels)
+            start = np.empty(levels + 1, dtype=np.int64)
             start[0] = 0
-            _np.cumsum(counts, out=start[1:])
+            np.cumsum(counts, out=start[1:])
             self._depth_groups = (ids, start)
         return self._depth_groups
 
@@ -175,18 +167,18 @@ class ColumnarCCT:
             ids, start = self._by_depth()
             for level in range(len(start) - 2, 0, -1):
                 rows = ids[start[level]:start[level + 1]]
-                _np.add.at(inc, self.parent[rows], inc[rows])
+                np.add.at(inc, self.parent[rows], inc[rows])
             self._inclusive = inc
         return self._inclusive
 
     def subtree_sizes(self):
         """int64[n] subtree node counts (every node counts itself)."""
         if self._size is None:
-            sizes = _np.ones(self.n_nodes, dtype=_np.int64)
+            sizes = np.ones(self.n_nodes, dtype=np.int64)
             ids, start = self._by_depth()
             for level in range(len(start) - 2, 0, -1):
                 rows = ids[start[level]:start[level + 1]]
-                _np.add.at(sizes, self.parent[rows], sizes[rows])
+                np.add.at(sizes, self.parent[rows], sizes[rows])
             self._size = sizes
         return self._size
 
@@ -201,23 +193,23 @@ class ColumnarCCT:
         if self._pre is not None:
             return self._pre
         n = self.n_nodes
-        pre = _np.zeros(n, dtype=_np.int64)
+        pre = np.zeros(n, dtype=np.int64)
         if n > 1:
             sizes = self.subtree_sizes()
             order, start = self.children_csr(sort_by_frame=True)
             # Exclusive cumsum of sibling subtree sizes within each parent
             # group: global cumsum minus each group's starting prefix.
             sized = sizes[order]
-            cum = _np.cumsum(sized)
+            cum = np.cumsum(sized)
             parents = self.parent[order]
-            group_base = _np.empty_like(cum)
+            group_base = np.empty_like(cum)
             group_start = start[parents]
             nonzero = group_start > 0
             group_base[:] = 0
             group_base[nonzero] = cum[group_start[nonzero] - 1]
             offset = cum - sized - group_base
             ids, lstart = self._by_depth()
-            child_offset = _np.empty(n, dtype=_np.int64)
+            child_offset = np.empty(n, dtype=np.int64)
             child_offset[order] = offset
             for level in range(1, len(lstart) - 1):
                 rows = ids[lstart[level]:lstart[level + 1]]
@@ -227,9 +219,9 @@ class ColumnarCCT:
 
     def preorder_ids(self):
         """Node ids in deterministic (frame-sorted) pre-order."""
-        seq = _np.empty(self.n_nodes, dtype=_np.int64)
-        seq[self.preorder_positions()] = _np.arange(self.n_nodes,
-                                                    dtype=_np.int64)
+        seq = np.empty(self.n_nodes, dtype=np.int64)
+        seq[self.preorder_positions()] = np.arange(self.n_nodes,
+                                                   dtype=np.int64)
         return seq
 
     def postorder_ids(self):
@@ -241,13 +233,13 @@ class ColumnarCCT:
         """
         post = (self.preorder_positions() + self.subtree_sizes() - 1
                 - self.depth)
-        seq = _np.empty(self.n_nodes, dtype=_np.int64)
-        seq[post] = _np.arange(self.n_nodes, dtype=_np.int64)
+        seq = np.empty(self.n_nodes, dtype=np.int64)
+        seq[post] = np.arange(self.n_nodes, dtype=np.int64)
         return seq
 
     def bfs_ids(self):
         """Node ids level by level, siblings in pre-order within a level."""
-        return _np.lexsort((self.preorder_positions(), self.depth))
+        return np.lexsort((self.preorder_positions(), self.depth))
 
     def walk_events(self):
         """The digest walk as arrays: ``(preorder_ids, exits_after)``.
@@ -258,7 +250,7 @@ class ColumnarCCT:
         """
         pre = self.preorder_positions()
         last = pre + self.subtree_sizes() - 1
-        exits = _np.bincount(last, minlength=self.n_nodes)
+        exits = np.bincount(last, minlength=self.n_nodes)
         return self.preorder_ids(), exits
 
     def filter_mask(self, keep_mask):
@@ -278,9 +270,9 @@ class ColumnarCCT:
             rows = ids[start[level]:start[level + 1]]
             kept = rows[keep[rows]]
             keep[self.parent[kept]] = True
-        new_ids = _np.flatnonzero(keep)
-        remap = _np.empty(self.n_nodes, dtype=_np.int64)
-        remap[new_ids] = _np.arange(new_ids.size, dtype=_np.int64)
+        new_ids = np.flatnonzero(keep)
+        remap = np.empty(self.n_nodes, dtype=np.int64)
+        remap[new_ids] = np.arange(new_ids.size, dtype=np.int64)
         parent = self.parent[new_ids].copy()
         parent[1:] = remap[parent[1:]]
         return ColumnarCCT(parent=parent,
@@ -320,7 +312,7 @@ class ColumnarCCT:
             node._tree = cct
             parent.children[frame] = node
             nodes[i] = node
-        rows, cols = _np.nonzero(self.present)
+        rows, cols = np.nonzero(self.present)
         vals = self.values[rows, cols]
         for r, c, v in zip(rows.tolist(), cols.tolist(), vals.tolist()):
             nodes[r].metrics[c] = v
@@ -347,8 +339,6 @@ def from_cct(cct: CCT, n_metrics: int) -> ColumnarCCT:
     sample replay would produce), so ``to_cct`` of the result rebuilds an
     identical tree.
     """
-    if _np is None:
-        raise RuntimeError("columnar CCTs require numpy")
     parents: List[int] = []
     frame_ids: List[int] = []
     depths: List[int] = []
@@ -380,16 +370,16 @@ def from_cct(cct: CCT, n_metrics: int) -> ColumnarCCT:
         for child in reversed(children):
             stack.append((child, node_id, depth + 1))
     n = len(parents)
-    values = _np.zeros((n, n_metrics), dtype=_np.float64)
-    present = _np.zeros((n, n_metrics), dtype=bool)
+    values = np.zeros((n, n_metrics), dtype=np.float64)
+    present = np.zeros((n, n_metrics), dtype=bool)
     if rows:
-        row_a = _np.asarray(rows, dtype=_np.int64)
-        col_a = _np.asarray(cols, dtype=_np.int64)
-        values[row_a, col_a] = _np.asarray(vals, dtype=_np.float64)
+        row_a = np.asarray(rows, dtype=np.int64)
+        col_a = np.asarray(cols, dtype=np.int64)
+        values[row_a, col_a] = np.asarray(vals, dtype=np.float64)
         present[row_a, col_a] = True
-    col = ColumnarCCT(parent=_np.asarray(parents, dtype=_np.int64),
-                      frame_id=_np.asarray(frame_ids, dtype=_np.int64),
-                      depth=_np.asarray(depths, dtype=_np.int64),
+    col = ColumnarCCT(parent=np.asarray(parents, dtype=np.int64),
+                      frame_id=np.asarray(frame_ids, dtype=np.int64),
+                      depth=np.asarray(depths, dtype=np.int64),
                       values=values, present=present, frames=frame_table)
     col._synced_version = cct._version
     return col
@@ -465,9 +455,9 @@ class ColumnarBuilder:
     def finish(self, values, present, frames_override=None) -> ColumnarCCT:
         """Freeze the trie into a :class:`ColumnarCCT`."""
         return ColumnarCCT(
-            parent=_np.asarray(self.parents, dtype=_np.int64),
-            frame_id=_np.asarray(self.frame_ids, dtype=_np.int64),
-            depth=_np.asarray(self.depths, dtype=_np.int64),
+            parent=np.asarray(self.parents, dtype=np.int64),
+            frame_id=np.asarray(self.frame_ids, dtype=np.int64),
+            depth=np.asarray(self.depths, dtype=np.int64),
             values=values, present=present,
             frames=frames_override if frames_override is not None
             else self.frames)

@@ -93,9 +93,7 @@ class Profile:
             return col
         if not build:
             return None
-        from .cct_columnar import from_cct, numpy_available
-        if not numpy_available():
-            return None
+        from .cct_columnar import from_cct
         col = from_cct(self.cct, len(self.schema))
         self._columnar = col
         return col

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from typing import Dict, List
 
+import numpy as np
+
 from ..errors import FormatError
 from ..proto import easyview_pb as pb
 from .cct import CCTNode
@@ -94,6 +96,14 @@ def to_message(profile: Profile) -> pb.ProfileMessage:
     return message
 
 
+def _enum(kind, value: int):
+    """``kind(value)``, or :class:`FormatError` for a value it lacks."""
+    try:
+        return kind(value)
+    except ValueError:
+        raise FormatError("unknown %s %d" % (kind.__name__, value)) from None
+
+
 def from_message(message: pb.ProfileMessage) -> Profile:
     """Raise a Protocol Buffer message back into a :class:`Profile`."""
     strings = message.string_table or [""]
@@ -107,19 +117,17 @@ def from_message(message: pb.ProfileMessage) -> Profile:
             name=lookup(descriptor.name),
             unit=lookup(descriptor.unit),
             description=lookup(descriptor.description),
-            aggregation=Aggregation(descriptor.aggregation)))
+            aggregation=_enum(Aggregation, descriptor.aggregation)))
 
     meta = ProfileMeta(tool=lookup(message.tool),
                        time_nanos=message.time_nanos,
                        duration_nanos=message.duration_nanos)
     profile = Profile(schema=schema, meta=meta)
 
-    from .cct_columnar import numpy_available
-    if numpy_available():
-        columnar = _columnar_from_message(message, lookup, len(schema))
-        if columnar is not None:
-            profile.attach_columnar(columnar)
-            return profile
+    columnar = _columnar_from_message(message, lookup, len(schema))
+    if columnar is not None:
+        profile.attach_columnar(columnar)
+        return profile
 
     nodes_by_id: Dict[int, CCTNode] = {}
     for wire_node in message.nodes:
@@ -157,7 +165,7 @@ def from_message(message: pb.ProfileMessage) -> Profile:
                 contexts[0].add_value(metric_index, value)
         else:
             profile.points.append(MonitoringPoint(
-                kind=PointKind(wire_point.kind),
+                kind=_enum(PointKind, wire_point.kind),
                 contexts=contexts,
                 values=values,
                 sequence=wire_point.sequence))
@@ -174,7 +182,7 @@ def _columnar_from_message(message: pb.ProfileMessage, lookup,
     and out-of-schema metric ids return ``None`` so the object path keeps
     its exact semantics, including error ordering.
     """
-    from .cct_columnar import ColumnarBuilder, _np
+    from .cct_columnar import ColumnarBuilder
 
     for wire_point in message.points:
         if wire_point.kind != pb.POINT_PLAIN or wire_point.sequence != 0:
@@ -205,8 +213,8 @@ def _columnar_from_message(message: pb.ProfileMessage, lookup,
                              kind=kind)
         col_of[wire_node.id] = descend(parent, frame_token(frame))
 
-    values = _np.zeros((builder.n_nodes, n_metrics), dtype=_np.float64)
-    present = _np.zeros((builder.n_nodes, n_metrics), dtype=bool)
+    values = np.zeros((builder.n_nodes, n_metrics), dtype=np.float64)
+    present = np.zeros((builder.n_nodes, n_metrics), dtype=bool)
     for wire_point in message.points:
         contexts = []
         for context_id in wire_point.context_id:
@@ -236,13 +244,13 @@ def dumps(profile: Profile) -> bytes:
 def loads(data: bytes) -> Profile:
     """Parse a profile from EasyView's binary file format.
 
-    Wire-level corruption surfaces as :class:`FormatError`, like every
-    other malformed-profile condition.
+    Wire-level corruption, including a string that is not UTF-8, surfaces
+    as :class:`FormatError`, like every other malformed-profile condition.
     """
-    from ..proto.wire import WireError
+    from ..proto.fastwire import WireError
     try:
         return from_message(pb.loads(data))
-    except WireError as exc:
+    except (WireError, UnicodeDecodeError) as exc:
         raise FormatError("corrupt EasyView profile: %s" % exc) from exc
 
 

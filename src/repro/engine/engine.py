@@ -43,9 +43,9 @@ from typing import (Any, Callable, Dict, Hashable, List, Optional, Sequence,
 
 from ..analysis import aggregate as aggregate_mod
 from ..analysis import diff as diff_mod
+from ..analysis.callbacks import Customization
 from ..analysis.transform import transform as transform_fn
-from ..analysis.viewtree import (ViewNode, ViewTree, default_merge_key,
-                                 line_merge_key)
+from ..analysis.viewtree import ViewNode, ViewTree
 from ..core.keys import derived_key
 from ..core.metric import Aggregation
 from ..core.profile import Profile
@@ -59,14 +59,6 @@ from .parallel import WorkerPool
 #: flame graph shows exactly where the interaction budget goes.
 _tracer = get_tracer()
 
-#: Merge-key functions the engine can name in a cache key.  Anything else
-#: is treated as uncacheable and bypasses the cache.
-_KEY_FN_NAMES = {
-    id(default_merge_key): "default",
-    id(line_merge_key): "line",
-}
-
-
 class _Uncacheable(Exception):
     """Raised internally when an option cannot enter a cache key."""
 
@@ -79,11 +71,6 @@ def _canonical(value: Any) -> Hashable:
         return int(value)
     if isinstance(value, (tuple, list)):
         return tuple(_canonical(item) for item in value)
-    if callable(value):
-        name = _KEY_FN_NAMES.get(id(value))
-        if name is not None:
-            return name
-        raise _Uncacheable(repr(value))
     raise _Uncacheable(repr(value))
 
 
@@ -123,21 +110,14 @@ class AnalysisEngine:
     # -- memoized operations -----------------------------------------------
 
     def transform(self, profile: Profile, shape: str,
-                  **kwargs: Any) -> ViewTree:
+                  customization: Optional[Customization] = None
+                  ) -> ViewTree:
         """Memoized :func:`repro.analysis.transform.transform`."""
-        customization = kwargs.get("customization")
-        compute = lambda: transform_fn(profile, shape, **kwargs)
+        compute = lambda: transform_fn(profile, shape, customization)
         if customization is not None and customization.has_hooks():
             # User callbacks may close over arbitrary state; never cache.
             return self._bypass("transform", compute)
-        try:
-            options = _canonical(
-                [(k, v) for k, v in sorted(kwargs.items())
-                 if k != "customization"])
-        except _Uncacheable:
-            return self._bypass("transform", compute)
-        return self._memoize("transform",
-                             (profile.cache_key(), shape, options),
+        return self._memoize("transform", (profile.cache_key(), shape),
                              compute)
 
     def layout(self, tree: ViewTree, metric_index: int = 0,
@@ -159,14 +139,14 @@ class AnalysisEngine:
             compute)
 
     def diff_trees(self, baseline: ViewTree, treatment: ViewTree,
-                   metric_index: int = 0, tolerance: float = 0.0,
-                   key_fn=default_merge_key) -> ViewTree:
+                   metric_index: int = 0, tolerance: float = 0.0
+                   ) -> ViewTree:
         """Memoized :func:`repro.analysis.diff.diff_trees`."""
         compute = lambda: diff_mod.diff_trees(
             baseline, treatment, metric_index=metric_index,
-            tolerance=tolerance, key_fn=key_fn)
+            tolerance=tolerance)
         try:
-            options = _canonical((metric_index, tolerance, key_fn))
+            options = _canonical((metric_index, tolerance))
         except _Uncacheable:
             return self._bypass("diff", compute)
         return self._memoize(
@@ -188,12 +168,11 @@ class AnalysisEngine:
                                            tolerance=tolerance))
 
     def merge_trees(self, trees: Sequence[ViewTree],
-                    operators=aggregate_mod.DEFAULT_OPERATORS,
-                    key_fn=default_merge_key) -> ViewTree:
+                    operators=aggregate_mod.DEFAULT_OPERATORS) -> ViewTree:
         """Memoized :func:`repro.analysis.aggregate.merge_trees`."""
-        compute = lambda: aggregate_mod.merge_trees(trees, operators, key_fn)
+        compute = lambda: aggregate_mod.merge_trees(trees, operators)
         try:
-            options = _canonical((tuple(operators), key_fn))
+            options = _canonical(tuple(operators))
         except _Uncacheable:
             return self._bypass("aggregate", compute)
         return self._memoize(

@@ -29,9 +29,10 @@ from typing import List
 
 from ..core.gcguard import no_gc
 from ..obs import get_registry, get_tracer
-from . import wire
-from .fastwire import (Buffer, PackedInt64Batch, Reader, Writer, as_view,
-                       decode_packed_int64s, intern_string, scan_fields)
+from .fastwire import (WIRETYPE_FIXED64, WIRETYPE_LENGTH_DELIMITED, Buffer,
+                       PackedInt64Batch, Reader, WireError, Writer, as_view,
+                       decode_packed_int64s, delimited, encode_varint,
+                       intern_string, scalar, scan_fields)
 
 FORMAT_MAGIC = b"EZVW"
 FORMAT_VERSION = 1
@@ -106,15 +107,15 @@ class MetricDescriptor:
     @classmethod
     def parse(cls, data: Buffer) -> "MetricDescriptor":
         msg = cls()
-        for num, _, value in scan_fields(data):
+        for num, wtype, value in scan_fields(data):
             if num == 1:
-                msg.name = int(value)  # type: ignore[arg-type]
+                msg.name = scalar(wtype, value)
             elif num == 2:
-                msg.unit = int(value)  # type: ignore[arg-type]
+                msg.unit = scalar(wtype, value)
             elif num == 3:
-                msg.description = int(value)  # type: ignore[arg-type]
+                msg.description = scalar(wtype, value)
             elif num == 4:
-                msg.aggregation = int(value)  # type: ignore[arg-type]
+                msg.aggregation = scalar(wtype, value)
         return msg
 
 
@@ -156,23 +157,23 @@ class ContextNode:
         # proto3 drops zero values, so the decode default for ``kind`` must
         # be the zero enum member (CONTEXT_ROOT), not the dataclass default.
         msg = cls(kind=CONTEXT_ROOT)
-        for num, _, value in scan_fields(data):
+        for num, wtype, value in scan_fields(data):
             if num == 1:
-                msg.id = int(value)  # type: ignore[arg-type]
+                msg.id = scalar(wtype, value)
             elif num == 2:
-                msg.parent_id = int(value)  # type: ignore[arg-type]
+                msg.parent_id = scalar(wtype, value)
             elif num == 3:
-                msg.kind = int(value)  # type: ignore[arg-type]
+                msg.kind = scalar(wtype, value)
             elif num == 4:
-                msg.name = int(value)  # type: ignore[arg-type]
+                msg.name = scalar(wtype, value)
             elif num == 5:
-                msg.file = int(value)  # type: ignore[arg-type]
+                msg.file = scalar(wtype, value)
             elif num == 6:
-                msg.line = int(value)  # type: ignore[arg-type]
+                msg.line = scalar(wtype, value)
             elif num == 7:
-                msg.module = int(value)  # type: ignore[arg-type]
+                msg.module = scalar(wtype, value)
             elif num == 8:
-                msg.address = int(value)  # type: ignore[arg-type]
+                msg.address = scalar(wtype, value)
         return msg
 
 
@@ -200,12 +201,11 @@ class MetricValue:
         msg = cls()
         for num, wtype, value in scan_fields(data):
             if num == 1:
-                msg.metric_id = int(value)  # type: ignore[arg-type]
+                msg.metric_id = scalar(wtype, value)
             elif num == 2:
-                if wtype != wire.WIRETYPE_FIXED64:
-                    raise wire.WireError("MetricValue.value must be a double")
-                raw = int(value)  # type: ignore[arg-type]
-                msg.value = _bits_to_double(raw)
+                if wtype != WIRETYPE_FIXED64:
+                    raise WireError("MetricValue.value must be a double")
+                msg.value = _bits_to_double(value)
         return msg
 
 
@@ -243,16 +243,17 @@ class MonitoringPoint:
         msg = cls()
         for num, wtype, value in scan_fields(data):
             if num == 1:
-                if wtype == wire.WIRETYPE_LENGTH_DELIMITED:
+                if wtype == WIRETYPE_LENGTH_DELIMITED:
                     msg.context_id.extend(decode_packed_int64s(value))
                 else:
-                    msg.context_id.append(int(value))  # type: ignore[arg-type]
+                    msg.context_id.append(value)
             elif num == 2:
-                msg.values.append(MetricValue.parse(value))
+                msg.values.append(
+                    MetricValue.parse(delimited(wtype, value)))
             elif num == 3:
-                msg.kind = int(value)  # type: ignore[arg-type]
+                msg.kind = scalar(wtype, value)
             elif num == 4:
-                msg.sequence = int(value)  # type: ignore[arg-type]
+                msg.sequence = scalar(wtype, value)
         return msg
 
     @classmethod
@@ -263,17 +264,18 @@ class MonitoringPoint:
         context_id = msg.context_id
         for num, wtype, value in scan_fields(data):
             if num == 1:
-                if wtype == wire.WIRETYPE_LENGTH_DELIMITED:
+                if wtype == WIRETYPE_LENGTH_DELIMITED:
                     batch.add(value, context_id)
                 else:
                     batch.drain(context_id)  # keep wire order
-                    context_id.append(int(value))  # type: ignore[arg-type]
+                    context_id.append(value)
             elif num == 2:
-                msg.values.append(MetricValue.parse(value))
+                msg.values.append(
+                    MetricValue.parse(delimited(wtype, value)))
             elif num == 3:
-                msg.kind = int(value)  # type: ignore[arg-type]
+                msg.kind = scalar(wtype, value)
             elif num == 4:
-                msg.sequence = int(value)  # type: ignore[arg-type]
+                msg.sequence = scalar(wtype, value)
         return msg
 
 
@@ -333,21 +335,22 @@ class ProfileMessage:
         point_parse = MonitoringPoint._parse_deferred
         points = msg.points
         strings = msg.string_table
-        for num, _, value in scan_fields(data):
+        for num, wtype, value in scan_fields(data):
             if num == 5:  # monitoring points dominate; check them first
-                points.append(point_parse(value, batch))
+                points.append(point_parse(delimited(wtype, value), batch))
             elif num == 4:
-                msg.nodes.append(ContextNode.parse(value))
+                msg.nodes.append(ContextNode.parse(delimited(wtype, value)))
             elif num == 2:
-                strings.append(intern_string(value))
+                strings.append(intern_string(delimited(wtype, value)))
             elif num == 3:
-                msg.metrics.append(MetricDescriptor.parse(value))
+                msg.metrics.append(
+                    MetricDescriptor.parse(delimited(wtype, value)))
             elif num == 1:
-                msg.tool = int(value)  # type: ignore[arg-type]
+                msg.tool = scalar(wtype, value)
             elif num == 6:
-                msg.time_nanos = int(value)  # type: ignore[arg-type]
+                msg.time_nanos = scalar(wtype, value)
             elif num == 7:
-                msg.duration_nanos = int(value)  # type: ignore[arg-type]
+                msg.duration_nanos = scalar(wtype, value)
         batch.flush()
         if not msg.string_table:
             msg.string_table = [""]
@@ -359,7 +362,7 @@ def dumps(message: ProfileMessage) -> bytes:
     with _tracer.span("codec.easyview.serialize"):
         body = message.serialize()
         header = FORMAT_MAGIC + bytes([FORMAT_VERSION])
-        return header + wire.encode_varint(len(body)) + body
+        return header + encode_varint(len(body)) + body
 
 
 def loads(data: Buffer) -> ProfileMessage:
@@ -371,15 +374,15 @@ def loads(data: Buffer) -> ProfileMessage:
     with _tracer.span("codec.easyview.parse", bytes=len(data)):
         view = as_view(data)
         if bytes(view[:4]) != FORMAT_MAGIC:
-            raise wire.WireError(
+            raise WireError(
                 "not an EasyView profile: bad magic %r" % bytes(view[:4]))
         if len(view) < 5 or view[4] != FORMAT_VERSION:
-            raise wire.WireError("unsupported EasyView format version")
+            raise WireError("unsupported EasyView format version")
         reader = Reader(view, pos=5)
         length = reader.varint()
         body = view[reader.pos:reader.pos + length]
         if len(body) != length:
-            raise wire.WireError("truncated EasyView profile body")
+            raise WireError("truncated EasyView profile body")
         return ProfileMessage.parse(body)
 
 

@@ -2,17 +2,20 @@
 
 Every byte EasyView touches — pprof payloads, EasyView CCT profiles,
 ProfStore WAL records, segment string tables — passes through this module.
-It exists because the original codec (:mod:`repro.proto.wire`, preserved
-verbatim as :mod:`repro.proto.reference`) decoded varints one function call
-at a time, copied every length-delimited slice, and serialized messages by
-joining thousands of tiny ``bytes`` chunks.  The kernels here keep the
-exact wire semantics while removing the per-byte Python overhead:
+It exists because the original codec (preserved as
+:mod:`repro.proto.reference`) decoded varints one function call at a time,
+copied every length-delimited slice, and serialized messages by joining
+thousands of tiny ``bytes`` chunks.  The kernels here keep the exact wire
+semantics while removing the per-byte Python overhead:
 
 * :func:`scan_fields` / :class:`Reader` — streaming decode over a
   ``memoryview`` with the varint loop inlined (no per-call tuple churn);
   length-delimited payloads come back as zero-copy subviews.
+  :func:`scalar` and :func:`delimited` check each field's wire type where
+  a message codec reads it, so a number sent where a string belongs (or
+  the reverse) fails as :class:`WireError` instead of parsing.
 * :func:`decode_packed_int64s` — bulk packed-varint decode: an unrolled
-  pure-Python scan with an optional numpy kernel for long runs, gated
+  pure-Python scan for short runs and a numpy kernel for long ones, gated
   behind byte-for-byte equality tests (``tests/test_proto_fastwire.py``).
 * :class:`Writer` — a message writer backed by one growing ``bytearray``
   with a precomputed small-varint table and reserved length-prefix
@@ -21,16 +24,14 @@ exact wire semantics while removing the per-byte Python overhead:
 * :class:`StringInterner` — a shared intern pool for string-table decode,
   so the same function name appearing in ten thousand profiles is one
   ``str`` object process-wide.
-
-The module is dependency-free at import time; numpy is probed lazily and
-its absence only disables the long-run packed kernel (the pure-Python scan
-is always available and always authoritative).
 """
 
 from __future__ import annotations
 
 import struct
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 WIRETYPE_VARINT = 0
 WIRETYPE_FIXED64 = 1
@@ -54,15 +55,6 @@ class WireError(ValueError):
     """Raised when a payload violates the protobuf wire format."""
 
 
-# --------------------------------------------------------------------------
-# numpy probe (lazy, optional)
-# --------------------------------------------------------------------------
-
-try:  # pragma: no cover - exercised implicitly by every packed decode
-    import numpy as _np
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    _np = None
-
 #: Packed payloads at least this long go through the numpy kernel; shorter
 #: runs stay on the unrolled pure-Python scan, whose fixed overhead is
 #: lower than one ``np.frombuffer`` round trip.  Tuned on the corpus tiers
@@ -80,7 +72,6 @@ _PACKED_RUNS_NUMPY = 0
 def packed_stats() -> dict:
     """Which packed-decode kernel has been running (process-wide)."""
     return {"pyRuns": _PACKED_RUNS_PY, "numpyRuns": _PACKED_RUNS_NUMPY,
-            "numpyAvailable": _np is not None,
             "numpyMinBytes": NUMPY_MIN_PACKED_BYTES}
 
 
@@ -210,6 +201,30 @@ def scan_fields(data: Buffer) -> Iterator[Tuple[int, int, object]]:
             raise WireError("unsupported wire type %d for field %d"
                             % (wire_type, field_number))
         yield field_number, wire_type, value
+
+
+def scalar(wire_type: int, value: object) -> int:
+    """A numeric field's value as :func:`scan_fields` decoded it.
+
+    Raises :class:`WireError` when the field arrived length-delimited:
+    ``int()`` of that payload would parse its digits.  The value is
+    returned as decoded (unsigned); ``int64`` fields sign-extend it.
+    """
+    if wire_type == WIRETYPE_LENGTH_DELIMITED:
+        raise WireError("expected numeric field, got length-delimited")
+    return value  # type: ignore[return-value]
+
+
+def delimited(wire_type: int, value: object) -> memoryview:
+    """A string, bytes or message field's payload.
+
+    Raises :class:`WireError` when the field arrived as a number:
+    ``bytes()`` of a varint allocates that many zero bytes.
+    """
+    if wire_type != WIRETYPE_LENGTH_DELIMITED:
+        raise WireError("expected length-delimited field, got wire type %d"
+                        % wire_type)
+    return value  # type: ignore[return-value]
 
 
 class Reader:
@@ -381,11 +396,11 @@ def _decode_packed_numpy(buf: memoryview) -> List[int]:
     """
     global _PACKED_RUNS_NUMPY
     _PACKED_RUNS_NUMPY += 1
-    data = _np.frombuffer(buf, dtype=_np.uint8)
+    data = np.frombuffer(buf, dtype=np.uint8)
     terminator = data < 0x80
-    ends = _np.flatnonzero(terminator)
+    ends = np.flatnonzero(terminator)
     if ends.size:
-        starts = _np.empty_like(ends)
+        starts = np.empty_like(ends)
         starts[0] = 0
         starts[1:] = ends[:-1] + 1
         lengths = ends - starts + 1
@@ -394,7 +409,7 @@ def _decode_packed_numpy(buf: memoryview) -> List[int]:
     # Errors must surface in reference order: the sequential scan raises at
     # the FIRST offending varint, so check complete varints left to right
     # before looking at the torn tail (which is by definition rightmost).
-    overlong = _np.flatnonzero(lengths > _MAX_VARINT_BYTES)
+    overlong = np.flatnonzero(lengths > _MAX_VARINT_BYTES)
     if overlong.size:
         raise WireError("varint longer than 10 bytes at offset %d"
                         % int(starts[overlong[0]]))
@@ -407,26 +422,26 @@ def _decode_packed_numpy(buf: memoryview) -> List[int]:
                 "varint longer than 10 bytes at offset %d" % tail_start)
         raise WireError("truncated varint at offset %d" % tail_start)
     max_len = int(lengths.max())
-    payload = (data & 0x7F).astype(_np.uint64)
+    payload = (data & 0x7F).astype(np.uint64)
     values = payload[starts]
     for k in range(1, max_len):
         mask = lengths > k
-        values[mask] |= payload[starts[mask] + k] << _np.uint64(7 * k)
-    return values.view(_np.int64).tolist()
+        values[mask] |= payload[starts[mask] + k] << np.uint64(7 * k)
+    return values.view(np.int64).tolist()
 
 
 def decode_packed_int64s(data: Buffer) -> List[int]:
     """Decode a packed repeated ``int64`` payload into a list.
 
     Semantics match ``reference.decode_packed_varints`` bit for bit
-    (including error offsets); long runs take the numpy kernel when it is
-    available, everything else the unrolled scan.
+    (including error offsets); long runs take the numpy kernel, everything
+    else the unrolled scan.
     """
     buf = as_view(data)
     size = len(buf)
     if size == 0:
         return []
-    if _np is not None and size >= NUMPY_MIN_PACKED_BYTES:
+    if size >= NUMPY_MIN_PACKED_BYTES:
         return _decode_packed_numpy(buf)
     return _decode_packed_py(buf, 0, size)
 
@@ -447,9 +462,7 @@ class PackedInt64Batch:
     terminator byte.  Any payload that breaks that invariant — or any
     overlong varint anywhere in the batch — routes the whole batch through
     the sequential scan instead, which reproduces the reference codec's
-    error (first bad payload in wire order wins).  Without numpy the batch
-    degenerates to exactly that sequential scan, so behavior never depends
-    on the accelerator.
+    error (first bad payload in wire order wins).
     """
 
     __slots__ = ("_payloads", "_targets")
@@ -500,15 +513,12 @@ class PackedInt64Batch:
         # In-place clear, not rebinding — see :meth:`drain`.
         del self._payloads[:]
         del self._targets[:]
-        if _np is None:
-            self._flush_sequential(payloads, targets)
-            return
         global _PACKED_RUNS_NUMPY
         _PACKED_RUNS_NUMPY += 1
-        data = _np.frombuffer(b"".join(payloads), dtype=_np.uint8)
-        sizes = _np.fromiter(map(len, payloads), dtype=_np.int64,
-                             count=len(payloads))
-        result = _assemble_packed(data, _np.cumsum(sizes))
+        data = np.frombuffer(b"".join(payloads), dtype=np.uint8)
+        sizes = np.fromiter(map(len, payloads), dtype=np.int64,
+                            count=len(payloads))
+        result = _assemble_packed(data, np.cumsum(sizes))
         if result is None:
             # Some payload is torn or overlong: decode sequentially so the
             # first offender raises the reference-identical error.
@@ -523,7 +533,7 @@ class PackedInt64Batch:
 
 def _assemble_packed(data: "object", bounds_end: "object",
                      as_array: bool = False):
-    """Bulk-decode concatenated packed int64 runs (numpy required).
+    """Bulk-decode concatenated packed int64 runs in one numpy pass.
 
     ``data`` is a uint8 ndarray of run payloads laid end to end;
     ``bounds_end`` holds each run's exclusive end offset (ascending, with
@@ -538,14 +548,14 @@ def _assemble_packed(data: "object", bounds_end: "object",
     terminator byte, which is exactly the per-run check below.
     """
     terminator = data < 0x80
-    prev = _np.empty_like(bounds_end)
+    prev = np.empty_like(bounds_end)
     prev[0] = 0
     prev[1:] = bounds_end[:-1]
     nonempty = bounds_end > prev
     if not terminator[bounds_end[nonempty] - 1].all():
         return None
-    ends = _np.flatnonzero(terminator)
-    v_starts = _np.empty_like(ends)
+    ends = np.flatnonzero(terminator)
+    v_starts = np.empty_like(ends)
     if ends.size:
         v_starts[0] = 0
         v_starts[1:] = ends[:-1] + 1
@@ -555,25 +565,25 @@ def _assemble_packed(data: "object", bounds_end: "object",
     # Assemble values byte-column by byte-column, shrinking the index set
     # to just the still-unfinished varints each round: total gather work
     # is O(continuation bytes), not O(varints * max_len).
-    values = (data[v_starts] & 0x7F).astype(_np.uint64)
-    sel = _np.flatnonzero(v_lengths > 1)
+    values = (data[v_starts] & 0x7F).astype(np.uint64)
+    sel = np.flatnonzero(v_lengths > 1)
     idx = v_starts[sel]
     lens = v_lengths[sel]
     k = 1
     while sel.size:
-        values[sel] |= ((data[idx + k] & 0x7F).astype(_np.uint64)
-                        << _np.uint64(7 * k))
+        values[sel] |= ((data[idx + k] & 0x7F).astype(np.uint64)
+                        << np.uint64(7 * k))
         k += 1
-        keep = _np.flatnonzero(lens > k)
+        keep = np.flatnonzero(lens > k)
         sel = sel[keep]
         idx = idx[keep]
         lens = lens[keep]
-    decoded = values.view(_np.int64)
+    decoded = values.view(np.int64)
     if not as_array:
         decoded = decoded.tolist()
     # Values per run = terminators before each run end; ``ends`` is
     # sorted, so binary search beats a reduceat over the byte array.
-    cum = _np.searchsorted(ends, bounds_end, side="left")
+    cum = np.searchsorted(ends, bounds_end, side="left")
     return decoded, cum
 
 
@@ -592,61 +602,59 @@ def decode_packed_samples(buf: "memoryview", span_bounds: List[int],
     With ``as_array``, ``decoded`` and ``offsets`` stay int64 ndarrays —
     the zero-materialization path the columnar CCT builder feeds on.
 
-    Returns ``None`` when numpy is unavailable or any matched run is
-    malformed; the caller then re-scans every sample sequentially so the
-    first offender raises the reference-identical error.  Every gather
-    below is index-clamped, so a garbage length byte can never read out
-    of bounds — it just fails the mask.
+    Returns ``None`` when any matched run is malformed; the caller then
+    re-scans every sample sequentially so the first offender raises the
+    reference-identical error.  Every gather below is index-clamped, so a
+    garbage length byte can never read out of bounds — it just fails the
+    mask.
     """
-    if _np is None:
-        return None
-    data = _np.frombuffer(buf, dtype=_np.uint8)
+    data = np.frombuffer(buf, dtype=np.uint8)
     last = data.size - 1
-    bounds = _np.array(span_bounds, dtype=_np.int64)
+    bounds = np.array(span_bounds, dtype=np.int64)
     starts = bounds[0::2]
     stops = bounds[1::2]
     ok = (stops - starts) >= 4  # smallest canonical body: 0A 00 12 00
-    ok &= data[_np.minimum(starts, last)] == 0x0A
-    len1 = data[_np.minimum(starts + 1, last)].astype(_np.int64)
+    ok &= data[np.minimum(starts, last)] == 0x0A
+    len1 = data[np.minimum(starts + 1, last)].astype(np.int64)
     ok &= len1 < 0x80
     run2_tag = starts + 2 + len1
     ok &= run2_tag + 1 < stops
-    ok &= data[_np.minimum(run2_tag, last)] == 0x12
-    len2 = data[_np.minimum(run2_tag + 1, last)].astype(_np.int64)
+    ok &= data[np.minimum(run2_tag, last)] == 0x12
+    len2 = data[np.minimum(run2_tag + 1, last)].astype(np.int64)
     ok &= len2 < 0x80
     ok &= run2_tag + 2 + len2 == stops
-    ok_idx = _np.flatnonzero(ok)
+    ok_idx = np.flatnonzero(ok)
     ok_list = ok.tolist()
     if not ok_idx.size:
         if as_array:
-            return ok_list, _np.empty(0, dtype=_np.int64), \
-                _np.zeros(1, dtype=_np.int64)
+            return ok_list, np.empty(0, dtype=np.int64), \
+                np.zeros(1, dtype=np.int64)
         return ok_list, [], [0]
     global _PACKED_RUNS_NUMPY
     _PACKED_RUNS_NUMPY += 1
     n_ok = ok_idx.size
-    run_starts = _np.empty(2 * n_ok, dtype=_np.int64)
-    run_lens = _np.empty(2 * n_ok, dtype=_np.int64)
+    run_starts = np.empty(2 * n_ok, dtype=np.int64)
+    run_lens = np.empty(2 * n_ok, dtype=np.int64)
     run_starts[0::2] = starts[ok_idx] + 2
     run_lens[0::2] = len1[ok_idx]
     run_starts[1::2] = run2_tag[ok_idx] + 2
     run_lens[1::2] = len2[ok_idx]
-    bounds_end = _np.cumsum(run_lens)
+    bounds_end = np.cumsum(run_lens)
     total = int(bounds_end[-1])
-    gathered_starts = _np.empty_like(bounds_end)
+    gathered_starts = np.empty_like(bounds_end)
     gathered_starts[0] = 0
     gathered_starts[1:] = bounds_end[:-1]
     # Lay every run's bytes end to end with one fancy gather: for run r,
     # position j in the gathered array maps back to
     # run_starts[r] + (j - gathered_starts[r]).
-    gather = (_np.repeat(run_starts - gathered_starts, run_lens)
-              + _np.arange(total, dtype=_np.int64))
+    gather = (np.repeat(run_starts - gathered_starts, run_lens)
+              + np.arange(total, dtype=np.int64))
     result = _assemble_packed(data[gather], bounds_end, as_array=as_array)
     if result is None:
         return None
     decoded, cum = result
     if as_array:
-        offsets_a = _np.empty(cum.size + 1, dtype=_np.int64)
+        offsets_a = np.empty(cum.size + 1, dtype=np.int64)
         offsets_a[0] = 0
         offsets_a[1:] = cum
         return ok_list, decoded, offsets_a

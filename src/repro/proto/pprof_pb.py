@@ -28,11 +28,11 @@ from typing import List
 from ..core.gcguard import no_gc
 from ..errors import OversizedError
 from ..obs import get_registry, get_tracer
-from . import wire
-from .fastwire import (_UNPACK_FIXED32, _UNPACK_FIXED64, Buffer,
+from .fastwire import (_UNPACK_FIXED32, _UNPACK_FIXED64,
+                       WIRETYPE_LENGTH_DELIMITED, Buffer,
                        PackedInt64Batch, WireError, Writer, as_view,
                        decode_packed_int64s, decode_packed_samples,
-                       intern_string, scan_fields)
+                       delimited, intern_string, scalar, scan_fields)
 
 GZIP_MAGIC = b"\x1f\x8b"
 
@@ -70,11 +70,11 @@ class ValueType:
     @classmethod
     def parse(cls, data: Buffer) -> "ValueType":
         msg = cls()
-        for num, _, value in scan_fields(data):
+        for num, wtype, value in scan_fields(data):
             if num == 1:
-                msg.type = _as_int64(value)
+                msg.type = _as_int64(wtype, value)
             elif num == 2:
-                msg.unit = _as_int64(value)
+                msg.unit = _as_int64(wtype, value)
         return msg
 
 
@@ -99,15 +99,15 @@ class Label:
     @classmethod
     def parse(cls, data: Buffer) -> "Label":
         msg = cls()
-        for num, _, value in scan_fields(data):
+        for num, wtype, value in scan_fields(data):
             if num == 1:
-                msg.key = _as_int64(value)
+                msg.key = _as_int64(wtype, value)
             elif num == 2:
-                msg.str = _as_int64(value)
+                msg.str = _as_int64(wtype, value)
             elif num == 3:
-                msg.num = _as_int64(value)
+                msg.num = _as_int64(wtype, value)
             elif num == 4:
-                msg.num_unit = _as_int64(value)
+                msg.num_unit = _as_int64(wtype, value)
         return msg
 
 
@@ -137,17 +137,17 @@ class Sample:
         msg = cls()
         for num, wtype, value in scan_fields(data):
             if num == 1:
-                if wtype == wire.WIRETYPE_LENGTH_DELIMITED:
+                if wtype == WIRETYPE_LENGTH_DELIMITED:
                     msg.location_id.extend(decode_packed_int64s(value))
                 else:
-                    msg.location_id.append(_as_int64(value))
+                    msg.location_id.append(_as_int64(wtype, value))
             elif num == 2:
-                if wtype == wire.WIRETYPE_LENGTH_DELIMITED:
+                if wtype == WIRETYPE_LENGTH_DELIMITED:
                     msg.value.extend(decode_packed_int64s(value))
                 else:
-                    msg.value.append(_as_int64(value))
+                    msg.value.append(_as_int64(wtype, value))
             elif num == 3:
-                msg.label.append(Label.parse(value))
+                msg.label.append(Label.parse(delimited(wtype, value)))
         return msg
 
     @classmethod
@@ -302,25 +302,32 @@ class Sample:
                 elif field_number == 2:
                     batch.drain(value_list)
                     value_list.append(value)
+                elif field_number == 3:
+                    labels.append(Label.parse(delimited(wire_type, value)))
             elif wire_type == 1:  # fixed64
                 if pos + 8 > end:
                     raise WireError("truncated fixed64 at offset %d" % pos)
+                value = _UNPACK_FIXED64(buf, pos)[0]
+                pos += 8
                 if field_number == 1 or field_number == 2:
-                    value = _UNPACK_FIXED64(buf, pos)[0]
                     if value >= _INT64_SIGN:
                         value -= _TWO_TO_64
                     target = location_id if field_number == 1 else value_list
                     batch.drain(target)
                     target.append(value)
-                pos += 8
+                elif field_number == 3:
+                    labels.append(Label.parse(delimited(wire_type, value)))
             elif wire_type == 5:  # fixed32
                 if pos + 4 > end:
                     raise WireError("truncated fixed32 at offset %d" % pos)
+                value = _UNPACK_FIXED32(buf, pos)[0]
+                pos += 4
                 if field_number == 1 or field_number == 2:
                     target = location_id if field_number == 1 else value_list
                     batch.drain(target)
-                    target.append(_UNPACK_FIXED32(buf, pos)[0])
-                pos += 4
+                    target.append(value)
+                elif field_number == 3:
+                    labels.append(Label.parse(delimited(wire_type, value)))
             else:
                 raise WireError("unsupported wire type %d for field %d"
                                 % (wire_type, field_number))
@@ -383,27 +390,27 @@ class Mapping:
     @classmethod
     def parse(cls, data: Buffer) -> "Mapping":
         msg = cls()
-        for num, _, value in scan_fields(data):
+        for num, wtype, value in scan_fields(data):
             if num == 1:
-                msg.id = _as_int64(value)
+                msg.id = _as_int64(wtype, value)
             elif num == 2:
-                msg.memory_start = _as_int64(value)
+                msg.memory_start = _as_int64(wtype, value)
             elif num == 3:
-                msg.memory_limit = _as_int64(value)
+                msg.memory_limit = _as_int64(wtype, value)
             elif num == 4:
-                msg.file_offset = _as_int64(value)
+                msg.file_offset = _as_int64(wtype, value)
             elif num == 5:
-                msg.filename = _as_int64(value)
+                msg.filename = _as_int64(wtype, value)
             elif num == 6:
-                msg.build_id = _as_int64(value)
+                msg.build_id = _as_int64(wtype, value)
             elif num == 7:
-                msg.has_functions = bool(value)
+                msg.has_functions = bool(scalar(wtype, value))
             elif num == 8:
-                msg.has_filenames = bool(value)
+                msg.has_filenames = bool(scalar(wtype, value))
             elif num == 9:
-                msg.has_line_numbers = bool(value)
+                msg.has_line_numbers = bool(scalar(wtype, value))
             elif num == 10:
-                msg.has_inline_frames = bool(value)
+                msg.has_inline_frames = bool(scalar(wtype, value))
         return msg
 
 
@@ -529,7 +536,7 @@ class Location:
                         value -= _TWO_TO_64
                     vals[num] = value
                 elif num == 4:
-                    lines.append(Line.parse(value))
+                    lines.append(Line.parse(delimited(wtype, value)))
                 elif num == 5:
                     msg.is_folded = bool(value)
             elif wtype == 2:  # length-delimited
@@ -565,12 +572,9 @@ class Location:
                         "offset %d" % pos)
                 if num == 4:
                     lines.append(Line.parse(buf[pos:stop]))
-                elif num < 4:
-                    raise wire.WireError(
+                elif num <= 5:
+                    raise WireError(
                         "expected numeric field, got length-delimited")
-                elif num == 5:
-                    # matches bool(<memoryview>): truthy iff non-empty
-                    msg.is_folded = length > 0
                 pos = stop
             elif wtype == 1:  # fixed64
                 if pos + 8 > end:
@@ -582,7 +586,7 @@ class Location:
                         value -= _TWO_TO_64
                     vals[num] = value
                 elif num == 4:
-                    lines.append(Line.parse(value))
+                    lines.append(Line.parse(delimited(wtype, value)))
                 elif num == 5:
                     msg.is_folded = bool(value)
             elif wtype == 5:  # fixed32
@@ -593,7 +597,7 @@ class Location:
                 if num < 4:
                     vals[num] = value
                 elif num == 4:
-                    lines.append(Line.parse(value))
+                    lines.append(Line.parse(delimited(wtype, value)))
                 elif num == 5:
                     msg.is_folded = bool(value)
             else:
@@ -730,12 +734,10 @@ class Profile:
     def parse_columnar(cls, data: Buffer):
         """Decode a raw profile, deferring sample bodies columnar-side.
 
-        Returns ``(profile, block)``.  When ``block`` is a
-        :class:`SampleBlock`, ``profile.sample`` is empty and the sample
-        data lives in the block's arrays; when ``block`` is ``None`` (no
-        numpy, a malformed canonical run, or a sample-free profile), the
-        profile is fully materialized exactly as :meth:`parse` returns it.
-        Error behavior is identical to :meth:`parse` either way.
+        Returns ``(profile, block)``.  ``profile.sample`` is empty and the
+        sample data lives in the :class:`SampleBlock`'s arrays; ``block``
+        is ``None`` only for a profile without samples.  Error behavior
+        is identical to :meth:`parse`.
         """
         _parse_calls.inc()
         _parse_bytes.inc(len(data))
@@ -908,40 +910,41 @@ class Profile:
 
             # -- non-delimited or rare fields -----------------------------
             if num == 2:
-                samples_append(sample_parse(value, batch))
+                samples_append(sample_parse(delimited(wtype, value), batch))
             elif num == 6:
-                strings_append(intern_string(value))
+                strings_append(intern_string(delimited(wtype, value)))
             elif num == 4:
-                msg.location.append(Location.parse(value))
+                msg.location.append(Location.parse(delimited(wtype, value)))
             elif num == 5:
-                msg.function.append(Function.parse(value))
+                msg.function.append(Function.parse(delimited(wtype, value)))
             elif num == 1:
-                msg.sample_type.append(ValueType.parse(value))
+                msg.sample_type.append(
+                    ValueType.parse(delimited(wtype, value)))
             elif num == 3:
-                msg.mapping.append(Mapping.parse(value))
+                msg.mapping.append(Mapping.parse(delimited(wtype, value)))
             elif num == 7:
-                msg.drop_frames = _as_int64(value)
+                msg.drop_frames = _as_int64(wtype, value)
             elif num == 8:
-                msg.keep_frames = _as_int64(value)
+                msg.keep_frames = _as_int64(wtype, value)
             elif num == 9:
-                msg.time_nanos = _as_int64(value)
+                msg.time_nanos = _as_int64(wtype, value)
             elif num == 10:
-                msg.duration_nanos = _as_int64(value)
+                msg.duration_nanos = _as_int64(wtype, value)
             elif num == 11:
-                msg.period_type = ValueType.parse(value)
+                msg.period_type = ValueType.parse(delimited(wtype, value))
             elif num == 12:
-                msg.period = _as_int64(value)
+                msg.period = _as_int64(wtype, value)
             elif num == 13:
                 msg.comment.extend(_repeated_int(value, wtype))
             elif num == 14:
-                msg.default_sample_type = _as_int64(value)
+                msg.default_sample_type = _as_int64(wtype, value)
         block = None
         if spans:
             bulk = decode_packed_samples(buf, spans, as_array=defer_samples)
             if bulk is None:
-                # No numpy, or a canonical-looking run was malformed:
-                # scan every sample sequentially, in wire order, so the
-                # first offender raises the reference-identical error.
+                # A canonical-looking run was malformed: scan every sample
+                # sequentially, in wire order, so the first offender
+                # raises the reference-identical error.
                 for i in range(0, len(spans), 2):
                     samples_append(
                         sample_parse(buf[spans[i]:spans[i + 1]], batch))
@@ -989,10 +992,9 @@ class Profile:
         return ""
 
 
-def _as_int64(value: object) -> int:
-    """Normalize a decoded varint/fixed value to a signed 64-bit int."""
-    if not isinstance(value, int):
-        raise wire.WireError("expected numeric field, got length-delimited")
+def _as_int64(wtype: int, value: object) -> int:
+    """A numeric field's decoded value, sign-extended to ``int64``."""
+    value = scalar(wtype, value)
     if value >= _INT64_SIGN:
         value -= _TWO_TO_64
     return value
@@ -1103,7 +1105,7 @@ def _scan_int_fields(buf: "memoryview", vals: List[int]) -> None:
                     "length-delimited field overruns buffer at offset %d"
                     % pos)
             if num < known:
-                raise wire.WireError(
+                raise WireError(
                     "expected numeric field, got length-delimited")
             pos = stop
         elif wtype == 1:  # fixed64
@@ -1128,9 +1130,9 @@ def _scan_int_fields(buf: "memoryview", vals: List[int]) -> None:
 
 def _repeated_int(value: object, wtype: int) -> List[int]:
     """Decode a repeated int field that may be packed or unpacked."""
-    if wtype == wire.WIRETYPE_LENGTH_DELIMITED:
+    if wtype == WIRETYPE_LENGTH_DELIMITED:
         return decode_packed_int64s(value)
-    return [_as_int64(value)]
+    return [_as_int64(wtype, value)]
 
 
 def dumps(profile: Profile, compress: bool = True) -> bytes:

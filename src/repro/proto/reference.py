@@ -16,32 +16,192 @@ jobs:
    ever diverges from this module on the fixture corpus.
 
 Nothing in the production tree imports this module; changing it should
-only ever mean documenting a semantic the fast path must also adopt.
+only ever mean documenting a semantic the fast path must also adopt (the
+wire-type rule is one: a scalar field that arrives length-delimited, or
+a string or message field that arrives as a number, raises
+:class:`WireError`).
 
-The scalar primitives (``encode_varint`` and friends) live on unchanged
-in :mod:`repro.proto.wire`; this module reuses them and keeps the
-composite pieces the fast path replaced: the chunk-list :class:`Writer`,
-the per-field :func:`iter_fields` / :func:`decode_packed_varints`
-decoders, and the original message codecs for both schemas plus the
-store's WAL payload and segment footer encodings.
+It holds the single-value wire primitives (``encode_varint`` and
+friends, which follow https://protobuf.dev/programming-guides/encoding/
+and double as the spec ``tests/test_proto_wire.py`` checks), the
+chunk-list :class:`Writer`, the per-field :func:`iter_fields` /
+:func:`decode_packed_varints` decoders, and the original message codecs
+for both schemas plus the store's WAL payload and segment footer
+encodings.
 """
 
 from __future__ import annotations
 
 import json
+import struct
 from typing import Dict, Iterator, List, Tuple
 
-from .wire import (WIRETYPE_FIXED32, WIRETYPE_FIXED64,
-                   WIRETYPE_LENGTH_DELIMITED, WIRETYPE_VARINT, WireError,
-                   decode_bytes, decode_fixed32, decode_fixed64,
-                   decode_signed_varint, decode_tag, encode_bytes,
-                   encode_double, encode_string, encode_tag, encode_varint,
-                   zigzag_encode)
 from . import easyview_pb, pprof_pb
+from .fastwire import (WIRETYPE_FIXED32, WIRETYPE_FIXED64,
+                       WIRETYPE_LENGTH_DELIMITED, WIRETYPE_VARINT, WireError)
 
-_DOUBLE_ZERO = encode_double(0.0)
+_MAX_VARINT_BYTES = 10  # ceil(64 / 7)
 _UINT64_MASK = (1 << 64) - 1
 
+
+# --------------------------------------------------------------------------
+# Single-value wire primitives
+# --------------------------------------------------------------------------
+
+def encode_varint(value: int) -> bytes:
+    """Encode a non-negative integer (< 2**64) as a base-128 varint."""
+    if value < 0:
+        raise WireError("varint cannot encode negative value %d; "
+                        "use encode_signed_varint" % value)
+    if value > _UINT64_MASK:
+        raise WireError("varint value %d exceeds 64 bits" % value)
+    out = bytearray()
+    while True:
+        bits = value & 0x7F
+        value >>= 7
+        if value:
+            out.append(bits | 0x80)
+        else:
+            out.append(bits)
+            return bytes(out)
+
+
+def decode_varint(data: bytes, pos: int = 0) -> Tuple[int, int]:
+    """Decode a varint starting at ``pos``.
+
+    Returns ``(value, next_pos)``.  Raises :class:`WireError` on truncated or
+    over-long input.
+    """
+    result = 0
+    shift = 0
+    start = pos
+    end = len(data)
+    while pos < end:
+        byte = data[pos]
+        pos += 1
+        result |= (byte & 0x7F) << shift
+        if not byte & 0x80:
+            if pos - start > _MAX_VARINT_BYTES:
+                raise WireError("varint longer than 10 bytes at offset %d" % start)
+            return result & _UINT64_MASK, pos
+        shift += 7
+        if shift >= 70:
+            raise WireError("varint longer than 10 bytes at offset %d" % start)
+    raise WireError("truncated varint at offset %d" % start)
+
+
+def zigzag_encode(value: int) -> int:
+    """Map a signed 64-bit integer onto an unsigned one (ZigZag)."""
+    if not -(1 << 63) <= value < (1 << 63):
+        raise WireError("sint64 value %d out of range" % value)
+    return ((value << 1) ^ (value >> 63)) & _UINT64_MASK
+
+
+def zigzag_decode(value: int) -> int:
+    """Inverse of :func:`zigzag_encode`."""
+    return (value >> 1) ^ -(value & 1)
+
+
+def encode_signed_varint(value: int) -> bytes:
+    """Encode a signed integer using the two's-complement ``int64`` rule.
+
+    proto3 ``int64`` fields sign-extend negative numbers to ten bytes rather
+    than ZigZag-encoding them; pprof uses ``int64`` throughout.
+    """
+    return encode_varint(value & _UINT64_MASK)
+
+
+def decode_signed_varint(data: bytes, pos: int = 0) -> Tuple[int, int]:
+    """Decode an ``int64`` varint (sign-extended two's complement)."""
+    value, pos = decode_varint(data, pos)
+    if value >= 1 << 63:
+        value -= 1 << 64
+    return value, pos
+
+
+def encode_tag(field_number: int, wire_type: int) -> bytes:
+    """Encode a field tag (field number + wire type)."""
+    if field_number < 1:
+        raise WireError("field numbers must be positive, got %d" % field_number)
+    if wire_type not in (WIRETYPE_VARINT, WIRETYPE_FIXED64,
+                         WIRETYPE_LENGTH_DELIMITED, WIRETYPE_FIXED32):
+        raise WireError("unsupported wire type %d" % wire_type)
+    return encode_varint((field_number << 3) | wire_type)
+
+
+def decode_tag(data: bytes, pos: int) -> Tuple[int, int, int]:
+    """Decode a field tag; returns ``(field_number, wire_type, next_pos)``."""
+    key, pos = decode_varint(data, pos)
+    field_number = key >> 3
+    wire_type = key & 0x7
+    if field_number == 0:
+        raise WireError("field number 0 is reserved")
+    return field_number, wire_type, pos
+
+
+def encode_fixed64(value: int) -> bytes:
+    """Encode an unsigned integer as 8 little-endian bytes."""
+    return struct.pack("<Q", value & _UINT64_MASK)
+
+
+def decode_fixed64(data: bytes, pos: int) -> Tuple[int, int]:
+    """Decode an 8-byte little-endian unsigned integer."""
+    if pos + 8 > len(data):
+        raise WireError("truncated fixed64 at offset %d" % pos)
+    return struct.unpack_from("<Q", data, pos)[0], pos + 8
+
+
+def encode_fixed32(value: int) -> bytes:
+    """Encode an unsigned integer as 4 little-endian bytes."""
+    return struct.pack("<I", value & 0xFFFFFFFF)
+
+
+def decode_fixed32(data: bytes, pos: int) -> Tuple[int, int]:
+    """Decode a 4-byte little-endian unsigned integer."""
+    if pos + 4 > len(data):
+        raise WireError("truncated fixed32 at offset %d" % pos)
+    return struct.unpack_from("<I", data, pos)[0], pos + 4
+
+
+def encode_double(value: float) -> bytes:
+    """Encode a ``double`` field payload."""
+    return struct.pack("<d", value)
+
+
+#: The bit pattern of the proto3 double default (+0.0); only this exact
+#: pattern is absent from the wire — ``-0.0`` has the sign bit set.
+_DOUBLE_ZERO = encode_double(0.0)
+
+
+def decode_double(data: bytes, pos: int) -> Tuple[float, int]:
+    """Decode a ``double`` field payload."""
+    if pos + 8 > len(data):
+        raise WireError("truncated double at offset %d" % pos)
+    return struct.unpack_from("<d", data, pos)[0], pos + 8
+
+
+def encode_bytes(value: bytes) -> bytes:
+    """Encode a length-delimited payload (length prefix + raw bytes)."""
+    return encode_varint(len(value)) + value
+
+
+def decode_bytes(data: bytes, pos: int) -> Tuple[bytes, int]:
+    """Decode a length-delimited payload; returns ``(payload, next_pos)``."""
+    length, pos = decode_varint(data, pos)
+    end = pos + length
+    if end > len(data):
+        raise WireError("length-delimited field overruns buffer at offset %d" % pos)
+    return data[pos:end], end
+
+
+def encode_string(value: str) -> bytes:
+    """Encode a UTF-8 string field payload."""
+    return encode_bytes(value.encode("utf-8"))
+
+
+# --------------------------------------------------------------------------
+# The original composite codec
+# --------------------------------------------------------------------------
 
 def iter_fields(data: bytes) -> Iterator[Tuple[int, int, object]]:
     """The original field iterator: one decoder call per varint."""
@@ -50,7 +210,7 @@ def iter_fields(data: bytes) -> Iterator[Tuple[int, int, object]]:
     while pos < end:
         field_number, wire_type, pos = decode_tag(data, pos)
         if wire_type == WIRETYPE_VARINT:
-            value, pos = _decode_varint(data, pos)
+            value, pos = decode_varint(data, pos)
         elif wire_type == WIRETYPE_FIXED64:
             value, pos = decode_fixed64(data, pos)
         elif wire_type == WIRETYPE_LENGTH_DELIMITED:
@@ -61,11 +221,6 @@ def iter_fields(data: bytes) -> Iterator[Tuple[int, int, object]]:
             raise WireError("unsupported wire type %d for field %d"
                             % (wire_type, field_number))
         yield field_number, wire_type, value
-
-
-def _decode_varint(data: bytes, pos: int) -> Tuple[int, int]:
-    from .wire import decode_varint
-    return decode_varint(data, pos)
 
 
 def decode_packed_varints(payload: bytes) -> List[int]:
@@ -152,10 +307,23 @@ class Writer:
         return self._length
 
 
-def _as_int64(value: object) -> int:
+def _scalar(value: object) -> int:
+    """A numeric field's value; a length-delimited one raises."""
     if not isinstance(value, int):
         raise WireError("expected numeric field, got length-delimited")
-    result = int(value)
+    return value
+
+
+def _payload(value: object, wtype: int) -> bytes:
+    """A string, bytes or message field's payload; a number raises."""
+    if wtype != WIRETYPE_LENGTH_DELIMITED:
+        raise WireError("expected length-delimited field, got wire type %d"
+                        % wtype)
+    return value  # type: ignore[return-value]
+
+
+def _as_int64(value: object) -> int:
+    result = _scalar(value)
     if result >= 1 << 63:
         result -= 1 << 64
     return result
@@ -178,7 +346,7 @@ def _serialize_value_type(vt: pprof_pb.ValueType) -> bytes:
 
 def _parse_value_type(data: bytes) -> pprof_pb.ValueType:
     msg = pprof_pb.ValueType()
-    for num, _, value in iter_fields(data):
+    for num, wtype, value in iter_fields(data):
         if num == 1:
             msg.type = _as_int64(value)
         elif num == 2:
@@ -193,7 +361,7 @@ def _serialize_label(lbl: pprof_pb.Label) -> bytes:
 
 def _parse_label(data: bytes) -> pprof_pb.Label:
     msg = pprof_pb.Label()
-    for num, _, value in iter_fields(data):
+    for num, wtype, value in iter_fields(data):
         if num == 1:
             msg.key = _as_int64(value)
         elif num == 2:
@@ -222,7 +390,7 @@ def _parse_sample(data: bytes) -> pprof_pb.Sample:
         elif num == 2:
             msg.value.extend(_repeated_int(value, wtype))
         elif num == 3:
-            msg.label.append(_parse_label(value))
+            msg.label.append(_parse_label(_payload(value, wtype)))
     return msg
 
 
@@ -239,7 +407,7 @@ def _serialize_mapping(mp: pprof_pb.Mapping) -> bytes:
 
 def _parse_mapping(data: bytes) -> pprof_pb.Mapping:
     msg = pprof_pb.Mapping()
-    for num, _, value in iter_fields(data):
+    for num, wtype, value in iter_fields(data):
         if num == 1:
             msg.id = _as_int64(value)
         elif num == 2:
@@ -253,13 +421,13 @@ def _parse_mapping(data: bytes) -> pprof_pb.Mapping:
         elif num == 6:
             msg.build_id = _as_int64(value)
         elif num == 7:
-            msg.has_functions = bool(value)
+            msg.has_functions = bool(_scalar(value))
         elif num == 8:
-            msg.has_filenames = bool(value)
+            msg.has_filenames = bool(_scalar(value))
         elif num == 9:
-            msg.has_line_numbers = bool(value)
+            msg.has_line_numbers = bool(_scalar(value))
         elif num == 10:
-            msg.has_inline_frames = bool(value)
+            msg.has_inline_frames = bool(_scalar(value))
     return msg
 
 
@@ -269,7 +437,7 @@ def _serialize_line(ln: pprof_pb.Line) -> bytes:
 
 def _parse_line(data: bytes) -> pprof_pb.Line:
     msg = pprof_pb.Line()
-    for num, _, value in iter_fields(data):
+    for num, wtype, value in iter_fields(data):
         if num == 1:
             msg.function_id = _as_int64(value)
         elif num == 2:
@@ -288,7 +456,7 @@ def _serialize_location(loc: pprof_pb.Location) -> bytes:
 
 def _parse_location(data: bytes) -> pprof_pb.Location:
     msg = pprof_pb.Location()
-    for num, _, value in iter_fields(data):
+    for num, wtype, value in iter_fields(data):
         if num == 1:
             msg.id = _as_int64(value)
         elif num == 2:
@@ -296,9 +464,9 @@ def _parse_location(data: bytes) -> pprof_pb.Location:
         elif num == 3:
             msg.address = _as_int64(value)
         elif num == 4:
-            msg.line.append(_parse_line(value))
+            msg.line.append(_parse_line(_payload(value, wtype)))
         elif num == 5:
-            msg.is_folded = bool(value)
+            msg.is_folded = bool(_scalar(value))
     return msg
 
 
@@ -310,7 +478,7 @@ def _serialize_function(fn: pprof_pb.Function) -> bytes:
 
 def _parse_function(data: bytes) -> pprof_pb.Function:
     msg = pprof_pb.Function()
-    for num, _, value in iter_fields(data):
+    for num, wtype, value in iter_fields(data):
         if num == 1:
             msg.id = _as_int64(value)
         elif num == 2:
@@ -356,17 +524,17 @@ def parse_pprof(data: bytes) -> pprof_pb.Profile:
     msg = pprof_pb.Profile(string_table=[])
     for num, wtype, value in iter_fields(bytes(data)):
         if num == 1:
-            msg.sample_type.append(_parse_value_type(value))
+            msg.sample_type.append(_parse_value_type(_payload(value, wtype)))
         elif num == 2:
-            msg.sample.append(_parse_sample(value))
+            msg.sample.append(_parse_sample(_payload(value, wtype)))
         elif num == 3:
-            msg.mapping.append(_parse_mapping(value))
+            msg.mapping.append(_parse_mapping(_payload(value, wtype)))
         elif num == 4:
-            msg.location.append(_parse_location(value))
+            msg.location.append(_parse_location(_payload(value, wtype)))
         elif num == 5:
-            msg.function.append(_parse_function(value))
+            msg.function.append(_parse_function(_payload(value, wtype)))
         elif num == 6:
-            msg.string_table.append(value.decode("utf-8"))
+            msg.string_table.append(_payload(value, wtype).decode("utf-8"))
         elif num == 7:
             msg.drop_frames = _as_int64(value)
         elif num == 8:
@@ -376,7 +544,7 @@ def parse_pprof(data: bytes) -> pprof_pb.Profile:
         elif num == 10:
             msg.duration_nanos = _as_int64(value)
         elif num == 11:
-            msg.period_type = _parse_value_type(value)
+            msg.period_type = _parse_value_type(_payload(value, wtype))
         elif num == 12:
             msg.period = _as_int64(value)
         elif num == 13:
@@ -399,15 +567,15 @@ def _serialize_metric_descriptor(md: easyview_pb.MetricDescriptor) -> bytes:
 
 def _parse_metric_descriptor(data: bytes) -> easyview_pb.MetricDescriptor:
     msg = easyview_pb.MetricDescriptor()
-    for num, _, value in iter_fields(data):
+    for num, wtype, value in iter_fields(data):
         if num == 1:
-            msg.name = int(value)
+            msg.name = _scalar(value)
         elif num == 2:
-            msg.unit = int(value)
+            msg.unit = _scalar(value)
         elif num == 3:
-            msg.description = int(value)
+            msg.description = _scalar(value)
         elif num == 4:
-            msg.aggregation = int(value)
+            msg.aggregation = _scalar(value)
     return msg
 
 
@@ -421,23 +589,23 @@ def _serialize_context_node(node: easyview_pb.ContextNode) -> bytes:
 
 def _parse_context_node(data: bytes) -> easyview_pb.ContextNode:
     msg = easyview_pb.ContextNode(kind=easyview_pb.CONTEXT_ROOT)
-    for num, _, value in iter_fields(data):
+    for num, wtype, value in iter_fields(data):
         if num == 1:
-            msg.id = int(value)
+            msg.id = _scalar(value)
         elif num == 2:
-            msg.parent_id = int(value)
+            msg.parent_id = _scalar(value)
         elif num == 3:
-            msg.kind = int(value)
+            msg.kind = _scalar(value)
         elif num == 4:
-            msg.name = int(value)
+            msg.name = _scalar(value)
         elif num == 5:
-            msg.file = int(value)
+            msg.file = _scalar(value)
         elif num == 6:
-            msg.line = int(value)
+            msg.line = _scalar(value)
         elif num == 7:
-            msg.module = int(value)
+            msg.module = _scalar(value)
         elif num == 8:
-            msg.address = int(value)
+            msg.address = _scalar(value)
     return msg
 
 
@@ -446,16 +614,14 @@ def _serialize_metric_value(mv: easyview_pb.MetricValue) -> bytes:
 
 
 def _parse_metric_value(data: bytes) -> easyview_pb.MetricValue:
-    import struct
     msg = easyview_pb.MetricValue()
     for num, wtype, value in iter_fields(data):
         if num == 1:
-            msg.metric_id = int(value)
+            msg.metric_id = _scalar(value)
         elif num == 2:
             if wtype != WIRETYPE_FIXED64:
                 raise WireError("MetricValue.value must be a double")
-            msg.value = struct.unpack(
-                "<d", struct.pack("<Q", int(value) & _UINT64_MASK))[0]
+            msg.value = struct.unpack("<d", struct.pack("<Q", value))[0]
     return msg
 
 
@@ -476,13 +642,13 @@ def _parse_point(data: bytes) -> easyview_pb.MonitoringPoint:
             if wtype == WIRETYPE_LENGTH_DELIMITED:
                 msg.context_id.extend(decode_packed_varints(value))
             else:
-                msg.context_id.append(int(value))
+                msg.context_id.append(value)
         elif num == 2:
-            msg.values.append(_parse_metric_value(value))
+            msg.values.append(_parse_metric_value(_payload(value, wtype)))
         elif num == 3:
-            msg.kind = int(value)
+            msg.kind = _scalar(value)
         elif num == 4:
-            msg.sequence = int(value)
+            msg.sequence = _scalar(value)
     return msg
 
 
@@ -506,21 +672,22 @@ def serialize_easyview(message: easyview_pb.ProfileMessage) -> bytes:
 def parse_easyview(data: bytes) -> easyview_pb.ProfileMessage:
     """Parse an EasyView message body with the original codec."""
     msg = easyview_pb.ProfileMessage(string_table=[])
-    for num, _, value in iter_fields(bytes(data)):
+    for num, wtype, value in iter_fields(bytes(data)):
         if num == 1:
-            msg.tool = int(value)
+            msg.tool = _scalar(value)
         elif num == 2:
-            msg.string_table.append(value.decode("utf-8"))
+            msg.string_table.append(_payload(value, wtype).decode("utf-8"))
         elif num == 3:
-            msg.metrics.append(_parse_metric_descriptor(value))
+            msg.metrics.append(
+                _parse_metric_descriptor(_payload(value, wtype)))
         elif num == 4:
-            msg.nodes.append(_parse_context_node(value))
+            msg.nodes.append(_parse_context_node(_payload(value, wtype)))
         elif num == 5:
-            msg.points.append(_parse_point(value))
+            msg.points.append(_parse_point(_payload(value, wtype)))
         elif num == 6:
-            msg.time_nanos = int(value)
+            msg.time_nanos = _scalar(value)
         elif num == 7:
-            msg.duration_nanos = int(value)
+            msg.duration_nanos = _scalar(value)
     if not msg.string_table:
         msg.string_table = [""]
     return msg

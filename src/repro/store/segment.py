@@ -12,7 +12,7 @@ with its *private string table stripped*: all string indices are remapped
 into one segment-wide table carried by the footer, so a segment of 100
 profiles from the same service stores each function name, file path, and
 metric name once (per-segment string dedup).  The wire codec is the same
-:mod:`repro.proto.wire` the profile format uses.
+:mod:`repro.proto.fastwire` the profile format uses.
 
 Footer message fields::
 
@@ -50,9 +50,8 @@ from ..core import serialize
 from ..errors import StoreError
 from ..obs import get_registry, get_tracer
 from ..proto import easyview_pb as pb
-from ..proto import wire
-from ..proto.fastwire import (Writer, decode_string, intern_string,
-                              scan_fields)
+from ..proto.fastwire import (WireError, Writer, decode_string, delimited,
+                              intern_string, scalar, scan_fields)
 from .wal import WalRecord
 
 _tracer = get_tracer()
@@ -102,24 +101,24 @@ class RecordMeta:
     @classmethod
     def parse(cls, data: "bytes | memoryview") -> "RecordMeta":
         meta = cls()
-        for num, _, value in scan_fields(data):
+        for num, wtype, value in scan_fields(data):
             if num == 1:
-                meta.service = intern_string(value)
+                meta.service = intern_string(delimited(wtype, value))
             elif num == 2:
-                meta.ptype = intern_string(value)
+                meta.ptype = intern_string(delimited(wtype, value))
             elif num == 3:
-                text = decode_string(value)
+                text = decode_string(delimited(wtype, value))
                 meta.labels = json.loads(text) if text else {}
             elif num == 4:
-                meta.time_nanos = int(value)
+                meta.time_nanos = scalar(wtype, value)
             elif num == 5:
-                meta.duration_nanos = int(value)
+                meta.duration_nanos = scalar(wtype, value)
             elif num == 6:
-                meta.offset = int(value)
+                meta.offset = scalar(wtype, value)
             elif num == 7:
-                meta.length = int(value)
+                meta.length = scalar(wtype, value)
             elif num == 8:
-                meta.seq = int(value)
+                meta.seq = scalar(wtype, value)
         return meta
 
 
@@ -172,15 +171,15 @@ def _parse_footer(data: "bytes | memoryview") -> "Segment":
     strings: List[str] = []
     records: List[RecordMeta] = []
     created = 0
-    for num, _, value in scan_fields(data):
+    for num, wtype, value in scan_fields(data):
         if num == 1:
             # Segment string tables are exactly what the shared intern pool
             # is for: every segment from a service repeats the same names.
-            strings.append(intern_string(value))
+            strings.append(intern_string(delimited(wtype, value)))
         elif num == 2:
-            records.append(RecordMeta.parse(value))
+            records.append(RecordMeta.parse(delimited(wtype, value)))
         elif num == 3:
-            created = int(value)
+            created = scalar(wtype, value)
     if not strings:
         strings = [""]
     _footers_parsed.inc()
@@ -215,7 +214,7 @@ def build_segment(wal_records: List[WalRecord],
     for record in wal_records:
         try:
             message = pb.loads(record.blob)
-        except wire.WireError as exc:
+        except WireError as exc:
             raise StoreError("WAL record #%d does not parse: %s"
                              % (record.seq, exc)) from exc
         _remap_strings(message, shared)
@@ -277,7 +276,7 @@ def parse_segment(data: bytes, path: str = "",
     body = view[len(SEGMENT_MAGIC):footer_at]
     try:
         segment = _parse_footer(footer)
-    except (wire.WireError, UnicodeDecodeError, ValueError) as exc:
+    except (WireError, UnicodeDecodeError, ValueError) as exc:
         raise StoreError("segment %s has a corrupt footer: %s"
                          % (path or "<data>", exc)) from exc
     segment.path = path
@@ -312,7 +311,7 @@ def load_profile(segment: Segment, meta: RecordMeta) -> Profile:
                          % (segment.path, meta.seq))
     try:
         message = pb.ProfileMessage.parse(blob)
-    except wire.WireError as exc:
+    except (WireError, UnicodeDecodeError) as exc:
         raise StoreError("segment %s record #%d does not parse: %s"
                          % (segment.path, meta.seq, exc)) from exc
     message.string_table = list(segment.strings)

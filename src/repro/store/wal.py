@@ -42,8 +42,8 @@ from typing import Dict, List, Optional, Tuple
 
 from ..errors import StoreError
 from ..obs import get_registry, get_tracer
-from ..proto import wire
-from ..proto.fastwire import decode_string, intern_string, scan_fields
+from ..proto.fastwire import (WireError, Writer, decode_string, delimited,
+                              intern_string, scalar, scan_fields)
 
 _tracer = get_tracer()
 _registry = get_registry()
@@ -73,7 +73,7 @@ class WalRecord:
     seq: int = 0
 
     def payload(self) -> bytes:
-        writer = wire.Writer()
+        writer = Writer()
         writer.string(1, self.service)
         writer.string(2, self.ptype)
         writer.string(3, json.dumps(self.labels, sort_keys=True)
@@ -88,25 +88,25 @@ class WalRecord:
     @classmethod
     def from_payload(cls, payload: "bytes | memoryview") -> "WalRecord":
         record = cls()
-        for num, _, value in scan_fields(payload):
+        for num, wtype, value in scan_fields(payload):
             if num == 1:
                 # Service/type names repeat across every record a service
                 # logs; the shared intern pool makes each one ``str`` once.
-                record.service = intern_string(value)
+                record.service = intern_string(delimited(wtype, value))
             elif num == 2:
-                record.ptype = intern_string(value)
+                record.ptype = intern_string(delimited(wtype, value))
             elif num == 3:
-                text = decode_string(value)
+                text = decode_string(delimited(wtype, value))
                 record.labels = json.loads(text) if text else {}
             elif num == 4:
-                record.time_nanos = int(value)
+                record.time_nanos = scalar(wtype, value)
             elif num == 5:
-                record.duration_nanos = int(value)
+                record.duration_nanos = scalar(wtype, value)
             elif num == 6:
                 # The blob outlives the scan buffer, so this copy is real.
-                record.blob = bytes(value)
+                record.blob = bytes(delimited(wtype, value))
             elif num == 7:
-                record.seq = int(value)
+                record.seq = scalar(wtype, value)
         _records_decoded.inc()
         return record
 
@@ -140,7 +140,7 @@ def scan(data: bytes) -> Tuple[List[WalRecord], int]:
             break
         try:
             records.append(WalRecord.from_payload(payload))
-        except (wire.WireError, UnicodeDecodeError, ValueError):
+        except (WireError, UnicodeDecodeError, ValueError):
             break
         pos = end
     return records, pos

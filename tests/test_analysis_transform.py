@@ -4,7 +4,6 @@ import pytest
 
 from repro import ProfileBuilder
 from repro.analysis.transform import bottom_up, flat, top_down, transform
-from repro.analysis.viewtree import line_merge_key
 
 
 class TestTopDown:
@@ -28,14 +27,6 @@ class TestTopDown:
         assert len(fs) == 1
         assert fs[0].inclusive[0] == 30.0
         assert len(fs[0].sources) == 2
-
-    def test_line_merge_key_keeps_contexts_apart(self):
-        builder = ProfileBuilder()
-        cpu = builder.metric("cpu")
-        builder.sample([("main", "m.c", 1), ("f", "m.c", 5)], {cpu: 10})
-        builder.sample([("main", "m.c", 1), ("f", "m.c", 6)], {cpu: 20})
-        tree = top_down(builder.build(), key_fn=line_merge_key)
-        assert len(tree.find_by_name("f")) == 2
 
     def test_exclusive_values_carried(self, simple_profile):
         tree = top_down(simple_profile)

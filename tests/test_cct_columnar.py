@@ -10,6 +10,7 @@ for the two correctness fixes that landed with the columnar core (stale
 inclusive caches, nondeterministic walk order).
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,6 +20,7 @@ from repro.analysis.metrics import compute_inclusive, inclusive_value
 from repro.analysis.traversal import bfs, postorder, preorder
 from repro.analysis.transform import bottom_up, top_down
 from repro.analysis.viewtree import SourceList
+from repro.bench.pprof_oracle import parse_object
 from repro.builder import ProfileBuilder
 from repro.converters import pprof as pprof_converter
 from repro.core.cct import CCT
@@ -29,8 +31,6 @@ from repro.core import serialize
 from repro.profilers.corpus import generate_bytes, tier
 from repro.profilers.workloads import (deep_path_profile, lulesh_profile,
                                        spark_profile)
-
-np = pytest.importorskip("numpy")
 
 
 def assert_trees_identical(a, b):
@@ -68,7 +68,7 @@ class TestConverterOracle:
     @pytest.fixture(scope="class")
     def pair(self):
         raw = generate_bytes(tier("small"), compress=False)
-        return pprof_converter.parse(raw), pprof_converter.parse_object(raw)
+        return pprof_converter.parse(raw), parse_object(raw)
 
     def test_columnar_attached_and_lazy(self, pair):
         fast, _ = pair
@@ -99,7 +99,7 @@ class TestConverterOracle:
 
     def test_diff_and_aggregate_identical(self, pair):
         fast, ref = pair
-        other = pprof_converter.parse_object(
+        other = parse_object(
             generate_bytes(tier("small"), compress=False))
         assert (viewtree_digest(diff_profiles(fast, other))
                 == viewtree_digest(diff_profiles(ref, other)))

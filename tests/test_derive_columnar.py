@@ -17,6 +17,7 @@ Digests are compared exactly whenever no NaN is involved.
 import math
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -30,8 +31,6 @@ from repro.core.cct_columnar import from_cct
 from repro.core.digest import viewtree_digest
 from repro.errors import EasyViewError
 from repro.viz.layout import layout
-
-np = pytest.importorskip("numpy")
 
 # The edge values overflow and meet inf * 0 on purpose.
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")

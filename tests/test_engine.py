@@ -8,7 +8,6 @@ from repro.analysis.callbacks import Customization
 from repro.analysis.diff import add_delta_column
 from repro.analysis.formula import derive
 from repro.analysis.transform import top_down, transform
-from repro.analysis.viewtree import line_merge_key
 from repro.core.digest import profile_digest, schema_digest, viewtree_digest
 from repro.core.metric import Metric
 from repro.engine import (AnalysisEngine, LRUCache, WorkerPool,
@@ -272,17 +271,6 @@ class TestEngineMemoization:
         # An empty customization is the plain transform and shares it.
         assert engine.transform(profile, "top_down",
                                 customization=Customization()) is plain
-
-    def test_unknown_key_fn_bypasses(self):
-        engine = AnalysisEngine()
-        profile = build(ENTRIES)
-        custom_key = lambda frame: frame.name.upper()
-        engine.transform(profile, "top_down", key_fn=custom_key)
-        assert engine.cache.stats.bypasses == 1
-        # Named key functions do cache.
-        engine.transform(profile, "top_down", key_fn=line_merge_key)
-        engine.transform(profile, "top_down", key_fn=line_merge_key)
-        assert engine.cache.stats.hits == 1
 
     def test_diff_profiles_memoized(self):
         engine = AnalysisEngine()

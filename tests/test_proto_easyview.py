@@ -3,7 +3,7 @@
 import pytest
 
 from repro.proto import easyview_pb as pb
-from repro.proto.wire import WireError
+from repro.proto.fastwire import WireError
 
 
 def build_message() -> pb.ProfileMessage:

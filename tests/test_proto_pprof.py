@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import OversizedError
-from repro.proto import pprof_pb, wire
+from repro.proto import fastwire, pprof_pb
 
 
 def build_reference_profile() -> pprof_pb.Profile:
@@ -138,7 +138,7 @@ class TestBoundedGunzip:
 class TestWireCompatibility:
     def test_unpacked_repeated_ints_accepted(self):
         # proto2 emitters write repeated ints unpacked; both must parse.
-        writer = wire.Writer()
+        writer = fastwire.Writer()
         writer.varint(1, 5)   # location_id, unpacked
         writer.varint(1, 6)
         writer.varint(2, 100)  # value, unpacked
@@ -154,7 +154,7 @@ class TestWireCompatibility:
 
     def test_unknown_fields_skipped(self):
         base = pprof_pb.ValueType(type=3, unit=4).serialize()
-        extra = wire.Writer().string(99, "future").getvalue()
+        extra = fastwire.Writer().string(99, "future").getvalue()
         parsed = pprof_pb.ValueType.parse(base + extra)
         assert (parsed.type, parsed.unit) == (3, 4)
 

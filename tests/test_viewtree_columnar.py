@@ -14,6 +14,7 @@ serve stale bytes).
 
 import dataclasses
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,8 +22,9 @@ from repro.analysis import formula
 from repro.analysis.aggregate import merge_trees
 from repro.analysis.diff import add_delta_column, diff_trees, summarize
 from repro.analysis.transform import bottom_up, flat, top_down, transform
-from repro.analysis.viewtree import ViewNode, ViewTree, default_merge_key
+from repro.analysis.viewtree import ViewNode, ViewTree
 from repro.analysis import viewtree_columnar
+from repro.bench.pprof_oracle import parse_object
 from repro.converters import pprof
 from repro.core.cct_columnar import from_cct
 from repro.core.digest import viewtree_digest
@@ -31,8 +33,6 @@ from repro.core.metric import Aggregation, Metric, MetricSchema
 from repro.profilers.corpus import generate_bytes, tier
 from repro.profilers.workloads import (deep_path_profile, lulesh_profile,
                                        spark_profile)
-
-np = pytest.importorskip("numpy")
 
 SHAPES = ("top_down", "bottom_up", "flat")
 
@@ -58,7 +58,7 @@ def assert_views_identical(a, b, check_sources=True):
 
 def _pair(raw):
     """(columnar-backed, object-only) profiles off the same bytes."""
-    return pprof.parse(raw), pprof.parse_object(raw)
+    return pprof.parse(raw), parse_object(raw)
 
 
 def _attach(profile):
@@ -113,19 +113,14 @@ class TestTransformOracle:
         assert_views_identical(col_tree, obj_tree)
         assert viewtree_digest(col_tree) == viewtree_digest(obj_tree)
 
-    def test_custom_key_fn_stays_object(self, corpus_raw):
-        col_profile, _ = _pair(corpus_raw)
-        tree = top_down(col_profile, key_fn=lambda f: f.name)
-        assert tree.columnar() is None  # custom keys bypass the fast path
-
 
 class TestAggregateOracle:
     @pytest.mark.parametrize("shape", SHAPES)
     def test_merge(self, corpus_raw, corpus_raw_alt, shape):
         col = [transform(pprof.parse(corpus_raw), shape),
                transform(pprof.parse(corpus_raw_alt), shape)]
-        obj = [transform(pprof.parse_object(corpus_raw), shape),
-               transform(pprof.parse_object(corpus_raw_alt), shape)]
+        obj = [transform(parse_object(corpus_raw), shape),
+               transform(parse_object(corpus_raw_alt), shape)]
         merged_col = merge_trees(col)
         merged_obj = merge_trees(obj)
         assert merged_col.columnar() is not None
@@ -136,8 +131,8 @@ class TestAggregateOracle:
         """Nested merges keep the columnar path and stay lazy."""
         col = [transform(pprof.parse(corpus_raw), "top_down"),
                transform(pprof.parse(corpus_raw_alt), "top_down")]
-        obj = [transform(pprof.parse_object(corpus_raw), "top_down"),
-               transform(pprof.parse_object(corpus_raw_alt), "top_down")]
+        obj = [transform(parse_object(corpus_raw), "top_down"),
+               transform(parse_object(corpus_raw_alt), "top_down")]
         nested_col = merge_trees([merge_trees(col), merge_trees(col)],
                                  operators=(Aggregation.SUM,))
         nested_obj = merge_trees([merge_trees(obj), merge_trees(obj)],
@@ -151,8 +146,8 @@ class TestAggregateOracle:
                      Aggregation.MEAN, Aggregation.LAST)
         col = [transform(pprof.parse(corpus_raw), "top_down"),
                transform(pprof.parse(corpus_raw_alt), "top_down")]
-        obj = [transform(pprof.parse_object(corpus_raw), "top_down"),
-               transform(pprof.parse_object(corpus_raw_alt), "top_down")]
+        obj = [transform(parse_object(corpus_raw), "top_down"),
+               transform(parse_object(corpus_raw_alt), "top_down")]
         merged_col = merge_trees(col, operators=operators)
         merged_obj = merge_trees(obj, operators=operators)
         assert merged_col.columnar() is not None
@@ -184,8 +179,8 @@ class TestDiffOracle:
         diff_col = diff_trees(transform(pprof.parse(corpus_raw), shape),
                               transform(pprof.parse(corpus_raw_alt), shape))
         diff_obj = diff_trees(
-            transform(pprof.parse_object(corpus_raw), shape),
-            transform(pprof.parse_object(corpus_raw_alt), shape))
+            transform(parse_object(corpus_raw), shape),
+            transform(parse_object(corpus_raw_alt), shape))
         assert diff_col.columnar() is not None
         assert_views_identical(diff_col, diff_obj)
         assert viewtree_digest(diff_col) == viewtree_digest(diff_obj)
@@ -197,8 +192,8 @@ class TestDiffOracle:
             transform(pprof.parse(corpus_raw_alt), "top_down"),
             tolerance=50.0)
         diff_obj = diff_trees(
-            transform(pprof.parse_object(corpus_raw), "top_down"),
-            transform(pprof.parse_object(corpus_raw_alt), "top_down"),
+            transform(parse_object(corpus_raw), "top_down"),
+            transform(parse_object(corpus_raw_alt), "top_down"),
             tolerance=50.0)
         assert diff_col.columnar() is not None
         assert summarize(diff_col) == summarize(diff_obj)
@@ -247,7 +242,7 @@ class TestMutationInvalidation:
 
     def test_derive_matches_object_path(self, corpus_raw):
         col_tree = transform(pprof.parse(corpus_raw), "top_down")
-        obj_tree = transform(pprof.parse_object(corpus_raw), "top_down")
+        obj_tree = transform(parse_object(corpus_raw), "top_down")
         first = col_tree.schema.names()[0]
         formula.derive(col_tree, "doubled", "2 * %s" % first)
         formula.derive(obj_tree, "doubled", "2 * %s" % first)
@@ -309,7 +304,7 @@ class TestLayoutOracle:
     def test_corpus_layouts(self, corpus_raw, shape, kwargs):
         from repro.viz.layout import layout
         col_tree = transform(pprof.parse(corpus_raw), shape)
-        obj_tree = transform(pprof.parse_object(corpus_raw), shape)
+        obj_tree = transform(parse_object(corpus_raw), shape)
         self._assert_layouts_identical(layout(col_tree, **kwargs),
                                        layout(obj_tree, **kwargs))
 
@@ -317,8 +312,8 @@ class TestLayoutOracle:
         from repro.viz.layout import layout
         col = [transform(pprof.parse(corpus_raw), "top_down"),
                transform(pprof.parse(corpus_raw_alt), "top_down")]
-        obj = [transform(pprof.parse_object(corpus_raw), "top_down"),
-               transform(pprof.parse_object(corpus_raw_alt), "top_down")]
+        obj = [transform(parse_object(corpus_raw), "top_down"),
+               transform(parse_object(corpus_raw_alt), "top_down")]
         self._assert_layouts_identical(layout(merge_trees(col)),
                                        layout(merge_trees(obj)))
         self._assert_layouts_identical(
@@ -370,7 +365,6 @@ class TestRoundTrip:
         tree.root  # materialize the facade
         stored = viewtree_columnar.from_viewtree(tree)
         assert stored is not None
-        assert stored.default_keys is False
         round_trip = ViewTree.columnar_backed(tree.schema.copy(), tree.shape,
                                               stored)
         assert viewtree_digest(round_trip) == digest
@@ -401,7 +395,7 @@ def _view_trees(draw):
         frame = intern_frame(name=draw(_names), file=draw(_files),
                              line=draw(st.integers(0, 3)),
                              kind=FrameKind.FUNCTION)
-        node = parent.child(frame, default_merge_key)
+        node = parent.child(frame)
         for i in range(n_metrics):
             if draw(st.booleans()):
                 node.add_inclusive(i, draw(_values))
