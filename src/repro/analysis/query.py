@@ -9,9 +9,10 @@ connected and code links keep working).
 from __future__ import annotations
 
 import re
-from typing import Callable, List, Optional, Set
+from typing import Callable, Optional, Sequence, Set
 
-from ..core.frame import FrameKind
+from ..core.frame import Frame, FrameKind
+from . import viewrows
 from .viewtree import ViewNode, ViewTree
 
 Predicate = Callable[[ViewNode], bool]
@@ -19,33 +20,40 @@ Predicate = Callable[[ViewNode], bool]
 
 def search(tree: ViewTree, pattern: str,
            regex: bool = False, case_sensitive: bool = False
-           ) -> List[ViewNode]:
+           ) -> Sequence[ViewNode]:
     """Find nodes whose frame name (or file) matches ``pattern``.
 
     Plain substring match by default; set ``regex`` for full regular
-    expressions.  Matches are returned in pre-order.
+    expressions.  Matches are returned in pre-order.  On a columnar tree
+    they are :class:`~repro.analysis.viewrows.NodeRows`: the matching rows,
+    whose facade nodes build only if the caller iterates them.
     """
     if regex:
         flags = 0 if case_sensitive else re.IGNORECASE
         compiled = re.compile(pattern, flags)
-        predicate: Predicate = lambda node: bool(
-            compiled.search(node.frame.name) or compiled.search(node.frame.file))
+
+        def matches(frame: Frame) -> bool:
+            return bool(compiled.search(frame.name)
+                        or compiled.search(frame.file))
     else:
         needle = pattern if case_sensitive else pattern.lower()
 
-        def predicate(node: ViewNode) -> bool:
-            name = node.frame.name
-            file = node.frame.file
+        def matches(frame: Frame) -> bool:
+            name = frame.name
+            file = frame.file
             if not case_sensitive:
                 name = name.lower()
                 file = file.lower()
             return needle in name or needle in file
 
+    cvt = tree.columnar()
+    if cvt is not None:
+        return viewrows.NodeRows(tree, cvt, viewrows.match_rows(cvt, matches))
     return [node for node in tree.nodes()
-            if node.frame.kind is not FrameKind.ROOT and predicate(node)]
+            if node.frame.kind is not FrameKind.ROOT and matches(node.frame)]
 
 
-def match_fraction(tree: ViewTree, matches: List[ViewNode],
+def match_fraction(tree: ViewTree, matches: Sequence[ViewNode],
                    metric_index: int = 0) -> float:
     """Fraction of the profile total covered by the matched nodes.
 
@@ -55,6 +63,9 @@ def match_fraction(tree: ViewTree, matches: List[ViewNode],
     total = tree.total(metric_index)
     if not total:
         return 0.0
+    if isinstance(matches, viewrows.NodeRows):
+        return viewrows.covered(matches.cvt, matches.rows,
+                                metric_index) / total
     matched_ids: Set[int] = {id(node) for node in matches}
     covered = 0.0
     for node in matches:

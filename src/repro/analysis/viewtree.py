@@ -11,7 +11,8 @@ highlights over prior diff tools that only handle top-down flame graphs.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 from ..core.cct import CCTNode
 from ..core.digest import viewtree_digest
@@ -285,6 +286,15 @@ class ViewTree:
         """The backing column arrays, or None for object-built trees."""
         return self._columnar
 
+    def fork(self) -> "ViewTree":
+        """A copy of a columnar-backed tree to mutate in place: it shares
+        the arrays (never the facade) and starts from this tree's cache
+        key, but owns its schema, so this tree stays as it was."""
+        tree = ViewTree.columnar_backed(self.schema.copy(), self.shape,
+                                        self._columnar.with_planes())
+        tree._derivation_key = self.cache_key()
+        return tree
+
     def mark_mutated(self) -> None:
         """Drop the columnar snapshot before in-place facade mutation.
 
@@ -346,8 +356,15 @@ class ViewTree:
         return [n for n in self.nodes() if n.frame.name == name]
 
     def top(self, metric_index: int = 0, count: int = 10,
-            inclusive: bool = False) -> List[ViewNode]:
-        """The hottest non-root nodes by a metric."""
+            inclusive: bool = False) -> Sequence[ViewNode]:
+        """The hottest non-root nodes by a metric (ties in walk order);
+        rows of a columnar tree, as :class:`~repro.analysis.viewrows.
+        NodeRows`."""
+        columnar = self._columnar
+        if columnar is not None:
+            from . import viewrows
+            return viewrows.NodeRows(self, columnar, viewrows.top_rows(
+                columnar, metric_index, count, inclusive))
         candidates = [n for n in self.nodes()
                       if n.frame.kind is not FrameKind.ROOT]
         candidates.sort(key=lambda n: -n.value(metric_index, inclusive))

@@ -39,7 +39,13 @@ import numpy as np
 
 from ..core.frame import Frame, FrameKind, intern_frame
 from ..core.metric import Aggregation
+from ..obs import get_registry
 from .viewtree import MergeKey, SourceList, ViewNode, ViewTree
+
+#: Facade builds: the IDE request path makes none (see ``viewrows``).
+_materialize_count = get_registry().counter(
+    "analysis.view_materializations",
+    "ViewNode facades built from columnar view trees")
 
 #: Differential tag codes: index into this tuple == value in ``tag_codes``.
 _TAGS: Tuple[Optional[str], ...] = (None, "A", "D", "+", "-", "=")
@@ -244,7 +250,7 @@ class ColumnarViewTree:
                  "baseline", "base_present", "tag_codes",
                  "hist", "hist_present", "hist_first", "n_series",
                  "cell_order", "row_sources", "node_objects",
-                 "_depth_groups_cache", "_size", "_vp")
+                 "_depth_groups_cache", "_size", "_vp", "_walk", "_csr")
 
     def __init__(self, parent, depth, token, frame_id, frames, merge_keys,
                  shape, inclusive, incl_present, exclusive, excl_present,
@@ -288,6 +294,8 @@ class ColumnarViewTree:
         self._depth_groups_cache = None
         self._size = None
         self._vp = None
+        self._walk = None
+        self._csr = None
 
     # -- shape -------------------------------------------------------------
 
@@ -326,6 +334,28 @@ class ColumnarViewTree:
             self._vp = self.visit_positions((-ids,))
         return self._vp
 
+    def walk_order(self):
+        """Rows in facade walk order (``ViewTree.nodes()``: pre-order,
+        last-created sibling first)."""
+        if self._walk is None:
+            walk = np.empty(self.n_rows, dtype=np.int64)
+            walk[self.creation_visit_positions()] = np.arange(
+                self.n_rows, dtype=np.int64)
+            self._walk = walk
+        return self._walk
+
+    def children_csr(self):
+        """Child ranges: ``order[start[p]:start[p + 1]]`` are row ``p``'s
+        children in insertion order (ascending row id)."""
+        if self._csr is None:
+            n = self.n_rows
+            order = np.argsort(self.parent, kind="stable")[1:]
+            start = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(np.bincount(self.parent[1:], minlength=n),
+                      out=start[1:])
+            self._csr = (order, start)
+        return self._csr
+
     def sources_for(self, row: int) -> SourceList:
         provider = self.row_sources
         if provider is None:
@@ -334,12 +364,16 @@ class ColumnarViewTree:
 
     def with_planes(self, **planes) -> "ColumnarViewTree":
         """A copy carrying the given value planes (``inclusive=...``,
-        ``incl_present=...``, ...) and sharing everything else: structure
-        arrays, row sources, the facade and the structural caches."""
+        ``incl_present=...``, ...) and sharing everything else but the
+        facade: structure arrays, row sources and the structural caches.
+        The facade belongs to the tree that built it; a copy starts
+        without one unless ``node_objects`` is passed."""
         clone = ColumnarViewTree.__new__(ColumnarViewTree)
         for slot in ColumnarViewTree.__slots__:
             setattr(clone, slot, planes[slot] if slot in planes
                     else getattr(self, slot))
+        if "node_objects" not in planes:
+            clone.node_objects = None
         return clone
 
     # -- facade ------------------------------------------------------------
@@ -354,6 +388,7 @@ class ColumnarViewTree:
         planes listed in ``cell_order``, which replay their recorded
         insertion order.
         """
+        _materialize_count.inc()
         n_rows = self.n_rows
         frames = self.frames
         frame_l = self.frame_id.tolist()
@@ -469,8 +504,9 @@ def add_column(tree: ViewTree, index: int, values,
     Copy-on-write: a new :class:`ColumnarViewTree` with fresh value planes
     (both widened to the new column count) replaces the old one in a
     single assignment, so a reader still holding the old snapshot never
-    sees a half-written array.  A materialized facade gets the values
-    too, so node references stay valid.
+    sees a half-written array.  The tree's own materialized facade gets
+    the values too, so its nodes stay current; a facade some other tree
+    built from a shared snapshot is never written.
 
     A row that lacked the column gets the key last, as a dict
     assignment would; where that is not ascending order, the plane's
@@ -511,10 +547,14 @@ def add_column(tree: ViewTree, index: int, values,
             fresh_mask[:, index] = True
         planes[name] = fresh
         planes[_PRESENCE[name]] = fresh_mask
-    if cvt.node_objects is not None:
-        for node, value in zip(cvt.node_objects, values.tolist()):
+    nodes = cvt.node_objects
+    if nodes is not None and tree._root is nodes[0]:
+        for node, value in zip(nodes, values.tolist()):
             getattr(node, plane)[index] = value
-    tree._columnar = cvt.with_planes(cell_order=order, **planes)
+    else:
+        nodes = None
+    tree._columnar = cvt.with_planes(cell_order=order, node_objects=nodes,
+                                     **planes)
 
 
 def tag_counts(cvt: ColumnarViewTree) -> Dict[str, int]:
@@ -539,9 +579,10 @@ def from_viewtree(tree: ViewTree) -> Optional[ColumnarViewTree]:
 
     The inverse of :meth:`ColumnarViewTree.materialize`, used by the
     round-trip tests and by consumers that want array kernels over a
-    hand-built tree.  Row ids follow the same reversed-push DFS as
-    ``cct_columnar.from_cct``, so within a parent the ascending row ids
-    are the children's insertion order.
+    hand-built tree (the tree table).  Row ids follow the same
+    reversed-push DFS as ``cct_columnar.from_cct``, so within a parent
+    the ascending row ids are the children's insertion order, and the
+    snapshot's ``node_objects`` are the tree's own nodes.
     """
     n_metrics = len(tree.schema)
     root = tree.root
@@ -640,6 +681,7 @@ def from_viewtree(tree: ViewTree) -> Optional[ColumnarViewTree]:
         baseline=baseline, base_present=base_present, tag_codes=tag_codes,
         hist=hist, hist_present=hist_present, hist_first=hist_first,
         n_series=n_series, row_sources=_StoredSources(source_lists))
+    cvt.node_objects = records
     return cvt
 
 

@@ -32,7 +32,7 @@ class EasyViewViewer(BaselineViewer):
         with no_gc():
             (profile, parse_s) = self._timed(lambda: parse_pprof(data))
         (opened, open_s) = self._timed(lambda: session.open(profile))
-        flame = opened.layouts["top_down"]
+        flame = session.flame_layout(opened.id, "top_down")  # open built it
         stats = opened.stats
         return OpenResult(
             viewer=self.name,

@@ -42,8 +42,14 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..obs import get_registry
 from .cct import CCT, CCTNode
 from .frame import Frame, ROOT_FRAME
+
+#: Object-tree builds: the IDE request path makes none.
+_to_cct_count = get_registry().counter(
+    "core.cct_materializations",
+    "object CCTs built from columnar CCTs (ColumnarCCT.to_cct)")
 
 
 class ColumnarCCT:
@@ -64,7 +70,8 @@ class ColumnarCCT:
         self.frames = frames
         #: CCT version this snapshot mirrors (set when attached/materialized).
         self._synced_version: Optional[int] = None
-        #: After :meth:`to_cct`: the materialized node per columnar id.
+        #: The object node per columnar id, once :meth:`to_cct` built
+        #: them (or :func:`from_cct` folded them).
         self.node_objects: Optional[List[CCTNode]] = None
         self._inclusive = None
         self._csr = None
@@ -291,6 +298,7 @@ class ColumnarCCT:
         is indistinguishable — dict orders included — from one built by
         replaying the original samples through the object API.
         """
+        _to_cct_count.inc()
         cct = CCT()
         n = self.n_nodes
         nodes: List[Optional[CCTNode]] = [None] * n
@@ -337,7 +345,8 @@ def from_cct(cct: CCT, n_metrics: int) -> ColumnarCCT:
 
     Ids are assigned in insertion-order pre-order (the object walk a
     sample replay would produce), so ``to_cct`` of the result rebuilds an
-    identical tree.
+    identical tree.  The snapshot's ``node_objects`` are the folded
+    tree's own nodes, so columnar ids resolve to them without a rebuild.
     """
     parents: List[int] = []
     frame_ids: List[int] = []
@@ -347,6 +356,7 @@ def from_cct(cct: CCT, n_metrics: int) -> ColumnarCCT:
     rows: List[int] = []
     cols: List[int] = []
     vals: List[float] = []
+    records: List[CCTNode] = []
     # (node, columnar parent id, depth); reversed children keep insertion
     # order under stack popping.
     stack: List[Tuple[CCTNode, int, int]] = [(cct.root, -1, 0)]
@@ -362,6 +372,7 @@ def from_cct(cct: CCT, n_metrics: int) -> ColumnarCCT:
         parents.append(parent_id)
         frame_ids.append(fid)
         depths.append(depth)
+        records.append(node)
         for column, value in node.metrics.items():
             rows.append(node_id)
             cols.append(column)
@@ -382,6 +393,7 @@ def from_cct(cct: CCT, n_metrics: int) -> ColumnarCCT:
                       depth=np.asarray(depths, dtype=np.int64),
                       values=values, present=present, frames=frame_table)
     col._synced_version = cct._version
+    col.node_objects = records
     return col
 
 

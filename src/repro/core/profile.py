@@ -94,8 +94,16 @@ class Profile:
         if not build:
             return None
         from .cct_columnar import from_cct
+        before = self.stamp()
         col = from_cct(self.cct, len(self.schema))
         self._columnar = col
+        # The fold changes the representation, not the content: a source
+        # key or digest taken on the object tree still names it.
+        after = self.stamp()
+        if self._source is not None and self._source[1] == before:
+            self._source = (self._source[0], after)
+        if self._content is not None and self._content[1] == before:
+            self._content = (self._content[0], after)
         return col
 
     # -- cache keys --------------------------------------------------------

@@ -39,7 +39,7 @@ from __future__ import annotations
 import threading
 import weakref
 from typing import (Any, Callable, Dict, Hashable, List, Optional, Sequence,
-                    Tuple)
+                    Tuple, Union)
 
 from ..analysis import aggregate as aggregate_mod
 from ..analysis import diff as diff_mod
@@ -112,20 +112,27 @@ class AnalysisEngine:
     def transform(self, profile: Profile, shape: str,
                   customization: Optional[Customization] = None
                   ) -> ViewTree:
-        """Memoized :func:`repro.analysis.transform.transform`."""
+        """Memoized :func:`repro.analysis.transform.transform`.
+
+        Whether the profile carries arrays is part of the key: a profile
+        that gained its columnar snapshot since an earlier transform of
+        equal content gets a columnar-backed view, not the cached object
+        tree."""
         compute = lambda: transform_fn(profile, shape, customization)
         if customization is not None and customization.has_hooks():
             # User callbacks may close over arbitrary state; never cache.
             return self._bypass("transform", compute)
-        return self._memoize("transform", (profile.cache_key(), shape),
+        return self._memoize("transform",
+                             (profile.cache_key(), shape,
+                              profile.columnar() is not None),
                              compute)
 
     def layout(self, tree: ViewTree, metric_index: int = 0,
                canvas_width: float = 1200.0, min_width: float = 0.5,
-               root: Optional[ViewNode] = None,
+               root: Union[ViewNode, int, None] = None,
                max_depth: Optional[int] = None) -> FlameLayout:
         """Memoized flame-graph layout (zoomed layouts bypass the cache:
-        the zoom root is an object identity, not content)."""
+        a zoom is one-off, and a dragged slider would flood the LRU)."""
         compute = lambda: layout_fn(tree, metric_index=metric_index,
                                     canvas_width=canvas_width,
                                     min_width=min_width, root=root,

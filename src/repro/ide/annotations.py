@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from ..analysis import viewrows
 from ..analysis.viewtree import ViewTree
 from ..core.frame import FrameKind
 from .actions import CodeLens, Decoration, FloatingWindow, Hover
@@ -21,7 +22,12 @@ def line_attribution(tree: ViewTree) -> Dict[LineKey, Dict[int, float]]:
 
     View nodes merge on (name, file, module); their *sources* retain the
     original CCT contexts with exact lines, so attribution uses the sources.
+    A columnar tree is attributed as a group-by over its sources' CCT
+    rows (:func:`~repro.analysis.viewrows.line_attribution`).
     """
+    cvt = tree.columnar()
+    if cvt is not None:
+        return viewrows.line_attribution(cvt)
     table: Dict[LineKey, Dict[int, float]] = {}
     for node in tree.nodes():
         if node.frame.kind is FrameKind.ROOT:
@@ -44,6 +50,9 @@ def assembly_attribution(tree: ViewTree) -> Dict[LineKey, List[str]]:
     (HPCToolkit ``S`` scopes, perf addresses).  Each instruction context
     under a line becomes one annotation string, hottest first.
     """
+    cvt = tree.columnar()
+    if cvt is not None:
+        return viewrows.assembly_attribution(cvt)
     table: Dict[LineKey, List] = {}
     for node in tree.nodes():
         for source in node.sources:

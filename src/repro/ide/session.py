@@ -4,18 +4,23 @@ A :class:`ViewerSession` owns the loaded profiles and their views, serves
 ``view/*`` requests, and emits ``ide/*`` actions through a transport
 callable (the mock IDE, the stdio server, or a test harness).  It is also
 the measured object of Fig. 5: :meth:`open` runs the full EasyView open
-pipeline — parse, build the CCT, compute metrics, transform, lay out — and
-records the end-to-end response time.
+pipeline — parse, build the CCT, transform, lay out — and records the
+end-to-end response time.
+
+Requests run on the views' columnar rows (:mod:`repro.analysis.viewrows`):
+no request builds the ``ViewNode`` facade or the object CCT, and a node
+reference on the wire is a handle to a (view, row) pair.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..analysis import formula as formula_mod
 from ..analysis import query as query_mod
+from ..analysis import viewrows
 from ..analysis.viewtree import ViewNode, ViewTree
 from ..core.profile import Profile
 from ..engine import AnalysisEngine, get_engine
@@ -46,31 +51,35 @@ class OpenStats:
 
 
 class OpenedProfile:
-    """One loaded profile, its cached views, and its node registry."""
+    """One loaded profile, its pinned views, and its node handles."""
 
     def __init__(self, profile_id: int, profile: Profile) -> None:
         self.id = profile_id
         self.profile = profile
         self.views: Dict[str, ViewTree] = {}
-        self.layouts: Dict[str, FlameLayout] = {}
+        self.layouts: Dict[str, FlameLayout] = {}   # "shape:metric" keys
         self.tables: Dict[str, object] = {}   # shape -> TreeTable
         self.stats = OpenStats()
-        self._node_ids: Dict[int, int] = {}
-        self._nodes: List[ViewNode] = []
+        self._refs: Dict[Tuple[str, int], int] = {}
+        self._handles: List[Tuple[str, int]] = []
 
-    def node_ref(self, node: ViewNode) -> int:
-        """A stable integer handle for a view node (for the wire)."""
-        ref = self._node_ids.get(id(node))
+    def node_ref(self, shape: str, row: int) -> int:
+        """The wire handle of row ``row`` of the ``shape`` view: integers
+        are minted in first-seen order.  A derive changes no rows, so
+        handles stay valid across it."""
+        key = (shape, int(row))
+        ref = self._refs.get(key)
         if ref is None:
-            ref = len(self._nodes)
-            self._nodes.append(node)
-            self._node_ids[id(node)] = ref
+            ref = len(self._handles)
+            self._handles.append(key)
+            self._refs[key] = ref
         return ref
 
-    def node_by_ref(self, ref: int) -> ViewNode:
-        if not 0 <= ref < len(self._nodes):
+    def handle(self, ref: int) -> Tuple[str, int]:
+        """The (shape, row) a wire handle names."""
+        if not 0 <= ref < len(self._handles):
             raise ProtocolError("unknown node reference %d" % ref)
-        return self._nodes[ref]
+        return self._handles[ref]
 
 
 class ViewerSession:
@@ -106,12 +115,11 @@ class ViewerSession:
         """Open a profile (path or :class:`Profile`) and build its first view.
 
         This is the measured "response time" operation: parsing, tree
-        construction, metric computation, the default transform, and the
-        initial flame-graph layout all happen here, timed per phase.
+        construction, the first view, and its flame-graph layout all
+        happen here, timed per phase.  The layout is the one
+        ``view/switchShape`` serves for the shape.
         """
         from ..core.gcguard import no_gc
-        from ..analysis.metrics import compute_inclusive
-        from ..viz.layout import layout_profile
         stats = OpenStats()
         with no_gc():  # §V-C: no cyclic GC during bulk tree construction
             t0 = time.perf_counter()
@@ -125,20 +133,11 @@ class ViewerSession:
 
             opened = OpenedProfile(self._next_id, profile)
             self._next_id += 1
-            compute_inclusive(profile)
+            self._view(opened, shape)
             t2 = time.perf_counter()
             stats.analyze_seconds = t2 - t1
 
-            # The initial view renders lazily straight off the CCT; the
-            # full view tree materializes on first interaction that needs
-            # it (see :meth:`view`).
-            if shape == "top_down":
-                opened.layouts[shape] = layout_profile(
-                    profile, canvas_width=self.canvas_width)
-            else:
-                opened.views[shape] = self.engine.transform(profile, shape)
-                opened.layouts[shape] = self.engine.layout(
-                    opened.views[shape], canvas_width=self.canvas_width)
+            self._flame_layout(opened, shape)
             t3 = time.perf_counter()
             stats.render_seconds = t3 - t2
         opened.stats = stats
@@ -161,12 +160,18 @@ class ViewerSession:
     def view(self, profile_id: int, shape: str) -> ViewTree:
         """The (cached) view of one shape for an open profile.
 
-        ``opened.views`` pins the tree object so node references stay
-        valid for the profile's lifetime even if the engine's LRU evicts
-        the entry; the engine supplies (and memoizes) the computation.
+        ``opened.views`` pins the tree object so node handles stay valid
+        for the profile's lifetime even if the engine's LRU evicts the
+        entry; the engine supplies (and memoizes) the computation.
         """
-        opened = self.get(profile_id)
+        return self._view(self.get(profile_id), shape)
+
+    def _view(self, opened: OpenedProfile, shape: str) -> ViewTree:
         if shape not in opened.views:
+            # Every view the session serves runs on arrays: profiles from
+            # converters that build object CCTs (or changed since) get
+            # their columnar snapshot here.
+            opened.profile.columnar(build=True)
             opened.views[shape] = self.engine.transform(opened.profile,
                                                         shape)
         return opened.views[shape]
@@ -182,8 +187,11 @@ class ViewerSession:
     def flame_layout(self, profile_id: int, shape: str,
                      metric: str = "") -> FlameLayout:
         """The (cached) flame-graph layout for one shape."""
-        opened = self.get(profile_id)
-        tree = self.view(profile_id, shape)
+        return self._flame_layout(self.get(profile_id), shape, metric)
+
+    def _flame_layout(self, opened: OpenedProfile, shape: str,
+                      metric: str = "") -> FlameLayout:
+        tree = self._view(opened, shape)
         key = "%s:%s" % (shape, metric)
         if key not in opened.layouts:
             metric_index = tree.schema.index_of(metric) if metric else 0
@@ -192,25 +200,36 @@ class ViewerSession:
                 canvas_width=self.canvas_width)
         return opened.layouts[key]
 
+    def _row(self, opened: OpenedProfile, ref: int
+             ) -> Tuple[ViewTree, int]:
+        """The pinned view and row a node handle names."""
+        shape, row = opened.handle(ref)
+        return opened.views[shape], row
+
     # -- the mandatory action -----------------------------------------------------
 
-    def select(self, profile_id: int, node: ViewNode) -> Optional[CodeLink]:
+    def select(self, profile_id: int, target: Union[int, ViewNode],
+               shape: str = "top_down") -> Optional[CodeLink]:
         """Code link: clicking a frame opens its source location (§VI-B).
 
-        Emits ``ide/openDocument`` when the frame has line mapping; returns
-        the link (or None when no mapping is available).
+        ``target`` is a node handle, or a facade node of the ``shape``
+        view.  Emits ``ide/openDocument`` when the frame has line mapping;
+        returns the link (or None when no mapping is available).
         """
-        frame = node.frame
-        if node.sources:
-            # Prefer the original context's exact line over the merged frame.
-            best = max(node.sources,
-                       key=lambda s: sum(s.metrics.values()) if s.metrics else 0)
-            if best.frame.file:
-                frame = best.frame
+        if isinstance(target, ViewNode):
+            tree = self.view(profile_id, shape)
+            row = viewrows.facade_nodes(tree, tree.columnar()).index(target)
+        else:
+            tree, row = self._row(self.get(profile_id), target)
+        cvt = tree.columnar()
+        merged = viewrows.row_frame(cvt, row)
+        # Prefer the original context's exact line over the merged frame.
+        best = viewrows.best_source_frame(cvt, row)
+        frame = best if best is not None and best.file else merged
         if not frame.file or frame.line <= 0:
             return None
         link = CodeLink(file=frame.file, line=frame.line,
-                        context=node.frame.label())
+                        context=merged.label())
         self._emit(pvp.IDE_OPEN_DOCUMENT, link.to_params())
         return link
 
@@ -279,6 +298,28 @@ class ViewerSession:
         for decoration in decorations:
             self._emit(pvp.IDE_SET_DECORATIONS, decoration.to_params())
         return len(decorations)
+
+    def derive_metric(self, profile_id: int, shape: str, name: str,
+                      formula: str, unit: str = "") -> int:
+        """Add a derived metric column to this session's view of a shape.
+
+        The column goes into a tree the session owns: a copy of the
+        pinned view sharing its arrays (never its facade), keyed
+        H(view key, "derive", ...).  The engine's cached view, which other
+        sessions may pin, keeps its schema, arrays and key.  Rows do not
+        change, so node handles stay valid.  Returns the column index.
+        """
+        opened = self.get(profile_id)
+        shared = self.view(profile_id, shape)
+        own = shared.fork()
+        index = formula_mod.derive(own, name, formula, unit=unit)
+        for key, tree in list(opened.views.items()):
+            if tree is shared:
+                opened.views[key] = own
+        for table in opened.tables.values():
+            if table.tree is shared:
+                table.tree = own
+        return index
 
     # -- diagnostics ---------------------------------------------------------------
 
@@ -397,8 +438,7 @@ class ViewerSession:
         opened = OpenedProfile(self._next_id, self.get(treatment_id).profile)
         self._next_id += 1
         opened.views[shape] = diff_tree
-        opened.layouts[shape] = self.engine.layout(
-            diff_tree, canvas_width=self.canvas_width)
+        self._flame_layout(opened, shape)
         self._profiles[opened.id] = opened
         return opened
 
@@ -411,8 +451,7 @@ class ViewerSession:
                                self.get(profile_ids[0]).profile)
         self._next_id += 1
         opened.views[shape] = merged
-        opened.layouts[shape] = self.engine.layout(
-            merged, canvas_width=self.canvas_width)
+        self._flame_layout(opened, shape)
         self._profiles[opened.id] = opened
         return opened
 
@@ -454,8 +493,7 @@ class ViewerSession:
         # Views index by the *requested* shape too, so view/switchShape and
         # friends resolve it the same way they resolve file-backed views.
         opened.views[shape] = result.tree
-        opened.layouts[shape] = self.engine.layout(
-            result.tree, canvas_width=self.canvas_width)
+        self._flame_layout(opened, shape)
         self._profiles[opened.id] = opened
         return opened
 
@@ -553,20 +591,21 @@ class ViewerSession:
         if method == pvp.VIEW_SELECT or method == pvp.VIEW_CLICK:
             pvp.require_params(request, "profileId", "nodeRef")
             opened = self.get(int(params["profileId"]))
-            node = opened.node_by_ref(int(params["nodeRef"]))
-            link = self.select(opened.id, node)
-            schema = (next(iter(opened.views.values())).schema
-                      if opened.views else opened.profile.schema)
+            ref = int(params["nodeRef"])
+            tree, row = self._row(opened, ref)
+            link = self.select(opened.id, ref)
+            cvt = tree.columnar()
+            schema = tree.schema  # the handle's own view, derived columns too
             result: Dict[str, Any] = {
                 "linked": link is not None,
                 "metrics": {schema[i].name: v
-                            for i, v in sorted(node.inclusive.items())
+                            for i, v in viewrows.row_metrics(cvt, row)
                             if i < len(schema)},
             }
-            if method == pvp.VIEW_CLICK and node.histogram:
+            first = viewrows.row_histogram(cvt, row)
+            if method == pvp.VIEW_CLICK and first:
                 # A click additionally pops the per-profile histogram pane.
-                first = next(iter(node.histogram.values()))
-                result["histogram"] = {"series": list(first),
+                result["histogram"] = {"series": first,
                                        "sparkline": sparkline(first),
                                        "trend": trend_label(first)}
             return result
@@ -578,7 +617,8 @@ class ViewerSession:
             matches = query_mod.search(tree, params["pattern"],
                                        regex=bool(params.get("regex")))
             coverage = query_mod.match_fraction(tree, matches)
-            return {"matches": [opened.node_ref(m) for m in matches],
+            return {"matches": [opened.node_ref(shape, row)
+                                for row in matches.rows.tolist()],
                     "coverage": coverage}
         if method == pvp.VIEW_HOVER:
             pvp.require_params(request, "profileId", "file", "line")
@@ -590,10 +630,8 @@ class ViewerSession:
         if method == pvp.VIEW_ZOOM:
             pvp.require_params(request, "profileId", "nodeRef")
             opened = self.get(int(params["profileId"]))
-            node = opened.node_by_ref(int(params["nodeRef"]))
-            shape = params.get("shape", "top_down")
-            zoomed = self.engine.layout(self.view(opened.id, shape),
-                                        root=node,
+            tree, row = self._row(opened, int(params["nodeRef"]))
+            zoomed = self.engine.layout(tree, root=row,
                                         canvas_width=self.canvas_width)
             return {"blocks": zoomed.laid_out_nodes, "depth": zoomed.max_depth}
         if method == pvp.VIEW_SUMMARY:
@@ -621,14 +659,16 @@ class ViewerSession:
             table = self.tree_table(opened.id, shape)
             if method == pvp.VIEW_TABLE_EXPAND:
                 if "nodeRef" in params:
-                    table.expand(opened.node_by_ref(int(params["nodeRef"])))
+                    tree, row = self._row(opened, int(params["nodeRef"]))
+                    if tree is table.tree:  # a row of another view folds nothing
+                        table.expand(row)
                 elif params.get("hotPath"):
                     table.expand_hot_path()
                 else:
                     table.expand_all(max_depth=params.get("maxDepth"))
             rows = table.rows()[:int(params.get("maxRows", 100))]
             return {"rows": [{
-                "ref": opened.node_ref(row.node),
+                "ref": opened.node_ref(shape, row.row),
                 "depth": row.depth,
                 "label": row.label(),
                 "expanded": row.expanded,
@@ -664,15 +704,9 @@ class ViewerSession:
                     "counts": severity_counts(diagnostics)}
         if method == pvp.VIEW_DERIVE:
             pvp.require_params(request, "profileId", "name", "formula")
-            shape = params.get("shape", "top_down")
-            tree = self.view(int(params["profileId"]), shape)
-            # derive() adds the column to this pinned tree object (a new
-            # array snapshot, plus the facade if built), drops the tree
-            # from every engine cache and re-keys it, so no profile of the
-            # same bytes is served the derived-column tree under the
-            # pre-mutation key.
-            index = formula_mod.derive(tree, params["name"],
-                                       params["formula"],
+            index = self.derive_metric(int(params["profileId"]),
+                                       params.get("shape", "top_down"),
+                                       params["name"], params["formula"],
                                        unit=params.get("unit", ""))
             return {"metricIndex": index}
         if method == pvp.VIEW_ENGINE_STATS:

@@ -11,7 +11,7 @@ zoomed node, exactly like the VSCode extension re-renders on click.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..analysis.viewtree import ViewNode, ViewTree
 
@@ -60,12 +60,8 @@ class LazyRects:
 
     def _force(self) -> List[FlameRect]:
         if self._items is None:
-            columnar = self._columnar
-            if columnar.node_objects is None:
-                self._tree.root  # materializes the facade into the tree
-            if columnar.node_objects is None:  # root was since replaced
-                columnar.materialize()
-            nodes = columnar.node_objects
+            from ..analysis.viewrows import facade_nodes
+            nodes = facade_nodes(self._tree, self._columnar)
             self._items = [
                 FlameRect(node=nodes[row], x=x, width=width, depth=depth)
                 for row, x, width, depth in zip(
@@ -155,19 +151,21 @@ class FlameLayout:
 
 def layout(tree: ViewTree, metric_index: int = 0,
            canvas_width: float = 1200.0, min_width: float = 0.5,
-           root: Optional[ViewNode] = None,
+           root: Union[ViewNode, int, None] = None,
            max_depth: Optional[int] = None) -> FlameLayout:
     """Lay out a view tree as flame-graph rectangles.
 
-    ``root`` zooms the layout to a subtree (it takes the full canvas width).
-    ``min_width`` is the lazy-layout cutoff in pixels; pass 0 to force a
-    full layout (the ablation benchmark does).
+    ``root`` zooms the layout to a subtree (it takes the full canvas
+    width): a row of a columnar tree, or a ``ViewNode`` (laid out by the
+    object walk below).  ``min_width`` is the lazy-layout cutoff in
+    pixels; pass 0 to force a full layout (the ablation benchmark does).
     """
-    if root is None:
+    if not isinstance(root, ViewNode):
         columnar = tree.columnar()
         if columnar is not None:
             return _layout_columnar(tree, columnar, metric_index,
-                                    canvas_width, min_width, max_depth)
+                                    canvas_width, min_width, max_depth,
+                                    0 if root is None else int(root))
     origin = root if root is not None else tree.root
     total = origin.inclusive.get(metric_index, 0.0)
     rects: List[FlameRect] = []
@@ -205,7 +203,7 @@ def layout(tree: ViewTree, metric_index: int = 0,
 
 def _layout_columnar(tree: ViewTree, cvt, metric_index: int,
                      canvas_width: float, min_width: float,
-                     max_depth: Optional[int]) -> FlameLayout:
+                     max_depth: Optional[int], origin: int) -> FlameLayout:
     """Flame rects straight from columnar preorder — no ViewNode in sight.
 
     Replays :func:`layout` exactly on the view-row arrays: per depth level,
@@ -216,14 +214,16 @@ def _layout_columnar(tree: ViewTree, cvt, metric_index: int,
     precomputed subtree sizes, and the final rect order is the preorder
     under the *reversed* sort key — the pop order of the object DFS.  The
     returned layout carries a :class:`RectGeometry` and a :class:`LazyRects`
-    sequence, so rendering geometry never materializes the facade.
+    sequence, so rendering geometry never materializes the facade.  A
+    zoom starts the sweep at the ``origin`` row: only its descendants can
+    have a laid-out parent, and depths count from it.
     """
     import numpy as np
 
     n = cvt.n_rows
     m = cvt.n_metrics
     if 0 <= metric_index < m:
-        total = float(cvt.inclusive[0, metric_index])
+        total = float(cvt.inclusive[origin, metric_index])
     else:
         total = 0.0
     empty = np.zeros(0, dtype=np.int64)
@@ -267,18 +267,19 @@ def _layout_columnar(tree: ViewTree, cvt, metric_index: int,
     kept_children: dict = {}
     # The object walk skips a rect when ``width < min_width`` and a child
     # when ``value <= 0``; the negations keep its NaN behaviour.
-    if not width[0] < min_width:
-        emitted[0] = True
+    if not width[origin] < min_width:
+        emitted[origin] = True
     else:
-        skipped = int(sizes[0])
+        skipped = int(sizes[origin])
+    base = int(cvt.depth[origin])
 
     # Level sweep over candidates only (positive value, laid-out parent):
     # pruning keeps the candidate set near the rendered-rect count, so the
     # sorts here are tiny even on million-row trees — the only full-array
     # work is the per-level candidate mask.
     ids, level_start = cvt.depth_groups()
-    for level in range(1, len(level_start) - 1):
-        if max_depth is not None and level > max_depth:
+    for level in range(base + 1, len(level_start) - 1):
+        if max_depth is not None and level - base > max_depth:
             break
         rows = ids[level_start[level]:level_start[level + 1]]
         cand = rows[~(value[rows] <= 0) & emitted[parent[rows]]]
@@ -317,7 +318,7 @@ def _layout_columnar(tree: ViewTree, cvt, metric_index: int,
         keep = ~(w < min_width)
         emitted[ranked] = keep
         if keep.any():
-            deepest = level
+            deepest = level - base
             for row, parent_row in zip(ranked[keep].tolist(),
                                        p[keep].tolist()):
                 kept_children.setdefault(parent_row, []).append(row)
@@ -327,8 +328,8 @@ def _layout_columnar(tree: ViewTree, cvt, metric_index: int,
     # Rect emission order = the object DFS pop order: push children in
     # sort order, pop from the tail.  Replayed over laid-out rows only.
     emission: List[int] = []
-    if emitted[0]:
-        stack = [0]
+    if emitted[origin]:
+        stack = [origin]
         while stack:
             row = stack.pop()
             emission.append(row)
@@ -338,7 +339,7 @@ def _layout_columnar(tree: ViewTree, cvt, metric_index: int,
     laid = np.array(emission, dtype=np.int64)
     rect_x = x[laid]
     rect_w = width[laid]
-    rect_d = cvt.depth[laid]
+    rect_d = cvt.depth[laid] - base
     geometry = RectGeometry(row=laid, x=rect_x, width=rect_w, depth=rect_d,
                             frame_id=cvt.frame_id[laid], frames=cvt.frames)
     return FlameLayout(

@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..analysis.viewtree import ViewNode, ViewTree
+from ..analysis.viewtree_columnar import value_column
 from ..core.metric import Metric
 from .color import ansi_index, diff_color, frame_color
 from .layout import FlameLayout
@@ -125,14 +126,23 @@ def render_summary(tree: ViewTree, metric_index: int = 0,
     metric = tree.schema[metric_index] if len(tree.schema) else None
     lines = ["Hottest contexts by %s:"
              % (metric.name if metric else "metric %d" % metric_index)]
-    for node in tree.top(metric_index, count=count, inclusive=False):
-        value = node.value(metric_index, inclusive=False)
+    top = tree.top(metric_index, count=count, inclusive=False)
+    cvt = tree.columnar()
+    if cvt is not None:  # read the rows, never the facade
+        entries = zip(value_column(cvt, metric_index,
+                                   "exclusive")[top.rows].tolist(),
+                      [cvt.frames[index]
+                       for index in cvt.frame_id[top.rows].tolist()])
+    else:
+        entries = ((node.value(metric_index, inclusive=False), node.frame)
+                   for node in top)
+    for value, frame in entries:
         if value == 0.0:
             continue
         value_text = (metric.format_value(value) if metric
                       else "%g" % value)
         lines.append("  %6.1f%%  %-40s %s"
-                     % (100.0 * value / total, node.frame.label()[:40],
+                     % (100.0 * value / total, frame.label()[:40],
                         value_text))
     return "\n".join(lines)
 

@@ -10,27 +10,38 @@ any column, and text/TSV/HTML rendering.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Set, Union
 
+import numpy as np
+
+from ..analysis import viewrows
 from ..analysis.viewtree import ViewNode, ViewTree
+from ..analysis.viewtree_columnar import from_viewtree, value_column
 
 
 @dataclass
 class TableRow:
     """One visible row of the rendered table."""
 
-    node: ViewNode
+    row: int            # the view row it shows
     depth: int
     expanded: bool
     values: List[float]
+    text: str           # the row's label
+    has_children: bool
 
     def label(self) -> str:
-        return self.node.label()
+        return self.text
 
 
 class TreeTable:
-    """An interactive (fold/unfold) table over a view tree."""
+    """An interactive (fold/unfold) table over a view tree.
+
+    The table reads the tree's columnar rows: fold state is a set of
+    rows, and a hand-built object tree is snapshotted into rows per
+    request (:func:`~repro.analysis.viewtree_columnar.from_viewtree`).
+    """
 
     def __init__(self, tree: ViewTree,
                  metrics: Optional[Sequence[str]] = None,
@@ -43,7 +54,7 @@ class TreeTable:
             else [tree.schema.index_of(name) for name in metrics])
         self.inclusive = inclusive
         self.sort_column = self.columns[0] if self.columns else 0
-        self._expanded: Set[int] = {id(tree.root)}
+        self._expanded: Set[int] = {0}   # the root row
 
     @property
     def columns(self) -> List[int]:
@@ -52,15 +63,34 @@ class TreeTable:
             return list(range(len(self.tree.schema)))
         return self._columns
 
+    def _rows(self):
+        cvt = self.tree.columnar()
+        if cvt is None:
+            cvt = from_viewtree(self.tree)
+            if cvt is None:
+                raise ValueError("a tree table needs equal-length "
+                                 "histograms")
+        return cvt
+
+    def _row_of(self, item: Union[ViewNode, int]) -> Optional[int]:
+        if not isinstance(item, ViewNode):
+            return int(item)
+        for row, node in enumerate(viewrows.facade_nodes(self.tree,
+                                                         self._rows())):
+            if node is item:
+                return row
+        return None
+
     # -- fold state ----------------------------------------------------------
 
-    def expand(self, node: ViewNode) -> None:
-        """Unfold one node (a click on the triangle)."""
-        self._expanded.add(id(node))
+    def expand(self, item: Union[ViewNode, int]) -> None:
+        """Unfold one row (a click on the triangle); takes a row or its
+        facade node."""
+        self._expanded.add(self._row_of(item))
 
-    def collapse(self, node: ViewNode) -> None:
-        """Fold one node."""
-        self._expanded.discard(id(node))
+    def collapse(self, item: Union[ViewNode, int]) -> None:
+        """Fold one row."""
+        self._expanded.discard(self._row_of(item))
 
     def expand_all(self, max_depth: Optional[int] = None) -> int:
         """Unfold everything (optionally to a depth); returns rows exposed.
@@ -68,54 +98,54 @@ class TreeTable:
         This is the expensive operation eager baseline viewers perform up
         front and EasyView performs on demand.
         """
-        count = 0
-        for node in self.tree.nodes():
-            if max_depth is None or node.depth() < max_depth:
-                self._expanded.add(id(node))
-                count += 1
-        return count
+        cvt = self._rows()
+        rows = (np.arange(cvt.n_rows) if max_depth is None
+                else np.flatnonzero(cvt.depth < max_depth))
+        self._expanded.update(rows.tolist())
+        return int(rows.shape[0])
 
     def expand_hot_path(self, metric_index: Optional[int] = None,
-                        min_fraction: float = 0.5) -> List[ViewNode]:
+                        min_fraction: float = 0.5) -> Sequence[ViewNode]:
         """Unfold along the dominant-child path (the drill-down shortcut)."""
-        from ..analysis.prune import hot_path
-        path = hot_path(self.tree,
-                        metric_index=(metric_index if metric_index is not None
-                                      else self.sort_column),
-                        min_fraction=min_fraction)
-        for node in path:
-            self._expanded.add(id(node))
-        return path
+        cvt = self._rows()
+        path = viewrows.hot_path_rows(
+            cvt, metric_index if metric_index is not None
+            else self.sort_column, min_fraction)
+        self._expanded.update(path.tolist())
+        return viewrows.NodeRows(self.tree, cvt, path)
 
     # -- rows ----------------------------------------------------------------
 
     def rows(self) -> List[TableRow]:
-        """The currently visible rows, respecting fold state and sorting."""
-        result: List[TableRow] = []
-        columns = self.columns
+        """The currently visible rows, respecting fold state and sorting:
+        siblings by descending sort-column value, insertion order on
+        ties."""
+        cvt = self._rows()
+        order, start = cvt.children_csr()
+        plane = "inclusive" if self.inclusive else "exclusive"
+        key = -value_column(cvt, self.sort_column, plane)
 
-        def visible_children(node: ViewNode) -> List[ViewNode]:
-            children = list(node.children.values())
-            children.sort(key=lambda n: -self._value(n, self.sort_column))
-            return children
+        def children(row: int) -> List[int]:
+            kids = order[start[row]:start[row + 1]]
+            return kids[np.argsort(key[kids], kind="stable")].tolist()
 
-        def emit(node: ViewNode, depth: int) -> None:
-            result.append(TableRow(
-                node=node, depth=depth,
-                expanded=id(node) in self._expanded,
-                values=[self._value(node, c) for c in columns]))
-            if id(node) in self._expanded:
-                for child in visible_children(node):
-                    emit(child, depth + 1)
-
-        for child in sorted(self.tree.root.children.values(),
-                            key=lambda n: -self._value(n, self.sort_column)):
-            emit(child, 0)
-        return result
-
-    def _value(self, node: ViewNode, column: int) -> float:
-        table = node.inclusive if self.inclusive else node.exclusive
-        return table.get(column, 0.0)
+        visible = []
+        stack = [(child, 0) for child in reversed(children(0))]
+        while stack:
+            row, depth = stack.pop()
+            visible.append((row, depth))
+            if row in self._expanded:
+                stack.extend((child, depth + 1)
+                             for child in reversed(children(row)))
+        picked = np.asarray([row for row, _ in visible], dtype=np.int64)
+        columns = [value_column(cvt, column, plane)[picked].tolist()
+                   for column in self.columns]
+        return [TableRow(row=row, depth=depth,
+                         expanded=row in self._expanded,
+                         values=[column[i] for column in columns],
+                         text=viewrows.row_label(cvt, row),
+                         has_children=bool(start[row + 1] > start[row]))
+                for i, (row, depth) in enumerate(visible)]
 
     def sort_by(self, metric: str) -> None:
         """Re-sort rows by a metric column."""
@@ -130,7 +160,8 @@ class TreeTable:
                                " ".join("%14s" % n for n in names))
         lines = [header, "-" * len(header)]
         for row in self.rows()[:max_rows]:
-            caret = "▾" if row.expanded else ("▸" if row.node.children else " ")
+            caret = "▾" if row.expanded else ("▸" if row.has_children
+                                              else " ")
             label = "%s%s %s" % (indent * row.depth, caret, row.label())
             cells = " ".join("%14.6g" % v for v in row.values)
             lines.append("%-60s %s" % (label[:60], cells))

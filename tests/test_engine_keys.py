@@ -111,6 +111,22 @@ class TestRequestPath:
         call("view/aggregate", profileIds=ids)
         assert digest_calls == []
 
+    def test_object_format_keeps_its_source_key(self, tmp_path,
+                                                digest_calls):
+        """A collapsed file parses into an object CCT; the session folds
+        it into arrays, which must not cost a content digest."""
+        path = tmp_path / "stacks.folded"
+        path.write_text("main;work;inner 7\nmain;work 2\nmain;idle 1\n")
+        server = StdioServer(stdin=io.StringIO(""), stdout=io.StringIO())
+        message, error = parse_line(_request(1, "view/open", path=str(path)))
+        assert error is None
+        reply = json.loads(server.dispatcher.handle(message).to_json())
+        assert "error" not in reply, reply
+        profile = server.session.get(reply["result"]["profileId"]).profile
+        assert profile.columnar() is not None
+        assert profile.cache_key().startswith(SOURCE)
+        assert digest_calls == []
+
 
 def _late_frames():
     return [Frame(name="main", file="m.c", line=1),

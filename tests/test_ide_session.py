@@ -7,6 +7,7 @@ and the IDE actions together.
 
 import pytest
 
+from repro.analysis.viewrows import row_metrics
 from repro.core.serialize import dump
 from repro.errors import ProtocolError
 from repro.ide.actions import Capabilities
@@ -62,11 +63,10 @@ class TestShapes:
 
 class TestCodeLink:
     def test_select_opens_document_at_line(self, ide):
-        tree = ide.session.view(ide.profile_id, "top_down")
-        opened = ide.session.get(ide.profile_id)
-        work = tree.find_by_name("work")[0]
+        work = ide.request("view/search", profileId=ide.profile_id,
+                           pattern="work")["matches"][0]
         result = ide.request("view/select", profileId=ide.profile_id,
-                             nodeRef=opened.node_ref(work))
+                             nodeRef=work)
         assert result["linked"]
         assert ide.state.open_file == "app.c"
         assert ide.state.cursor_line == 42
@@ -79,18 +79,17 @@ class TestCodeLink:
         builder.metric("m")
         builder.sample(["nameless"], {0: 1.0})
         opened = ide.session.open(builder.build())
-        tree = ide.session.view(opened.id, "top_down")
-        node = tree.find_by_name("nameless")[0]
+        node = ide.request("view/search", profileId=opened.id,
+                           pattern="nameless")["matches"][0]
         result = ide.request("view/select", profileId=opened.id,
-                             nodeRef=opened.node_ref(node))
+                             nodeRef=node)
         assert not result["linked"]
 
     def test_select_reports_metrics(self, ide):
-        tree = ide.session.view(ide.profile_id, "top_down")
-        opened = ide.session.get(ide.profile_id)
-        work = tree.find_by_name("work")[0]
+        work = ide.request("view/search", profileId=ide.profile_id,
+                           pattern="work")["matches"][0]
         result = ide.request("view/select", profileId=ide.profile_id,
-                             nodeRef=opened.node_ref(work))
+                             nodeRef=work)
         assert result["metrics"]["cpu"] == 900.0
 
     def test_bad_node_ref_rejected(self, ide):
@@ -107,11 +106,10 @@ class TestSearchZoomSummary:
         assert result["coverage"] == pytest.approx(0.9)
 
     def test_zoom(self, ide):
-        opened = ide.session.get(ide.profile_id)
-        tree = ide.session.view(ide.profile_id, "top_down")
-        work = tree.find_by_name("work")[0]
+        work = ide.request("view/search", profileId=ide.profile_id,
+                           pattern="work")["matches"][0]
         result = ide.request("view/zoom", profileId=ide.profile_id,
-                             nodeRef=opened.node_ref(work))
+                             nodeRef=work)
         assert result["blocks"] == 2   # work + inner
 
     def test_summary_emits_floating_window(self, ide):
@@ -185,11 +183,10 @@ class TestMultiProfileRequests:
         b = ide.session.open(simple_profile).id
         result = ide.request("view/aggregate", profileIds=[a, b])
         merged_id = result["profileId"]
-        merged = ide.session.view(merged_id, "top_down")
-        opened = ide.session.get(merged_id)
-        work = merged.find_by_name("work")[0]
+        work = ide.request("view/search", profileId=merged_id,
+                           pattern="work")["matches"][0]
         clicked = ide.request("view/click", profileId=merged_id,
-                              nodeRef=opened.node_ref(work))
+                              nodeRef=work)
         assert clicked["histogram"]["series"] == [900.0, 900.0]
         assert len(clicked["histogram"]["sparkline"]) == 2
 
@@ -227,20 +224,21 @@ class TestMultiProfileRequests:
         profile_id = ide.open_profile(str(path))
         rows = ide.request("view/tableExpand", profileId=profile_id,
                            hotPath=True)["rows"]
-        tree = ide.session.view(profile_id, "top_down")
         ref = rows[0]["ref"]
-        node = ide.session.get(profile_id).node_by_ref(ref)
+        handle = ide.session.get(profile_id).handle(ref)
         index = ide.request("view/deriveMetric", profileId=profile_id,
                             name="per_sample",
                             formula="cpu / samples")["metricIndex"]
+        tree = ide.session.view(profile_id, "top_down")
         assert tree.columnar() is not None
-        assert ide.session.get(profile_id).node_by_ref(ref) is node
-        samples = node.inclusive[tree.schema.index_of("samples")]
-        assert node.inclusive[index] == (
-            node.inclusive[tree.schema.index_of("cpu")] / samples
+        assert ide.session.get(profile_id).handle(ref) == handle
+        inclusive = dict(row_metrics(tree.columnar(), handle[1]))
+        samples = inclusive[tree.schema.index_of("samples")]
+        assert inclusive[index] == (
+            inclusive[tree.schema.index_of("cpu")] / samples
             if samples else 0.0)
         row = ide.request("view/table", profileId=profile_id)["rows"][0]
-        assert row["values"][index] == node.inclusive[index]
+        assert row["values"][index] == inclusive[index]
 
     def test_table_lists_derived_column(self, ide):
         before = ide.request("view/table", profileId=ide.profile_id)
