@@ -4,15 +4,19 @@ A converter turns one foreign profile format into EasyView's representation
 (§IV-B's second integration path).  Each converter declares a name, file
 extensions, and a ``sniff`` predicate; :func:`open_profile` picks one by
 explicit name, extension, or content sniffing, in that order.
+
+Converting fails closed: the converters that :func:`get` and
+:func:`detect` hand out (and so :func:`parse_bytes`) raise nothing but
+:class:`~repro.errors.EasyViewError`, whatever the payload.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..core.profile import Profile
-from ..errors import ConversionError, FormatError
+from ..errors import ConversionError, EasyViewError, FormatError
 
 ParseFn = Callable[[bytes], Profile]
 SniffFn = Callable[[bytes, str], bool]
@@ -43,14 +47,40 @@ def register(converter: Converter) -> Converter:
     return converter
 
 
+def _fail_closed(converter: Converter) -> Converter:
+    """``converter`` with a ``parse`` that raises only
+    :class:`~repro.errors.EasyViewError`.
+
+    The converter's own errors pass through with their messages; anything
+    else a malformed payload provokes — a ``TypeError`` from a mistyped
+    JSON field, a ``ValueError`` from a garbled number, a
+    ``RecursionError`` from deeply nested JSON — becomes a
+    :class:`~repro.errors.FormatError` naming the format, chained to the
+    original exception.
+    """
+    name, parse = converter.name, converter.parse
+
+    def fail_closed(data: bytes) -> Profile:
+        try:
+            return parse(data)
+        except EasyViewError:
+            raise
+        except Exception as exc:  # the ingress boundary: fail closed
+            raise FormatError("malformed %s profile: %s: %s"
+                              % (name, type(exc).__name__, exc)) from exc
+
+    return replace(converter, parse=fail_closed)
+
+
 def get(name: str) -> Converter:
     """Look up a converter by name."""
     try:
-        return _REGISTRY[name]
+        converter = _REGISTRY[name]
     except KeyError:
         raise ConversionError(
             "unknown format %r (supported: %s)"
             % (name, ", ".join(sorted(_REGISTRY)))) from None
+    return _fail_closed(converter)
 
 
 def names() -> List[str]:
@@ -65,11 +95,11 @@ def detect(data: bytes, path: str = "") -> Converter:
         converter = _REGISTRY[name]
         if any(lowered.endswith(ext) for ext in converter.extensions):
             if converter.sniff(data, path):
-                return converter
+                return _fail_closed(converter)
     for name in _ORDER:
         converter = _REGISTRY[name]
         if converter.sniff(data, path):
-            return converter
+            return _fail_closed(converter)
     raise FormatError("cannot detect the format of %r (%d bytes); "
                       "pass format= explicitly" % (path or "<data>",
                                                    len(data)))

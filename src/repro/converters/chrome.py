@@ -10,7 +10,7 @@ attributes each sample's delta to the sampled node's path.
 from __future__ import annotations
 
 import json
-from typing import Dict, List
+from typing import Dict, List, Set
 
 from ..builder import ProfileBuilder
 from ..core.frame import Frame, intern_frame
@@ -53,8 +53,13 @@ def parse(data: bytes) -> Profile:
 
     def path_of(node_id: int) -> List[Frame]:
         chain: List[Frame] = []
+        seen: Set[int] = set()
         current = node_id
         while current in by_id:
+            if current in seen:
+                raise FormatError("cpuprofile node %r is its own ancestor "
+                                  "('children' form a cycle)" % (current,))
+            seen.add(current)
             frame = frames[current]
             # Skip V8's synthetic "(root)" frame; EasyView has its own root.
             if frame.name != "(root)":

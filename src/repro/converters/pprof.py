@@ -113,7 +113,8 @@ def _build_columnar(message: "pprof_pb.Profile",
     descend = bld.descend
     leaf_cache: Dict[object, int] = {}
     ok_leafs: List[int] = []
-    slow: List[tuple] = []  # (leaf id, value list) for irregular samples
+    # (ok samples before it, leaf id, value list) per irregular sample
+    slow: List[tuple] = []
     k = 0
     # Wire order matters: trie nodes are created at first touch, and the
     # materialized facade must reproduce the object tree's child insertion
@@ -136,39 +137,44 @@ def _build_columnar(message: "pprof_pb.Profile",
         if matched:
             ok_leafs.append(leaf)
         else:
-            slow.append((leaf, sample.value))
+            slow.append((len(ok_leafs), leaf, sample.value))
 
     n_nodes = bld.n_nodes
     values = np.zeros((n_nodes, n_schema), dtype=np.float64)
     present = np.zeros((n_nodes, n_schema), dtype=bool)
     n_ok = len(ok_leafs)
-    if n_ok:
+    v_starts = offsets[1:2 * n_ok:2]
+    v_ends = offsets[2:2 * n_ok + 1:2]
+    m = len(metric_columns)
+    if (n_ok and not slow and metric_columns == list(range(m))
+            and bool((v_ends - v_starts == m).all())):
+        # Canonical case: every sample carries exactly one value per
+        # declared column — gather into an (n_ok, m) matrix and
+        # scatter-add in one pass.
         leaf_arr = np.asarray(ok_leafs, dtype=np.int64)
-        v_starts = offsets[1:2 * n_ok:2]
-        v_ends = offsets[2:2 * n_ok + 1:2]
-        m = len(metric_columns)
-        if (metric_columns == list(range(m))
-                and bool((v_ends - v_starts == m).all())):
-            # Canonical case: every sample carries exactly one value per
-            # declared column — gather into an (n_ok, m) matrix and
-            # scatter-add in one pass.
-            idx = v_starts[:, None] + np.arange(m, dtype=np.int64)
-            np.add.at(values, leaf_arr, decoded[idx].astype(np.float64))
-            present[leaf_arr] = True
-        else:
-            # Ragged value runs or aliased metric names: zip-truncate per
-            # sample, exactly like the object path.
-            starts_l = v_starts.tolist()
-            ends_l = v_ends.tolist()
-            for i, leaf in enumerate(ok_leafs):
-                run = decoded[starts_l[i]:ends_l[i]].tolist()
-                for column, value in zip(metric_columns, run):
-                    values[leaf, column] += value
-                    present[leaf, column] = True
-    for leaf, vals in slow:
-        for column, value in zip(metric_columns, vals):
+        idx = v_starts[:, None] + np.arange(m, dtype=np.int64)
+        np.add.at(values, leaf_arr, decoded[idx].astype(np.float64))
+        present[leaf_arr] = True
+        return bld.finish(values, present)
+
+    # Ragged value runs, aliased metric names or irregular samples:
+    # zip-truncate per sample in wire order, exactly like the object
+    # path (past 2**53 the order of the float additions shows).
+    def add(leaf: int, run) -> None:
+        for column, value in zip(metric_columns, run):
             values[leaf, column] += value
             present[leaf, column] = True
+
+    starts_l = v_starts.tolist()
+    ends_l = v_ends.tolist()
+    s = 0
+    for i, leaf in enumerate(ok_leafs):
+        while s < len(slow) and slow[s][0] == i:
+            add(slow[s][1], slow[s][2])
+            s += 1
+        add(leaf, decoded[starts_l[i]:ends_l[i]].tolist())
+    for _, leaf, run in slow[s:]:
+        add(leaf, run)
     return bld.finish(values, present)
 
 

@@ -45,12 +45,11 @@ def parse(data: bytes) -> Profile:
             file=spec.get("file", ""),
             line=int(spec.get("line", 0) or 0)))
 
-    builder = ProfileBuilder(tool="speedscope")
-    weight_metric = builder.metric("weight", unit=_unit_of(payload))
-
     profiles = payload.get("profiles", [])
     if not isinstance(profiles, list):
         raise FormatError("speedscope 'profiles' must be an array")
+    builder = ProfileBuilder(tool="speedscope")
+    weight_metric = builder.metric("weight", unit=_unit_of(profiles))
     multiple = len(profiles) > 1
     for profile_spec in profiles:
         if not isinstance(profile_spec, dict):
@@ -71,9 +70,8 @@ def parse(data: bytes) -> Profile:
     return builder.build()
 
 
-def _unit_of(payload: dict) -> str:
-    units = {p.get("unit") for p in payload.get("profiles", [])
-             if isinstance(p, dict)}
+def _unit_of(profiles: list) -> str:
+    units = {p.get("unit") for p in profiles if isinstance(p, dict)}
     unit = units.pop() if len(units) == 1 else "none"
     return {"nanoseconds": "nanoseconds", "microseconds": "microseconds",
             "milliseconds": "milliseconds", "seconds": "seconds",

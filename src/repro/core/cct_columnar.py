@@ -452,14 +452,6 @@ class ColumnarBuilder:
             self.depths.append(self.depths[node_id] + 1)
         return child
 
-    def add_path_ids(self, fids) -> int:
-        """Descend a root-first frame-id path; returns the leaf id."""
-        node = 0
-        descend = self.descend
-        for fid in fids:
-            node = descend(node, fid)
-        return node
-
     @property
     def n_nodes(self) -> int:
         return len(self.parents)

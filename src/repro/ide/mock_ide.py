@@ -112,11 +112,3 @@ class MockIDE:
     def document_exists(self, path: str) -> bool:
         """Whether a code link's target exists in the workspace."""
         return path in self.workspace
-
-    def line_text(self, path: str, line: int) -> str:
-        """The workspace text at a linked location (1-based line)."""
-        document = self.workspace.get(path, "")
-        lines = document.splitlines()
-        if 1 <= line <= len(lines):
-            return lines[line - 1]
-        return ""

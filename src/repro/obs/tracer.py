@@ -71,10 +71,6 @@ class Span:
         #: The exception type name when the span body raised, else "".
         self.error = ""
 
-    @property
-    def duration_seconds(self) -> float:
-        return self.duration_ns / 1e9
-
     def set(self, key: str, value: Any) -> None:
         """Attach (or overwrite) one attribute."""
         self.attributes[key] = value

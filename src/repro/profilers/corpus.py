@@ -37,9 +37,6 @@ class CorpusSpec:
     max_depth: int
     seed: int = 1234
 
-    def estimated_tier(self) -> str:
-        return self.name
-
 
 #: The benchmark tiers standing in for the paper's 1 MB → 1 GB range.
 TIERS: Tuple[CorpusSpec, ...] = (

@@ -944,11 +944,6 @@ class StringInterner:
 _interner = StringInterner()
 
 
-def get_interner() -> StringInterner:
-    """The shared string-table intern pool."""
-    return _interner
-
-
 def intern_string(payload: Buffer) -> str:
     """Decode a UTF-8 payload through the shared intern pool."""
     return _interner.decode(payload)

@@ -129,7 +129,3 @@ class AdmissionController:
         """Units admitted and not yet released."""
         with self._lock:
             return self._pending
-
-    def source_depth(self, source: str) -> int:
-        with self._lock:
-            return self._per_source.get(source, 0)

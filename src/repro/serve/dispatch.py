@@ -12,11 +12,10 @@ module is that shared half:
 * the **dispatcher** — :class:`Dispatcher` wraps one
   :class:`~repro.ide.session.ViewerSession` and executes one request
   under a tracer span with latency accounting, the
-  crashed-handler-to-``INTERNAL_ERROR`` mapping, the request-scoped
-  cyclic collector policy (:data:`~repro.core.gcguard.REQUEST_COLLECTOR`),
-  and structured slow-request logging carrying the trace id, the session
-  id and the collector seconds (so a slow interaction in a
-  thousand-session server is attributable);
+  crashed-handler-to-``INTERNAL_ERROR`` mapping, and structured
+  slow-request logging carrying the trace id, the session id and the
+  collector seconds (so a slow interaction in a thousand-session server
+  is attributable);
 * the **supersession map** — :func:`supersede_key` names which requests
   describe the *same pane* such that a newer one makes a queued older
   one worthless (the socket transport answers the older one with
@@ -35,7 +34,6 @@ import sys
 import time
 from typing import Any, IO, Optional, Tuple
 
-from ..core.gcguard import REQUEST_COLLECTOR
 from ..errors import ProtocolError
 from ..obs import get_registry, get_tracer, watch_collector
 from ..ide.protocol import (INTERNAL_ERROR, INVALID_REQUEST, PARSE_ERROR,
@@ -141,11 +139,11 @@ class Dispatcher:
     and the seconds cyclic collections stalled it, so a slow interaction
     can be joined to its spans and attributed to its client.
 
-    Handlers run under :data:`~repro.core.gcguard.REQUEST_COLLECTOR`:
-    a request that starts with nothing else in flight runs with the
-    cyclic collector off, and its survivors are frozen when the process
-    has no request in flight.  Constructing a dispatcher installs the
-    ``runtime.gc_seconds`` collector hook (once per process).
+    Handlers run under CPython's default cyclic collector; only the
+    bulk tree builds inside them switch it off
+    (:func:`~repro.core.gcguard.no_gc`).  Constructing a dispatcher
+    installs the ``runtime.gc_seconds`` collector hook (once per
+    process).
 
     Thread-safety: :meth:`handle` touches only the wrapped session, the
     (lock-protected) obs instruments, and the log stream; the socket
@@ -173,10 +171,6 @@ class Dispatcher:
             "server.inflight", "requests currently being handled")
         self._latency = registry.histogram(
             "server.request_seconds", description="per-request latency")
-        self._frozen = registry.gauge(
-            "runtime.gc_frozen_objects",
-            "objects frozen out of the cyclic collector by the request "
-            "policy (its own count)")
         self._gc_clock = watch_collector()
 
     @property
@@ -198,8 +192,7 @@ class Dispatcher:
                 if span is not None:
                     trace_id = span.trace_id
                 try:
-                    with REQUEST_COLLECTOR.request():
-                        response = self.session.handle(message)
+                    response = self.session.handle(message)
                 except Exception as exc:  # the handler crashed: answer,
                     self._crashes.inc()   # don't die
                     if span is not None:
@@ -217,7 +210,6 @@ class Dispatcher:
             gc_seconds = self._gc_clock.seconds - gc_before
             self._inflight.dec()
             self._latency.observe(elapsed)
-            self._frozen.set(REQUEST_COLLECTOR.frozen_objects)
         if not response.ok:
             self._errors.inc()
         if elapsed >= self.slow_seconds:

@@ -22,7 +22,7 @@ from ..core.cct import CCTNode
 from ..core.profile import Profile
 from ..errors import AnalysisError
 from .color import diff_color, frame_color
-from .layout import FlameLayout, FlameRect, layout
+from .layout import FlameLayout, layout
 from .svg import render_diff_svg, render_svg
 from .terminal import render_flame_text, render_tree_text
 
@@ -130,13 +130,6 @@ class FlameGraph:
                                   min_width=self.min_width,
                                   root=self._zoom_root)
         return self._layout
-
-    def block_at(self, x: float, depth: int) -> Optional[FlameRect]:
-        """Hit-test a canvas position (the click handler's primitive)."""
-        for rect in self.compute_layout().rects:
-            if rect.depth == depth and rect.x <= x < rect.x + rect.width:
-                return rect
-        return None
 
     # -- rendering -------------------------------------------------------------
 

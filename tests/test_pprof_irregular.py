@@ -144,6 +144,16 @@ class TestHandWritten:
                  .packed(1, [2, 1]).packed(2, [9, 9]).getvalue())
         assert_same_profile(_message(mixed))
 
+    def test_values_add_in_wire_order(self):
+        # Past 2**53 float additions do not commute: 1 + 1 + 2**53 is
+        # exact, while 2**53 + 1 + 1 rounds back to 2**53.
+        labeled = Sample(location_id=[1], value=[1, 1],
+                         label=[Label(key=1, num=1)]).serialize()
+        big = Sample(location_id=[1], value=[1 << 53, 0]).serialize()
+        raw = _message(labeled, labeled, big)
+        assert_same_profile(raw)
+        assert pprof.parse(raw).total("cpu") == (1 << 53) + 2
+
     def test_sample_free_payload_is_the_bare_root(self):
         raw = _message()
         profile = pprof.parse(raw)
