@@ -5,25 +5,32 @@ the viewer (via Python→WASM) and is triggered as callbacks during tree
 operations.  Here the pane *is* Python, so a :class:`Customization` simply
 bundles the two callback families:
 
-* **node-visit callbacks** — ``elide(node) -> bool`` removes contexts from a
-  view; ``remap(frame) -> frame`` rewrites attribution before merging (e.g.
-  merge all template instantiations of one function, or strip paths);
+* **node-visit callbacks** — ``elide(node) -> bool`` removes a context and
+  its whole subtree from a view; ``remap(frame) -> frame`` rewrites
+  attribution before merging (e.g. merge all template instantiations of
+  one function, or strip paths);
 * **metric-computation callbacks** — derived-metric definitions applied to
   the finished view (formulas run through :mod:`repro.analysis.formula`, or
   arbitrary Python functions over a node's values).
 
-The same object plugs into every transform and multi-profile operation, so
-one customization applies consistently across top-down, bottom-up, flat,
-aggregate, and differential views.
+The same object plugs into every transform, so one customization applies
+consistently across top-down, bottom-up and flat views.  The transforms
+run the hooks on the columnar arrays: ``remap`` once per frame-table entry,
+every elide callback into one subtree-closed mask over the CCT rows (the
+kept contexts keep their full inclusive values), and each derived metric
+into a new value column (:meth:`Customization.finish`).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
+
+import numpy as np
 
 from ..core.cct import CCTNode
 from ..core.frame import Frame
-from ..core.metric import Aggregation, Metric
+from ..core.metric import Metric
+from . import viewrows, viewtree_columnar
 from .viewtree import ViewNode, ViewTree
 
 ElideFn = Callable[[CCTNode], bool]
@@ -48,7 +55,7 @@ class Customization:
 
     def is_passthrough(self) -> bool:
         """True when no node-visit callbacks are registered, letting the
-        transforms skip per-node callback dispatch entirely."""
+        transforms skip the frame remap and the elide mask entirely."""
         return not self._elide_fns and not self._remap_fns
 
     def has_hooks(self) -> bool:
@@ -56,15 +63,23 @@ class Customization:
         a view built with hooks differs from the plain one."""
         return bool(self._elide_fns or self._remap_fns or self._derived)
 
+    def has_elide_hooks(self) -> bool:
+        """True when an elide callback is registered: only then do the
+        transforms build the CCT facade the callbacks read."""
+        return bool(self._elide_fns)
+
     # -- registration ------------------------------------------------------
 
     def elide_if(self, fn: ElideFn) -> "Customization":
-        """Drop any context (and its subtree) for which ``fn`` is true."""
+        """Drop any context (and its subtree) for which ``fn`` is true,
+        in every shape; ``fn`` never sees a context below a dropped one,
+        and the kept contexts keep their full inclusive values."""
         self._elide_fns.append(fn)
         return self
 
     def elide_names(self, *names: str) -> "Customization":
-        """Drop contexts whose frame name is in ``names``."""
+        """Drop contexts whose frame name is in ``names``, with their
+        subtrees."""
         banned = frozenset(names)
         return self.elide_if(lambda node: node.frame.name in banned)
 
@@ -75,7 +90,11 @@ class Customization:
         return frame
 
     def remap_with(self, fn: RemapFn) -> "Customization":
-        """Rewrite frames before merging (rename, regroup, anonymize)."""
+        """Rewrite frames before merging (rename, regroup, anonymize).
+
+        Every frame but the root's is rewritten before any merge key is
+        compared, so a remap that merges two frames also makes their
+        nesting recursion in the flat view."""
         self._remap_fns.append(fn)
         return self
 
@@ -84,8 +103,8 @@ class Customization:
         """Add a derived metric computed per node on the finished view.
 
         ``fn`` receives the node and a name→value mapping of the node's
-        existing metrics (inclusive or exclusive per the flag) and returns
-        the new value.
+        existing metrics (inclusive or exclusive per the flag, read
+        before any derived value is written) and returns the new value.
         """
         self._derived.append((metric, fn, inclusive))
         return self
@@ -97,31 +116,37 @@ class Customization:
         return any(fn(node) for fn in self._elide_fns)
 
     def finish(self, tree: ViewTree) -> None:
-        """Apply derived-metric callbacks to a completed view tree."""
+        """Apply derived-metric callbacks to a completed columnar view.
+
+        Each callback runs once per ``ViewNode`` of the tree's facade, in
+        walk order, with the node's values from before any derived write;
+        each derived metric then lands as one column
+        (:func:`~repro.analysis.viewtree_columnar.add_column`), so the
+        tree keeps its arrays.  Callbacks are no derivation a cache key
+        can name: the tree falls back to its content digest.
+        """
         if not self._derived:
             return
-        # The loop below edits node dicts in place; a columnar-backed
-        # tree must drop its (now stale) arrays first (lazy import — the
-        # engine depends on this package).
-        from ..engine import invalidate_everywhere
-        invalidate_everywhere(tree)
+        # Lazy import: the engine depends on this package.
+        from ..engine import forget_everywhere
+        cvt = tree.columnar()
+        nodes = viewrows.facade_nodes(tree, cvt)
         names = tree.schema.names()
-        plans = []
-        for metric, fn, inclusive in self._derived:
-            index = tree.schema.add(metric)
-            plans.append((index, fn, inclusive))
-        for node in tree.nodes():
+        plans = [(tree.schema.add(metric), fn, inclusive)
+                 for metric, fn, inclusive in self._derived]
+        columns = np.zeros((len(plans), cvt.n_rows), dtype=np.float64)
+        for row in cvt.walk_order().tolist():
+            node = nodes[row]
             inc_env = {name: node.inclusive.get(i, 0.0)
                        for i, name in enumerate(names)}
             exc_env = {name: node.exclusive.get(i, 0.0)
                        for i, name in enumerate(names)}
-            for index, fn, inclusive in plans:
-                env = inc_env if inclusive else exc_env
-                value = float(fn(node, env))
-                if inclusive:
-                    node.inclusive[index] = value
-                else:
-                    node.exclusive[index] = value
+            for column, (_, fn, inclusive) in zip(columns, plans):
+                column[row] = float(fn(node, inc_env if inclusive
+                                       else exc_env))
+        for column, (index, _, inclusive) in zip(columns, plans):
+            viewtree_columnar.add_column(tree, index, column, inclusive)
+        forget_everywhere(tree)
 
 
 _EMPTY = Customization()

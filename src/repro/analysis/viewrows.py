@@ -81,6 +81,9 @@ class NodeRows:
     def __getitem__(self, index):
         return self._force()[index]
 
+    def __add__(self, other):
+        return self._force() + list(other)
+
     def __eq__(self, other):
         if isinstance(other, (NodeRows, list)):
             return self._force() == list(other)

@@ -295,21 +295,6 @@ class ViewTree:
         tree._derivation_key = self.cache_key()
         return tree
 
-    def mark_mutated(self) -> None:
-        """Drop the columnar snapshot before in-place facade mutation.
-
-        Mutators that edit the materialized ``ViewNode`` dicts (derived
-        -metric callbacks) leave the arrays disagreeing, so array-path
-        consumers must fall back to the objects.  Materializes first so
-        no data is lost when a mutator is applied to a never-touched lazy
-        tree.  (``formula.derive`` and ``diff.add_delta_column`` keep the
-        arrays: they install a new snapshot instead.)
-        """
-        if self._columnar is not None:
-            if self._root is None:
-                self._root = self._columnar.materialize()
-            self._columnar = None
-
     def cache_key(self) -> str:
         """The engine's cache key: the derivation key, or else the content
         digest, memoized on the tree until :meth:`rekey`."""

@@ -22,8 +22,9 @@ found with ``np.unique`` over (parent-view-row, merge-token) integer
 pairs one depth level at a time, and every per-metric quantity moves as
 one ``np.add.at`` scatter per input.  A creation-order replay pass then
 renumbers rows so the arrays are *bit-identical* — shape, values, child
-insertion order, source order — to what the preserved object transforms
-produce; the object path stays behind as the differential oracle.
+insertion order, source order — to what the object transforms produce;
+those stay behind as the differential oracle
+(:mod:`repro.bench.view_oracle`).
 
 ``ViewNode`` materialization is deferred exactly like ``CCTNode``:
 :meth:`ColumnarViewTree.materialize` builds the facade on first access
@@ -186,16 +187,21 @@ class _CCTSources:
         return SourceList.lazy(self._resolve, row, count)
 
     def _resolve(self, row: int):
-        col = self.col
-        if col.node_objects is None:
-            profile = self.profile
-            if profile is not None and profile.columnar() is col:
-                profile.cct  # materialize the facade; fills node_objects
-        if col.node_objects is None:
-            col.to_cct()
+        nodes = _cct_nodes(self.profile, self.col)
         start = self.start
-        return col.resolve_nodes(
-            self.ids[start[row]:start[row + 1]].tolist())
+        ids = self.ids[start[row]:start[row + 1]].tolist()
+        return [nodes[i] for i in ids]
+
+
+def _cct_nodes(profile, col) -> List:
+    """The ``CCTNode`` per columnar id of ``col``: the profile's own object
+    tree while ``col`` is its snapshot, else one materialized from ``col``."""
+    if col.node_objects is None and profile is not None \
+            and profile.columnar() is col:
+        profile.cct  # materialize the facade; fills node_objects
+    if col.node_objects is None:
+        col.to_cct()
+    return col.node_objects
 
 
 class _UnionSources:
@@ -697,17 +703,54 @@ def _cct_creation_positions(col):
                             col.subtree_sizes(), (-ids,))
 
 
-def build_top_down(profile, col) -> ViewTree:
+def _customized(profile, col, custom):
+    """A customization's node-visit hooks over a columnar CCT (§V-B).
+
+    Returns the frame table with every entry but the root's remapped
+    (one ``remap`` call per entry; rows index it like ``col.frames``)
+    and the CCT to build the view from.  With elide callbacks that is
+    ``col``'s kept rows (``filter_mask`` of a mask closed under subtree:
+    an elided context drops its whole subtree, and the callbacks never
+    see a context below an elided one), carrying their full inclusive
+    values and the profile's own ``CCTNode`` objects as sources.  The
+    callbacks take those objects, so only they build the CCT facade.
+    """
+    if custom is None or custom.is_passthrough():
+        return col.frames, col
+    root = int(col.frame_id[0])
+    frames = [frame if index == root else custom.remap(frame)
+              for index, frame in enumerate(col.frames)]
+    if not custom.has_elide_hooks():
+        return frames, col
+    nodes = _cct_nodes(profile, col)
+    keep = np.ones(col.n_nodes, dtype=bool)
+    ids, start = col._by_depth()
+    for level in range(1, len(start) - 1):
+        rows = ids[start[level]:start[level + 1]]
+        under_kept = keep[col.parent[rows]]
+        keep[rows[~under_kept]] = False
+        keep[[row for row in rows[under_kept].tolist()
+              if custom.elides(nodes[row])]] = False
+    kept = col.filter_mask(keep)
+    rows = np.flatnonzero(keep)
+    kept._inclusive = col.inclusive()[rows]
+    kept.node_objects = [nodes[row] for row in rows.tolist()]
+    return frames, kept
+
+
+def build_top_down(profile, col, custom=None) -> ViewTree:
     """Vectorized top-down view build from a columnar CCT.
 
     Shape discovery is one ``np.unique`` over (parent-view-row,
     merge-token) int pairs per depth level; a creation-order replay then
     renumbers rows to the object loop's allocation order, and all value
-    planes land with one ``np.add.at`` scatter each.
+    planes land with one ``np.add.at`` scatter each.  ``custom``'s
+    node-visit hooks apply first (:func:`_customized`).
     """
+    frames, col = _customized(profile, col, custom)
     n = col.n_nodes
     n_metrics = col.n_metrics
-    frame_token, merge_keys = _merge_tokens(col.frames)
+    frame_token, merge_keys = _merge_tokens(frames)
     n_tokens = max(len(merge_keys), 1)
     node_token = frame_token[col.frame_id]
     parent = col.parent
@@ -762,7 +805,7 @@ def build_top_down(profile, col) -> ViewTree:
     source_ids, source_start = _grouped_csr(view_of, n_rows)
     cvt = ColumnarViewTree(
         parent=row_parent, depth=row_depth, token=row_token,
-        frame_id=row_frame, frames=col.frames, merge_keys=merge_keys,
+        frame_id=row_frame, frames=frames, merge_keys=merge_keys,
         shape="top_down",
         inclusive=inclusive,
         incl_present=np.ones((n_rows, n_metrics), dtype=bool),
@@ -771,16 +814,18 @@ def build_top_down(profile, col) -> ViewTree:
     return ViewTree.columnar_backed(profile.schema.copy(), "top_down", cvt)
 
 
-def build_bottom_up(profile, col) -> ViewTree:
+def build_bottom_up(profile, col, custom=None) -> ViewTree:
     """Vectorized bottom-up view build: array gather along parent chains.
 
     Every CCT context with metrics becomes a *lane*; each iteration all
     lanes take one step up their parent chain at once, and ``np.unique``
     over (previous-view-row, merge-token) pairs merges the reversed
-    paths level by level.
+    paths level by level.  ``custom``'s node-visit hooks apply first
+    (:func:`_customized`).
     """
+    frames, col = _customized(profile, col, custom)
     n_metrics = col.n_metrics
-    frame_token, merge_keys = _merge_tokens(col.frames)
+    frame_token, merge_keys = _merge_tokens(frames)
     n_tokens = max(len(merge_keys), 1)
     node_token = frame_token[col.frame_id]
     pre = col.preorder_positions()
@@ -866,7 +911,7 @@ def build_bottom_up(profile, col) -> ViewTree:
         provider = None
     cvt = ColumnarViewTree(
         parent=row_parent, depth=row_depth, token=row_token,
-        frame_id=row_frame, frames=col.frames, merge_keys=merge_keys,
+        frame_id=row_frame, frames=frames, merge_keys=merge_keys,
         shape="bottom_up",
         inclusive=inclusive, incl_present=written > 0,
         exclusive=exclusive, excl_present=excl_written > 0,
@@ -874,17 +919,19 @@ def build_bottom_up(profile, col) -> ViewTree:
     return ViewTree.columnar_backed(profile.schema.copy(), "bottom_up", cvt)
 
 
-def build_flat(profile, col) -> ViewTree:
+def build_flat(profile, col, custom=None) -> ViewTree:
     """Vectorized flat view build: one grouped scatter-add per level.
 
     The three grouping levels (module / file / function) are token maps
     over the frame table; rows fall out of ``np.unique`` over tokens, and
     the recursion-aware "outermost occurrence" test is a segmented
     running-max of subtree reach over pre-order, per function group.
+    ``custom``'s node-visit hooks apply first (:func:`_customized`).
     """
+    frames, col = _customized(profile, col, custom)
+    frames = list(frames)
     n = col.n_nodes
     n_metrics = col.n_metrics
-    frames = list(col.frames)
     merge_keys: List[MergeKey] = []
     token_of: Dict[Tuple[int, MergeKey], int] = {}
     token_frame: List[int] = []   # representative frame; -1 = first node

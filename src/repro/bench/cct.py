@@ -10,7 +10,9 @@ pprof bytes to a queryable CCT) through the columnar fast path
 (:func:`~repro.bench.pprof_oracle.parse_object`), with a per-phase
 breakdown of the columnar open (wire decode vs CCT build).  On top of
 the open it measures the whole columnar *view pipeline* against the
-object transforms — warm profile, cold view: every timed call builds a
+object transforms (:mod:`repro.bench.view_oracle`, whose trees carry no
+arrays, so their merges, diffs and layouts take the object paths too) —
+warm profile, cold view: every timed call builds a
 fresh view tree, but the profile it reads is already open, so the
 numbers isolate the operation instead of re-paying the parse (which the
 pre-columnar-view harness mistakenly folded into ``view_columnar``).
@@ -23,7 +25,8 @@ produce equal profile digests, structurally identical materialized
 trees (child order included), equal view-tree digests on *every* shape
 plus the aggregate and diff trees, and matching flame-graph rectangles,
 or :class:`OracleMismatch` is raised — the benchmark refuses to report
-numbers for a fast path that drifted.
+numbers for a fast path that drifted, and for a reference side that
+carries arrays (it would compare the fast path with itself).
 
 Documented targets on the large tier (see ``docs/PERFORMANCE.md``):
 columnar cold open >= 3x, top-down view build >= 1.5x.
@@ -44,6 +47,7 @@ from ..core.cct_columnar import ColumnarCCT
 from ..core.digest import profile_digest, viewtree_digest
 from ..profilers.corpus import generate_bytes, tier
 from ..viz.layout import layout
+from . import view_oracle
 from .pprof_oracle import parse_object
 
 #: Tier sets: quick keeps CI under a few seconds, full adds the tier the
@@ -105,6 +109,9 @@ def _assert_view_digests(name: str, label: str, fast_tree, ref_tree) -> None:
     if fast_tree.columnar() is None:
         raise OracleMismatch(
             "tier %r: %s did not take the columnar path" % (name, label))
+    if ref_tree.columnar() is not None:
+        raise OracleMismatch(
+            "tier %r: the reference %s carries arrays" % (name, label))
     if viewtree_digest(fast_tree) != viewtree_digest(ref_tree):
         raise OracleMismatch(
             "tier %r: %s view trees differ (columnar vs object)"
@@ -135,6 +142,9 @@ _GATE_FORMULA = "if(`{0}` > 0, `{0}` / (`{0}` + 1), `{0}` % 7) ^ 0.5"
 
 def _check_equality(name: str, fast, ref, fast_other, other) -> None:
     """The oracle gate: digests, trees, views, ops, and rects must agree."""
+    if ref.columnar() is not None or other.columnar() is not None:
+        raise OracleMismatch(
+            "tier %r: a reference profile carries arrays" % name)
     if profile_digest(fast) != profile_digest(ref):
         raise OracleMismatch(
             "tier %r: profile digests differ (columnar vs object)" % name)
@@ -145,11 +155,11 @@ def _check_equality(name: str, fast, ref, fast_other, other) -> None:
     for label, build in (("top_down", top_down), ("bottom_up", bottom_up),
                          ("flat", flat)):
         fast_views[label] = build(fast)
-        ref_views[label] = build(ref)
+        ref_views[label] = view_oracle.transform(ref, label)
         _assert_view_digests(name, label, fast_views[label],
                              ref_views[label])
     fast_second = top_down(fast_other)
-    ref_second = top_down(other)
+    ref_second = view_oracle.top_down(other)
     source = _GATE_FORMULA.format(fast.schema.names()[0])
     for tree in (fast_views["top_down"], ref_views["top_down"],
                  fast_second, ref_second):
@@ -205,22 +215,24 @@ def bench_tier(name: str, repeats: int = 3) -> Dict[str, object]:
     # already-open profile — symmetric on both sides.
     view_times = _interleaved_best({
         "top_down_columnar": lambda: top_down(fast),
-        "top_down_object": lambda: top_down(ref),
+        "top_down_object": lambda: view_oracle.top_down(ref),
         "bottom_up_columnar": lambda: bottom_up(fast),
-        "bottom_up_object": lambda: bottom_up(ref),
+        "bottom_up_object": lambda: view_oracle.bottom_up(ref),
         "flat_columnar": lambda: flat(fast),
-        "flat_object": lambda: flat(ref),
+        "flat_object": lambda: view_oracle.flat(ref),
         "aggregate_columnar": lambda: aggregate_profiles(
             [fast, fast_other]),
-        "aggregate_object": lambda: aggregate_profiles([ref, other]),
+        "aggregate_object": lambda: merge_trees(
+            [view_oracle.top_down(ref), view_oracle.top_down(other)]),
         "diff_columnar": lambda: diff_profiles(fast, fast_other),
-        "diff_object": lambda: diff_profiles(ref, other),
+        "diff_object": lambda: diff_trees(view_oracle.top_down(ref),
+                                          view_oracle.top_down(other)),
     }, repeats)
 
     # Layout on warm view trees: the columnar side emits rect geometry
     # without materializing a single ViewNode.
     fast_view = top_down(fast)
-    ref_view = top_down(ref)
+    ref_view = view_oracle.top_down(ref)
     layout_times = _interleaved_best({
         "layout_columnar": lambda: layout(fast_view),
         "layout_object": lambda: layout(ref_view),

@@ -140,7 +140,7 @@ class CaptureEnvelope:
 
         try:
             labels_raw = json.loads(get(HEADER_LABELS, "{}"))
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise EnvelopeError("unparseable %s header: %s"
                                 % (HEADER_LABELS, exc))
         if not isinstance(labels_raw, dict):
@@ -183,7 +183,7 @@ class CaptureEnvelope:
             raise EnvelopeError("truncated spool record (no metadata line)")
         try:
             meta = json.loads(data[len(prefix):newline].decode("utf-8"))
-        except (ValueError, UnicodeDecodeError) as exc:
+        except (ValueError, UnicodeDecodeError, RecursionError) as exc:
             raise EnvelopeError("unparseable spool metadata: %s" % exc)
         blob = data[newline + 1:]
         try:

@@ -87,13 +87,19 @@ def _convert_sampled(builder: ProfileBuilder, metric: int, spec: dict,
                           % (len(weights), len(samples)))
     for i, stack in enumerate(samples):
         weight = float(weights[i]) if weights else 1.0
-        try:
-            path = prefix + [frames[index] for index in stack]
-        except IndexError:
-            raise FormatError("sample %d references an unknown frame" % i
-                              ) from None
+        path = prefix + [frames[_frame_index(frames, index, "sample %d" % i)]
+                         for index in stack]
         if path:
             builder.sample(path, {metric: weight})
+
+
+def _frame_index(frames: List[Frame], index: object, where: str) -> int:
+    """``index`` if it names an entry of the frame table.  Only a plain
+    ``int`` in range does: a negative one would count from the end."""
+    if type(index) is not int or not 0 <= index < len(frames):
+        raise FormatError("%s references an unknown frame %r"
+                          % (where, index))
+    return index
 
 
 def _convert_evented(builder: ProfileBuilder, metric: int, spec: dict,
@@ -103,14 +109,10 @@ def _convert_evented(builder: ProfileBuilder, metric: int, spec: dict,
     for event in spec.get("events", []):
         at = float(event.get("at", last_at))
         if stack and at > last_at:
-            try:
-                path = prefix + [frames[index] for index in stack]
-            except IndexError:
-                raise FormatError("event references an unknown frame"
-                                  ) from None
+            path = prefix + [frames[index] for index in stack]
             builder.sample(path, {metric: at - last_at})
         event_type = event.get("type")
-        frame_index = int(event.get("frame", -1))
+        frame_index = _frame_index(frames, event.get("frame"), "event")
         if event_type == "O":
             stack.append(frame_index)
         elif event_type == "C":

@@ -330,15 +330,6 @@ class ColumnarCCT:
         self._synced_version = cct._version
         return cct
 
-    def resolve_nodes(self, ids) -> List[CCTNode]:
-        """Materialized :class:`CCTNode` objects for columnar ids."""
-        nodes = self.node_objects
-        if nodes is None:
-            raise RuntimeError(
-                "columnar ids resolve only after to_cct() materialized "
-                "the object tree")
-        return [nodes[i] for i in ids]
-
 
 def from_cct(cct: CCT, n_metrics: int) -> ColumnarCCT:
     """Fold an object CCT into columnar arrays.

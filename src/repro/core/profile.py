@@ -7,6 +7,7 @@ metadata (producing tool, capture time, duration).
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -17,6 +18,14 @@ from .frame import Frame
 from .keys import CONTENT, source_key
 from .metric import Metric, MetricSchema
 from .monitor import MonitoringPoint, POINT_ARITY, PointKind
+
+#: Holds a fold into arrays and the cache-key reads it re-stamps together:
+#: a key read half-way through a fold would see the new snapshot under the
+#: old stamp and fall back to a content digest, and two threads folding
+#: one profile would each attach a snapshot.  One lock serves every
+#: profile: a fold is interpreter work, so per-profile locks would let
+#: little more run at once.
+_FOLD_LOCK = threading.Lock()
 
 
 @dataclass
@@ -83,8 +92,8 @@ class Profile:
 
         A snapshot is stale once the object tree mutated past the version
         the snapshot was taken at.  With ``build=True`` a missing or stale
-        snapshot is (re)built from the object tree — worth it only when
-        several vectorized passes will reuse it.
+        snapshot is (re)built from the object tree, as every view
+        transform does; the object tree stays, and so does a source key.
         """
         col = self._columnar
         cct = self._cct
@@ -94,17 +103,21 @@ class Profile:
         if not build:
             return None
         from .cct_columnar import from_cct
-        before = self.stamp()
-        col = from_cct(self.cct, len(self.schema))
-        self._columnar = col
-        # The fold changes the representation, not the content: a source
-        # key or digest taken on the object tree still names it.
-        after = self.stamp()
-        if self._source is not None and self._source[1] == before:
-            self._source = (self._source[0], after)
-        if self._content is not None and self._content[1] == before:
-            self._content = (self._content[0], after)
-        return col
+        with _FOLD_LOCK:
+            col = self.columnar()
+            if col is not None:  # another thread folded it meanwhile
+                return col
+            before = self.stamp()
+            col = from_cct(self.cct, len(self.schema))
+            self._columnar = col
+            # The fold changes the representation, not the content: a
+            # source key or digest taken on the object tree still names it.
+            after = self.stamp()
+            if self._source is not None and self._source[1] == before:
+                self._source = (self._source[0], after)
+            if self._content is not None and self._content[1] == before:
+                self._content = (self._content[0], after)
+            return col
 
     # -- cache keys --------------------------------------------------------
 
@@ -137,18 +150,19 @@ class Profile:
         parse; after that (or for a profile built in process) the content
         digest, computed once per stamp.
         """
-        stamp = self.stamp()
-        source = self._source
-        if source is not None:
-            if source[1] == stamp:
-                return source[0]
-            # Mutated since parse: the bytes no longer describe it.
-            self._source = None
-        content = self._content
-        if content is None or content[1] != stamp:
-            content = (CONTENT + profile_digest(self), stamp)
-            self._content = content
-        return content[0]
+        with _FOLD_LOCK:
+            stamp = self.stamp()
+            source = self._source
+            if source is not None:
+                if source[1] == stamp:
+                    return source[0]
+                # Mutated since parse: the bytes no longer describe it.
+                self._source = None
+            content = self._content
+            if content is None or content[1] != stamp:
+                content = (CONTENT + profile_digest(self), stamp)
+                self._content = content
+            return content[0]
 
     # -- construction ------------------------------------------------------
 

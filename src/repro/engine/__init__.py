@@ -5,12 +5,10 @@ See :mod:`repro.engine.engine` for the design discussion and
 """
 
 from .cache import CacheStats, LRUCache
-from .engine import (AnalysisEngine, forget_everywhere, get_engine,
-                     invalidate_everywhere)
+from .engine import AnalysisEngine, forget_everywhere, get_engine
 from .parallel import WorkerPool, default_worker_count
 
 __all__ = [
     "AnalysisEngine", "CacheStats", "LRUCache", "WorkerPool",
     "default_worker_count", "forget_everywhere", "get_engine",
-    "invalidate_everywhere",
 ]

@@ -112,19 +112,12 @@ class AnalysisEngine:
     def transform(self, profile: Profile, shape: str,
                   customization: Optional[Customization] = None
                   ) -> ViewTree:
-        """Memoized :func:`repro.analysis.transform.transform`.
-
-        Whether the profile carries arrays is part of the key: a profile
-        that gained its columnar snapshot since an earlier transform of
-        equal content gets a columnar-backed view, not the cached object
-        tree."""
+        """Memoized :func:`repro.analysis.transform.transform`."""
         compute = lambda: transform_fn(profile, shape, customization)
         if customization is not None and customization.has_hooks():
             # User callbacks may close over arbitrary state; never cache.
             return self._bypass("transform", compute)
-        return self._memoize("transform",
-                             (profile.cache_key(), shape,
-                              profile.columnar() is not None),
+        return self._memoize("transform", (profile.cache_key(), shape),
                              compute)
 
     def layout(self, tree: ViewTree, metric_index: int = 0,
@@ -310,7 +303,7 @@ class AnalysisEngine:
 
 
 #: Every engine alive in the process, for cross-engine invalidation when a
-#: cached object is mutated in place (see :func:`invalidate_everywhere`).
+#: cached object is mutated in place (see :func:`forget_everywhere`).
 _live_engines: "weakref.WeakSet[AnalysisEngine]" = weakref.WeakSet()
 
 _default_engine: Optional[AnalysisEngine] = None
@@ -320,39 +313,22 @@ _default_lock = threading.Lock()
 def forget_everywhere(value: Any, *derivation: Hashable) -> int:
     """Forget ``value`` in every live engine and move its cache key.
 
-    Every in-place tree mutator calls this (directly or through
-    :func:`invalidate_everywhere`) so a mutated tree is never served, or
-    keyed, under its pre-mutation key, whichever engine cached it.  A
-    mutator that can name what it did passes ``derivation`` — the
+    Every in-place tree mutator calls this so a mutated tree is never
+    served, or keyed, under its pre-mutation key, whichever engine cached
+    it.  A mutator that can name what it did passes ``derivation`` — the
     operation and its canonical arguments — and the tree is re-keyed
     from its old key (:meth:`~repro.analysis.viewtree.ViewTree.rekey`);
-    otherwise the tree falls back to its content digest.
-    ``formula.derive`` and ``diff.add_delta_column`` need only this half:
-    on a columnar-backed tree they install a new array snapshot rather
-    than edit the facade.  Returns the total number of entries dropped.
+    otherwise (``Customization.finish``: callbacks are no derivation a
+    key can name) the tree falls back to its content digest.  The
+    mutators install a new array snapshot rather than edit the facade,
+    so a columnar-backed tree keeps its arrays.  Returns the total
+    number of entries dropped.
     """
     dropped = sum(engine.cache.forget_value(value)
                   for engine in list(_live_engines))
     if isinstance(value, ViewTree):
         value.rekey(*derivation)
     return dropped
-
-
-def invalidate_everywhere(value: Any) -> int:
-    """:func:`forget_everywhere`, after dropping a columnar backing.
-
-    For mutators that write through the ``ViewNode`` facade dicts of a
-    possibly columnar-backed tree (``Customization.finish``): the arrays
-    would no longer agree, and a surviving columnar plane would keep
-    serving — and digesting — stale values.  ``mark_mutated`` forces the
-    facade before dropping the arrays, so no lazily pending values are
-    lost.  The tree's derivation key goes too: callbacks are not a
-    derivation a key can name, so it falls back to its content digest.
-    """
-    mark = getattr(value, "mark_mutated", None)
-    if mark is not None:
-        mark()
-    return forget_everywhere(value)
 
 
 def get_engine() -> AnalysisEngine:

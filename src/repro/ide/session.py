@@ -168,10 +168,6 @@ class ViewerSession:
 
     def _view(self, opened: OpenedProfile, shape: str) -> ViewTree:
         if shape not in opened.views:
-            # Every view the session serves runs on arrays: profiles from
-            # converters that build object CCTs (or changed since) get
-            # their columnar snapshot here.
-            opened.profile.columnar(build=True)
             opened.views[shape] = self.engine.transform(opened.profile,
                                                         shape)
         return opened.views[shape]

@@ -276,7 +276,8 @@ def parse_segment(data: bytes, path: str = "",
     body = view[len(SEGMENT_MAGIC):footer_at]
     try:
         segment = _parse_footer(footer)
-    except (WireError, UnicodeDecodeError, ValueError) as exc:
+    except (WireError, UnicodeDecodeError, ValueError,
+            RecursionError) as exc:  # labels JSON nested too deep
         raise StoreError("segment %s has a corrupt footer: %s"
                          % (path or "<data>", exc)) from exc
     segment.path = path

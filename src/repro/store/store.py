@@ -272,18 +272,7 @@ class ProfileStore:
         return segment
 
     def load(self, entry: RecordEntry) -> Profile:
-        """Materialize the profile behind one index entry.
-
-        The profile carries arrays.  A record with snapshot or pair
-        points decodes into an object CCT, which is folded here, so the
-        views of a query result — and the trees a session pins from
-        them — run on arrays like every other view.
-        """
-        profile = self._read(entry)
-        profile.columnar(build=True)
-        return profile
-
-    def _read(self, entry: RecordEntry) -> Profile:
+        """Materialize the profile behind one index entry."""
         if entry.segment is None:
             with self._lock:
                 records = list(self.wal.records)

@@ -140,7 +140,8 @@ def scan(data: bytes) -> Tuple[List[WalRecord], int]:
             break
         try:
             records.append(WalRecord.from_payload(payload))
-        except (WireError, UnicodeDecodeError, ValueError):
+        except (WireError, UnicodeDecodeError, ValueError, RecursionError):
+            # RecursionError: labels JSON nested past the parser's limit.
             break
         pos = end
     return records, pos

@@ -14,12 +14,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.aggregate import aggregate_profiles
-from repro.analysis.diff import diff_profiles
+from repro.analysis.aggregate import aggregate_profiles, merge_trees
+from repro.analysis.diff import diff_profiles, diff_trees
 from repro.analysis.metrics import compute_inclusive, inclusive_value
 from repro.analysis.traversal import bfs, postorder, preorder
 from repro.analysis.transform import bottom_up, top_down
 from repro.analysis.viewtree import SourceList
+from repro.bench import view_oracle
 from repro.bench.pprof_oracle import parse_object
 from repro.builder import ProfileBuilder
 from repro.converters import pprof as pprof_converter
@@ -94,17 +95,18 @@ class TestConverterOracle:
 
     def test_view_trees_identical(self, pair):
         fast, ref = pair
-        assert_views_identical(top_down(fast), top_down(ref))
-        assert_views_identical(bottom_up(fast), bottom_up(ref))
+        assert_views_identical(top_down(fast), view_oracle.top_down(ref))
+        assert_views_identical(bottom_up(fast), view_oracle.bottom_up(ref))
 
     def test_diff_and_aggregate_identical(self, pair):
         fast, ref = pair
         other = parse_object(
             generate_bytes(tier("small"), compress=False))
+        ref_views = [view_oracle.top_down(ref), view_oracle.top_down(other)]
         assert (viewtree_digest(diff_profiles(fast, other))
-                == viewtree_digest(diff_profiles(ref, other)))
+                == viewtree_digest(diff_trees(*ref_views)))
         assert (viewtree_digest(aggregate_profiles([fast, other]))
-                == viewtree_digest(aggregate_profiles([ref, other])))
+                == viewtree_digest(merge_trees(ref_views)))
 
 
 class TestRoundTrips:
@@ -349,3 +351,29 @@ class TestSourceList:
         left.extend(right)
         right.append("c")
         assert list(left) == ["a", "b"]
+
+
+class TestBenchGate:
+    """The CCT bench's oracle gate refuses a reference side with arrays:
+    it would compare the fast path with itself."""
+
+    @pytest.fixture(scope="class")
+    def raw(self):
+        return generate_bytes(tier("small"), compress=False)
+
+    def test_reference_profile_with_arrays(self, raw):
+        from repro.bench.cct import OracleMismatch, _check_equality
+        ref = parse_object(raw)
+        ref.columnar(build=True)
+        with pytest.raises(OracleMismatch, match="arrays"):
+            _check_equality("small", pprof_converter.parse(raw), ref,
+                            pprof_converter.parse(raw), parse_object(raw))
+
+    def test_reference_view_with_arrays(self, raw):
+        from repro.bench.cct import OracleMismatch, _assert_view_digests
+        fast = top_down(pprof_converter.parse(raw))
+        _assert_view_digests("small", "top_down", fast,
+                             view_oracle.top_down(parse_object(raw)))
+        with pytest.raises(OracleMismatch, match="arrays"):
+            _assert_view_digests("small", "top_down", fast,
+                                 top_down(parse_object(raw)))

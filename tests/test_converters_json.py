@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro.converters import parse_bytes
 from repro.converters.chrome import parse as parse_chrome
 from repro.converters.cloudprofiler import parse as parse_cloud, wrap
 from repro.converters.hpctoolkit import parse as parse_hpct
@@ -141,6 +142,26 @@ class TestSpeedscope:
     def test_missing_schema_rejected(self):
         with pytest.raises(FormatError):
             parse_speedscope(b"{}")
+
+    @pytest.mark.parametrize("index", [-1, -2, 2, True, 1.0, "1", None])
+    def test_sample_frame_index_out_of_table_rejected(self, index):
+        payload = self.sampled()
+        payload["profiles"][0]["samples"] = [[0, index]]
+        payload["profiles"][0]["weights"] = [5]
+        with pytest.raises(FormatError, match="unknown frame"):
+            parse_bytes(as_bytes(payload), format="speedscope")
+
+    def test_open_event_without_frame_rejected(self):
+        # Without the check the missing index defaulted to -1 and opened
+        # the last frame of the table.
+        payload = {
+            "$schema": "speedscope",
+            "shared": {"frames": [{"name": "main"}, {"name": "work"}]},
+            "profiles": [{"type": "evented", "events": [
+                {"type": "O", "at": 0}, {"type": "C", "at": 2}]}],
+        }
+        with pytest.raises(FormatError, match="unknown frame"):
+            parse_bytes(as_bytes(payload), format="speedscope")
 
 
 class TestPyinstrument:

@@ -391,3 +391,118 @@ def test_builtin_exceptions_become_format_errors(format_name, data):
                   lambda payload: parse_bytes(payload, format=format_name)):
         with pytest.raises(FormatError, match=format_name):
             bounded(parse, data)
+
+
+# -- the store and spool readers -------------------------------------------
+
+def _reader_inputs():
+    """A small valid segment, WAL file and spool record."""
+    from repro.continuous.envelope import CaptureEnvelope
+    from repro.core import serialize
+    from repro.profilers.corpus import generate_bytes, tier
+    from repro.store.segment import build_segment
+    from repro.store.wal import WalRecord
+
+    blobs = []
+    for seed in (5, 6):
+        spec = dataclasses.replace(tier("small"), name="reader", seed=seed,
+                                   functions=12, samples=20, max_depth=5)
+        blobs.append(serialize.dumps(parse_bytes(generate_bytes(spec),
+                                                 format="pprof")))
+    records = [WalRecord(service="api", ptype="cpu", labels={"zone": "a"},
+                         time_nanos=1_700_000_000_000_000_000 + seq,
+                         duration_nanos=10, blob=blob, seq=seq)
+               for seq, blob in enumerate(blobs, 1)]
+    segment, _ = build_segment(records)
+    spool = CaptureEnvelope(service="api", host="h1", ptype="cpu", seq=3,
+                            blob=blobs[0], labels={"zone": "a"}).to_bytes()
+    return {"segment": segment,
+            "wal": b"".join(record.encode() for record in records),
+            "spool": spool}
+
+
+def _readers(directory):
+    """Reader name → a function that reads one input through it."""
+    from repro.continuous.envelope import CaptureEnvelope
+    from repro.store import wal
+    from repro.store.segment import load_profile, parse_segment
+
+    def read_segment(data):
+        path = str(directory / "mutant.seg")
+        with open(path, "wb") as handle:
+            handle.write(data)
+        segment = parse_segment(data, path)
+        return [load_profile(segment, meta) for meta in segment.records]
+
+    return {"segment": read_segment, "wal": wal.scan,
+            "spool": CaptureEnvelope.from_bytes}
+
+
+@pytest.fixture(scope="module")
+def reader_inputs():
+    return _reader_inputs()
+
+
+class TestReaderMutations:
+    """The seeded mutants above, fed to the segment, WAL and spool
+    readers: each reads its valid input, and only ``EasyViewError``
+    escapes any mutant."""
+
+    @pytest.mark.parametrize("reader", ["segment", "wal", "spool"])
+    def test_valid_input_reads(self, reader_inputs, tmp_path, reader):
+        assert _readers(tmp_path)[reader](reader_inputs[reader])
+
+    @pytest.mark.parametrize("reader", ["segment", "wal", "spool"])
+    def test_only_easyview_errors_escape(self, reader_inputs, tmp_path,
+                                         reader):
+        read = _readers(tmp_path)[reader]
+        escaped = []
+        for mutant in mutants(reader_inputs[reader], 150, seed=19):
+            try:
+                bounded(read, mutant)
+            except EasyViewError:
+                pass
+            except Exception as exc:  # noqa: BLE001 - the point of the test
+                escaped.append("%s: %s" % (type(exc).__name__, exc))
+        assert escaped == []
+
+    @pytest.mark.parametrize("reader", ["segment", "wal", "spool"])
+    def test_deeply_nested_labels(self, tmp_path, reader):
+        """Label JSON nested past the parser's limit is a typed error
+        (a torn tail for the WAL), not a ``RecursionError``."""
+        import zlib
+
+        from repro.continuous.envelope import SPOOL_MAGIC
+        from repro.proto.fastwire import Writer
+        from repro.store import segment, wal
+
+        deep = "[" * 200_000 + "]" * 200_000
+        fields = Writer()
+        fields.string(1, "api")
+        fields.string(3, deep)
+        fields = fields.getvalue()
+        if reader == "segment":
+            footer = Writer()
+            footer.message(2, fields)
+            footer = footer.getvalue()
+            data = (segment.SEGMENT_MAGIC + footer
+                    + segment._FOOTER_LEN.pack(len(footer))
+                    + segment.SEGMENT_END)
+        elif reader == "wal":
+            data = wal._HEADER.pack(wal.RECORD_MAGIC, len(fields),
+                                    zlib.crc32(fields)) + fields
+        else:
+            data = SPOOL_MAGIC + b" " + deep.encode() + b"\nblob"
+        try:
+            result = bounded(_readers(tmp_path)[reader], data)
+        except EasyViewError:
+            return
+        assert reader == "wal" and result == ([], 0)
+
+    def test_deeply_nested_label_header(self):
+        from repro.continuous.envelope import (HEADER_LABELS, HEADER_SERVICE,
+                                               CaptureEnvelope)
+        headers = {HEADER_SERVICE: "api",
+                   HEADER_LABELS: "[" * 5000 + "]" * 5000}
+        with pytest.raises(EasyViewError):
+            CaptureEnvelope.from_headers(headers, b"blob")

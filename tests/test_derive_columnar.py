@@ -4,9 +4,10 @@
 matrix of a columnar-backed view and keep the arrays; the scalar
 evaluator over the ``ViewNode`` dicts stays as the oracle.  Every check
 here runs the same operations on a columnar tree and on its
-``mark_mutated()`` twin (same arrays, facade only) and demands identical
-results bit for bit — digests, materialized dicts with key order, signed
-zeros — and the same diff / aggregate / summary / flame layout on top.
+``view_oracle.facade_only`` twin (same arrays, facade only) and demands
+identical results bit for bit — digests, materialized dicts with key
+order, signed zeros — and the same diff / aggregate / summary / flame
+layout on top.
 
 NaNs compare as one value: which payload (sign included) survives ``+``
 or ``*`` of two NaNs changes in CPython itself once the adaptive
@@ -27,6 +28,7 @@ from repro.analysis.aggregate import merge_trees
 from repro.analysis.diff import add_delta_column, diff_trees, summarize
 from repro.analysis.transform import transform
 from repro.analysis.viewtree import ViewTree
+from repro.bench.view_oracle import facade_only
 from repro.core.cct_columnar import from_cct
 from repro.core.digest import viewtree_digest
 from repro.errors import EasyViewError
@@ -148,8 +150,7 @@ def assert_same_tree(fast, oracle):
 def _twins(profile, shape):
     """(columnar tree, object-only twin) built off the same arrays."""
     fast = transform(profile, shape)
-    oracle = transform(profile, shape)
-    oracle.mark_mutated()
+    oracle = facade_only(transform(profile, shape))
     assert fast.columnar() is not None and oracle.columnar() is None
     return fast, oracle
 

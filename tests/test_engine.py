@@ -12,7 +12,7 @@ from repro.core.digest import profile_digest, schema_digest, viewtree_digest
 from repro.core.metric import Metric
 from repro.engine import (AnalysisEngine, LRUCache, WorkerPool,
                           default_worker_count, forget_everywhere,
-                          get_engine, invalidate_everywhere)
+                          get_engine)
 
 
 def build(entries, tool="test", metrics=("cpu",)):
@@ -363,26 +363,17 @@ class TestEngineInvalidation:
         add_delta_column(diff, 0)
         assert engine.diff_profiles(base, treat) is not diff
 
-    def test_invalidate_everywhere_returns_drop_count(self):
-        engine = AnalysisEngine()
-        tree = engine.transform(build(ENTRIES), "top_down")
-        assert invalidate_everywhere(tree) == 1
-        assert invalidate_everywhere(tree) == 0
-
-    def test_forget_keeps_arrays_invalidate_drops_them(self):
-        from repro.core.cct_columnar import from_cct
+    def test_forget_keeps_arrays(self):
         engine = AnalysisEngine()
         profile = build(ENTRIES)
-        profile.attach_columnar(from_cct(profile.cct, len(profile.schema)))
         tree = engine.transform(profile, "top_down")
         stale = tree.cache_key()
         tree.schema.add(Metric("late"))
         assert forget_everywhere(tree) == 1
+        assert forget_everywhere(tree) == 0
         assert tree.columnar() is not None
         assert tree.cache_key() != stale  # memo dropped too
         assert engine.transform(profile, "top_down") is not tree
-        invalidate_everywhere(tree)
-        assert tree.columnar() is None
 
     def test_layout_of_mutated_tree_recomputed(self):
         engine = AnalysisEngine()

@@ -13,6 +13,7 @@ import threading
 import pytest
 
 from repro import ProfileBuilder
+from repro.analysis.aggregate import merge_trees
 from repro.analysis.callbacks import Customization
 from repro.analysis.diff import add_delta_column
 from repro.analysis.formula import derive
@@ -242,6 +243,36 @@ class TestStamp:
         assert len(keys) == 8 * 50
         assert len(set(keys)) == 1
         assert keys[0][2] == CONTENT + viewtree_digest(outside)
+
+    def test_concurrent_folds_keep_the_source_key(self, digest_calls):
+        # The per-profile transforms of an aggregate run on pool workers;
+        # each folds the object-only profile into arrays, and a key read
+        # half-way through a fold must not see the new snapshot under
+        # the old stamp (it would fall back to a content digest).
+        data = "".join("main;w%d;leaf%d %d\n" % (i % 7, i % 13, i + 1)
+                       for i in range(300)).encode()
+        expected = viewtree_digest(merge_trees(
+            [transform(parse_bytes(data, format="collapsed"), "top_down")]
+            * 8))
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                profile = parse_bytes(data, format="collapsed")
+                assert profile.columnar() is None
+                key = profile.cache_key()
+                assert key.startswith(SOURCE)
+                engine = AnalysisEngine(max_workers=8)
+                merged = engine.aggregate_profiles([profile] * 8)
+                assert profile.cache_key() == key
+                assert profile.columnar() is not None
+                cvt = merged.columnar()
+                series = cvt.hist[cvt.hist_present]
+                assert (series == series[:, :1]).all()  # eight equal trees
+                assert viewtree_digest(merged) == expected
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert digest_calls == []
 
 
 class TestRekeying:

@@ -4,8 +4,8 @@ Each request the viewer session answers on columnar rows — hover and
 code-lens attribution, assembly annotations, search and its coverage,
 the summary window, zoom, click/select and the tree table — is held
 against the facade path: a twin of the same view whose arrays are
-dropped (``mark_mutated``), so the object functions walk its ``ViewNode``
-facade and the CCT nodes behind its sources.  Inputs are two corpus
+dropped (``view_oracle.facade_only``), so the object functions walk its
+``ViewNode`` facade and the CCT nodes behind its sources.  Inputs are two corpus
 profiles and hypothesis profiles with tied values (built through the
 object API, then given arrays).  Results must be equal exactly,
 floating-point sums and tie-breaks included.
@@ -23,6 +23,7 @@ from repro.analysis.diff import diff_trees
 from repro.analysis.prune import hot_path
 from repro.analysis.query import match_fraction, search
 from repro.analysis.transform import transform
+from repro.bench.view_oracle import facade_only
 from repro.converters import pprof
 from repro.core.frame import FrameKind, intern_frame
 from repro.core.metric import Metric
@@ -56,9 +57,7 @@ def _views(profiles, kind):
             return trees[0]
         return diff_trees(*trees) if kind == "diff" else merge_trees(trees)
 
-    twin = build()
-    twin.mark_mutated()
-    return build(), twin
+    return build(), facade_only(build())
 
 
 KINDS = SHAPES + ("diff", "aggregate")

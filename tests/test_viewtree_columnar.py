@@ -1,15 +1,15 @@
 """Differential oracle for the columnar view pipeline.
 
 The array-backed view trees (:mod:`repro.analysis.viewtree_columnar`) and
-the per-``ViewNode`` object transforms must be observably identical: same
-materialized trees (child insertion order included), same digests, same
-aggregate and diff results, same flame-graph rectangles.  The object path
-is kept alive purely as the oracle these tests hold the vectorized path
-against — on corpus fixtures, synthetic workloads, a 10k-deep call chain,
-and randomized trees via hypothesis round-trips.  Also here: regression
-tests for in-place mutation (column-wise mutators keep the backing and
-stay equal to the object path; facade edits must drop it, or digests
-serve stale bytes).
+the per-``ViewNode`` object transforms (:mod:`repro.bench.view_oracle`)
+must be observably identical: same materialized trees (child insertion
+order included), same digests, same aggregate and diff results, same
+flame-graph rectangles.  The object path is kept alive purely as the
+oracle these tests hold the vectorized path against — on corpus
+fixtures, synthetic workloads, a 10k-deep call chain, and randomized
+trees via hypothesis round-trips.  Also here: regression tests for
+in-place mutation (column-wise mutators and derived-metric callbacks
+keep the backing and stay equal to the object path).
 """
 
 import dataclasses
@@ -24,6 +24,7 @@ from repro.analysis.diff import add_delta_column, diff_trees, summarize
 from repro.analysis.transform import bottom_up, flat, top_down, transform
 from repro.analysis.viewtree import ViewNode, ViewTree
 from repro.analysis import viewtree_columnar
+from repro.bench import view_oracle
 from repro.bench.pprof_oracle import parse_object
 from repro.converters import pprof
 from repro.core.cct_columnar import from_cct
@@ -61,6 +62,11 @@ def _pair(raw):
     return pprof.parse(raw), parse_object(raw)
 
 
+def _oracle(raw, shape):
+    """The object-path view of an object-only profile off ``raw``."""
+    return view_oracle.transform(parse_object(raw), shape)
+
+
 def _attach(profile):
     """Give an object-built workload profile a columnar CCT."""
     profile.attach_columnar(from_cct(profile.cct, len(profile.schema)))
@@ -85,7 +91,7 @@ class TestTransformOracle:
     def test_corpus(self, corpus_raw, shape):
         col_profile, obj_profile = _pair(corpus_raw)
         col_tree = transform(col_profile, shape)
-        obj_tree = transform(obj_profile, shape)
+        obj_tree = view_oracle.transform(obj_profile, shape)
         assert col_tree.columnar() is not None
         assert obj_tree.columnar() is None
         assert_views_identical(col_tree, obj_tree)
@@ -98,7 +104,7 @@ class TestTransformOracle:
         obj_profile = workload()
         assert col_profile.columnar() is not None
         col_tree = transform(col_profile, shape)
-        obj_tree = transform(obj_profile, shape)
+        obj_tree = view_oracle.transform(obj_profile, shape)
         assert col_tree.columnar() is not None
         assert_views_identical(col_tree, obj_tree)
         assert viewtree_digest(col_tree) == viewtree_digest(obj_tree)
@@ -108,7 +114,7 @@ class TestTransformOracle:
         col_profile = _attach(deep_path_profile())
         obj_profile = deep_path_profile()
         col_tree = transform(col_profile, shape)
-        obj_tree = transform(obj_profile, shape)
+        obj_tree = view_oracle.transform(obj_profile, shape)
         assert col_tree.columnar() is not None
         assert_views_identical(col_tree, obj_tree)
         assert viewtree_digest(col_tree) == viewtree_digest(obj_tree)
@@ -119,8 +125,7 @@ class TestAggregateOracle:
     def test_merge(self, corpus_raw, corpus_raw_alt, shape):
         col = [transform(pprof.parse(corpus_raw), shape),
                transform(pprof.parse(corpus_raw_alt), shape)]
-        obj = [transform(parse_object(corpus_raw), shape),
-               transform(parse_object(corpus_raw_alt), shape)]
+        obj = [_oracle(corpus_raw, shape), _oracle(corpus_raw_alt, shape)]
         merged_col = merge_trees(col)
         merged_obj = merge_trees(obj)
         assert merged_col.columnar() is not None
@@ -131,8 +136,8 @@ class TestAggregateOracle:
         """Nested merges keep the columnar path and stay lazy."""
         col = [transform(pprof.parse(corpus_raw), "top_down"),
                transform(pprof.parse(corpus_raw_alt), "top_down")]
-        obj = [transform(parse_object(corpus_raw), "top_down"),
-               transform(parse_object(corpus_raw_alt), "top_down")]
+        obj = [_oracle(corpus_raw, "top_down"),
+               _oracle(corpus_raw_alt, "top_down")]
         nested_col = merge_trees([merge_trees(col), merge_trees(col)],
                                  operators=(Aggregation.SUM,))
         nested_obj = merge_trees([merge_trees(obj), merge_trees(obj)],
@@ -146,8 +151,8 @@ class TestAggregateOracle:
                      Aggregation.MEAN, Aggregation.LAST)
         col = [transform(pprof.parse(corpus_raw), "top_down"),
                transform(pprof.parse(corpus_raw_alt), "top_down")]
-        obj = [transform(parse_object(corpus_raw), "top_down"),
-               transform(parse_object(corpus_raw_alt), "top_down")]
+        obj = [_oracle(corpus_raw, "top_down"),
+               _oracle(corpus_raw_alt, "top_down")]
         merged_col = merge_trees(col, operators=operators)
         merged_obj = merge_trees(obj, operators=operators)
         assert merged_col.columnar() is not None
@@ -178,9 +183,8 @@ class TestDiffOracle:
     def test_diff(self, corpus_raw, corpus_raw_alt, shape):
         diff_col = diff_trees(transform(pprof.parse(corpus_raw), shape),
                               transform(pprof.parse(corpus_raw_alt), shape))
-        diff_obj = diff_trees(
-            transform(parse_object(corpus_raw), shape),
-            transform(parse_object(corpus_raw_alt), shape))
+        diff_obj = diff_trees(_oracle(corpus_raw, shape),
+                              _oracle(corpus_raw_alt, shape))
         assert diff_col.columnar() is not None
         assert_views_identical(diff_col, diff_obj)
         assert viewtree_digest(diff_col) == viewtree_digest(diff_obj)
@@ -192,8 +196,8 @@ class TestDiffOracle:
             transform(pprof.parse(corpus_raw_alt), "top_down"),
             tolerance=50.0)
         diff_obj = diff_trees(
-            transform(parse_object(corpus_raw), "top_down"),
-            transform(parse_object(corpus_raw_alt), "top_down"),
+            _oracle(corpus_raw, "top_down"),
+            _oracle(corpus_raw_alt, "top_down"),
             tolerance=50.0)
         assert diff_col.columnar() is not None
         assert summarize(diff_col) == summarize(diff_obj)
@@ -208,15 +212,14 @@ class TestDiffOracle:
 
 
 class TestMutationInvalidation:
-    """In-place mutators: ``derive`` and ``add_delta_column`` install a new
-    array snapshot (copy-on-write) that matches the object path byte for
-    byte; only facade-dict edits drop the backing (without
-    ``mark_mutated``, the digest would read pre-mutation array bytes)."""
+    """In-place mutators: ``derive``, ``add_delta_column`` and derived
+    -metric callbacks install a new array snapshot (copy-on-write) that
+    matches the object path byte for byte."""
 
     def test_derive_keeps_backing_and_redigests(self, corpus_raw):
         tree = transform(pprof.parse(corpus_raw), "top_down")
-        oracle = transform(pprof.parse(corpus_raw), "top_down")
-        oracle.mark_mutated()
+        oracle = view_oracle.facade_only(
+            transform(pprof.parse(corpus_raw), "top_down"))
         snapshot = tree.columnar()
         before = viewtree_digest(tree)
         first = tree.schema.names()[0]
@@ -232,17 +235,21 @@ class TestMutationInvalidation:
         root = tree.root
         assert root.inclusive[column] == 2 * root.inclusive.get(0, 0.0)
 
-    def test_facade_edit_drops_backing(self, corpus_raw):
+    def test_derive_callback_keeps_backing(self, corpus_raw):
         from repro.analysis.callbacks import Customization
         custom = Customization().derive(Metric("one"), lambda node, env: 1.0)
         tree = transform(pprof.parse(corpus_raw), "top_down",
                          customization=custom)
-        assert tree.columnar() is None
+        assert tree.columnar() is not None
         assert tree.root.inclusive[tree.schema.index_of("one")] == 1.0
+        oracle = _oracle(corpus_raw, "top_down")
+        view_oracle.finish(custom, oracle)
+        assert_views_identical(tree, oracle)
+        assert viewtree_digest(tree) == viewtree_digest(oracle)
 
     def test_derive_matches_object_path(self, corpus_raw):
         col_tree = transform(pprof.parse(corpus_raw), "top_down")
-        obj_tree = transform(parse_object(corpus_raw), "top_down")
+        obj_tree = _oracle(corpus_raw, "top_down")
         first = col_tree.schema.names()[0]
         formula.derive(col_tree, "doubled", "2 * %s" % first)
         formula.derive(obj_tree, "doubled", "2 * %s" % first)
@@ -250,7 +257,7 @@ class TestMutationInvalidation:
         assert viewtree_digest(col_tree) == viewtree_digest(obj_tree)
 
     def test_sources_resolve_after_mutation(self, corpus_raw):
-        """Lazy source parts must survive the backing being dropped."""
+        """Lazy source parts must survive a new array snapshot."""
         tree = transform(pprof.parse(corpus_raw), "top_down")
         formula.derive(tree, "d", "1 + %s" % tree.schema.names()[0])
         child = tree.root.sorted_children()[0]
@@ -263,10 +270,9 @@ class TestMutationInvalidation:
         diffed = diff_trees(
             transform(pprof.parse(corpus_raw), "top_down"),
             transform(pprof.parse(corpus_raw_alt), "top_down"))
-        oracle = diff_trees(
+        oracle = view_oracle.facade_only(diff_trees(
             transform(pprof.parse(corpus_raw), "top_down"),
-            transform(pprof.parse(corpus_raw_alt), "top_down"))
-        oracle.mark_mutated()
+            transform(pprof.parse(corpus_raw_alt), "top_down")))
         before = viewtree_digest(diffed)
         assert add_delta_column(diffed, 0, mode) == \
             add_delta_column(oracle, 0, mode)
@@ -304,7 +310,7 @@ class TestLayoutOracle:
     def test_corpus_layouts(self, corpus_raw, shape, kwargs):
         from repro.viz.layout import layout
         col_tree = transform(pprof.parse(corpus_raw), shape)
-        obj_tree = transform(parse_object(corpus_raw), shape)
+        obj_tree = _oracle(corpus_raw, shape)
         self._assert_layouts_identical(layout(col_tree, **kwargs),
                                        layout(obj_tree, **kwargs))
 
@@ -312,8 +318,8 @@ class TestLayoutOracle:
         from repro.viz.layout import layout
         col = [transform(pprof.parse(corpus_raw), "top_down"),
                transform(pprof.parse(corpus_raw_alt), "top_down")]
-        obj = [transform(parse_object(corpus_raw), "top_down"),
-               transform(parse_object(corpus_raw_alt), "top_down")]
+        obj = [_oracle(corpus_raw, "top_down"),
+               _oracle(corpus_raw_alt, "top_down")]
         self._assert_layouts_identical(layout(merge_trees(col)),
                                        layout(merge_trees(obj)))
         self._assert_layouts_identical(
