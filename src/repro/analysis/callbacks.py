@@ -73,7 +73,8 @@ class Customization:
     def elide_if(self, fn: ElideFn) -> "Customization":
         """Drop any context (and its subtree) for which ``fn`` is true,
         in every shape; ``fn`` never sees a context below a dropped one,
-        and the kept contexts keep their full inclusive values."""
+        sees each context with its inclusive cache filled, and the kept
+        contexts keep their full inclusive values."""
         self._elide_fns.append(fn)
         return self
 

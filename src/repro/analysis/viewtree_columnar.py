@@ -41,6 +41,7 @@ import numpy as np
 from ..core.frame import Frame, FrameKind, intern_frame
 from ..core.metric import Aggregation
 from ..obs import get_registry
+from .metrics import compute_inclusive
 from .viewtree import MergeKey, SourceList, ViewNode, ViewTree
 
 #: Facade builds: the IDE request path makes none (see ``viewrows``).
@@ -713,9 +714,10 @@ def _customized(profile, col, custom):
     an elided context drops its whole subtree, and the callbacks never
     see a context below an elided one), carrying their full inclusive
     values and the profile's own ``CCTNode`` objects as sources.  The
-    callbacks take those objects, so only they build the CCT facade.
+    callbacks take those objects, with their inclusive caches filled, so
+    only they build the CCT facade.
     """
-    if custom is None or custom.is_passthrough():
+    if custom.is_passthrough():
         return col.frames, col
     root = int(col.frame_id[0])
     frames = [frame if index == root else custom.remap(frame)
@@ -723,6 +725,7 @@ def _customized(profile, col, custom):
     if not custom.has_elide_hooks():
         return frames, col
     nodes = _cct_nodes(profile, col)
+    compute_inclusive(profile)  # a callback may read a node's cost
     keep = np.ones(col.n_nodes, dtype=bool)
     ids, start = col._by_depth()
     for level in range(1, len(start) - 1):
@@ -738,7 +741,7 @@ def _customized(profile, col, custom):
     return frames, kept
 
 
-def build_top_down(profile, col, custom=None) -> ViewTree:
+def build_top_down(profile, col, custom) -> ViewTree:
     """Vectorized top-down view build from a columnar CCT.
 
     Shape discovery is one ``np.unique`` over (parent-view-row,
@@ -814,7 +817,7 @@ def build_top_down(profile, col, custom=None) -> ViewTree:
     return ViewTree.columnar_backed(profile.schema.copy(), "top_down", cvt)
 
 
-def build_bottom_up(profile, col, custom=None) -> ViewTree:
+def build_bottom_up(profile, col, custom) -> ViewTree:
     """Vectorized bottom-up view build: array gather along parent chains.
 
     Every CCT context with metrics becomes a *lane*; each iteration all
@@ -919,7 +922,7 @@ def build_bottom_up(profile, col, custom=None) -> ViewTree:
     return ViewTree.columnar_backed(profile.schema.copy(), "bottom_up", cvt)
 
 
-def build_flat(profile, col, custom=None) -> ViewTree:
+def build_flat(profile, col, custom) -> ViewTree:
     """Vectorized flat view build: one grouped scatter-add per level.
 
     The three grouping levels (module / file / function) are token maps

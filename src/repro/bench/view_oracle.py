@@ -115,6 +115,8 @@ def bottom_up(profile: Profile,
     """The bottom-up view: one reversed path per kept context with
     exclusive values, merged node by node."""
     custom = customization or Customization.empty()
+    if custom.has_elide_hooks():
+        compute_inclusive(profile)  # a callback may read a node's cost
     tree = ViewTree(profile.schema.copy(), shape="bottom_up")
     for node in _kept(profile.root, custom):
         if not node.metrics:
@@ -208,11 +210,3 @@ def transform(profile: Profile, shape: str,
               customization: Optional[Customization] = None) -> ViewTree:
     """The object-path view of one shape."""
     return _SHAPES[shape](profile, customization)
-
-
-def facade_only(tree: ViewTree) -> ViewTree:
-    """Drop a view tree's arrays, keeping its ``ViewNode`` facade, so
-    every function given the tree walks the objects (and the CCT nodes
-    behind their sources).  Returns the tree."""
-    tree.root = tree.root
-    return tree

@@ -19,12 +19,12 @@ from .keys import CONTENT, source_key
 from .metric import Metric, MetricSchema
 from .monitor import MonitoringPoint, POINT_ARITY, PointKind
 
-#: Holds a fold into arrays and the cache-key reads it re-stamps together:
-#: a key read half-way through a fold would see the new snapshot under the
-#: old stamp and fall back to a content digest, and two threads folding
-#: one profile would each attach a snapshot.  One lock serves every
-#: profile: a fold is interpreter work, so per-profile locks would let
-#: little more run at once.
+#: Makes publishing a folded snapshot and re-stamping the cache keys one
+#: step, and a cache-key read another: a read between the two would see
+#: the new snapshot under the old stamp and fall back to a content digest,
+#: and two threads folding one profile would each attach a snapshot.  The
+#: fold and the digest themselves run outside it, so one lock serves
+#: every profile.
 _FOLD_LOCK = threading.Lock()
 
 
@@ -103,13 +103,13 @@ class Profile:
         if not build:
             return None
         from .cct_columnar import from_cct
+        folded = from_cct(self.cct, len(self.schema))
         with _FOLD_LOCK:
             col = self.columnar()
-            if col is not None:  # another thread folded it meanwhile
+            if col is not None:  # another thread published first
                 return col
             before = self.stamp()
-            col = from_cct(self.cct, len(self.schema))
-            self._columnar = col
+            col = self._columnar = folded
             # The fold changes the representation, not the content: a
             # source key or digest taken on the object tree still names it.
             after = self.stamp()
@@ -159,10 +159,13 @@ class Profile:
                 # Mutated since parse: the bytes no longer describe it.
                 self._source = None
             content = self._content
-            if content is None or content[1] != stamp:
-                content = (CONTENT + profile_digest(self), stamp)
-                self._content = content
-            return content[0]
+            if content is not None and content[1] == stamp:
+                return content[0]
+        key = CONTENT + profile_digest(self)
+        with _FOLD_LOCK:
+            if self.stamp() == stamp:  # unchanged while digesting
+                self._content = (key, stamp)
+        return key
 
     # -- construction ------------------------------------------------------
 

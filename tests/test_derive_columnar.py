@@ -4,7 +4,7 @@
 matrix of a columnar-backed view and keep the arrays; the scalar
 evaluator over the ``ViewNode`` dicts stays as the oracle.  Every check
 here runs the same operations on a columnar tree and on its
-``view_oracle.facade_only`` twin (same arrays, facade only) and demands
+``twins.facade_only`` twin (same arrays, facade only) and demands
 identical results bit for bit — digests, materialized dicts with key
 order, signed zeros — and the same diff / aggregate / summary / flame
 layout on top.
@@ -28,11 +28,12 @@ from repro.analysis.aggregate import merge_trees
 from repro.analysis.diff import add_delta_column, diff_trees, summarize
 from repro.analysis.transform import transform
 from repro.analysis.viewtree import ViewTree
-from repro.bench.view_oracle import facade_only
 from repro.core.cct_columnar import from_cct
 from repro.core.digest import viewtree_digest
 from repro.errors import EasyViewError
 from repro.viz.layout import layout
+
+from .twins import facade_only
 
 # The edge values overflow and meet inf * 0 on purpose.
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -19,7 +19,8 @@ from repro.analysis.diff import add_delta_column
 from repro.analysis.formula import derive
 from repro.analysis.transform import transform
 from repro.converters import parse_bytes
-from repro.core import digest, serialize
+from repro.core import cct_columnar, digest, serialize
+from repro.core import profile as profile_module
 from repro.core.cct import CCT
 from repro.core.cct_columnar import ColumnarCCT
 from repro.core.digest import viewtree_digest
@@ -273,6 +274,27 @@ class TestStamp:
         finally:
             sys.setswitchinterval(old_interval)
         assert digest_calls == []
+
+    def test_fold_and_digest_run_outside_the_lock(self, monkeypatch):
+        # The lock covers only a fold's publish and the key reads, so a
+        # long fold or digest of one profile stalls no other key read.
+        held = []
+
+        def watched(fn):
+            def wrapper(*args):
+                held.append(profile_module._FOLD_LOCK.locked())
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(profile_module, "profile_digest",
+                            watched(profile_module.profile_digest))
+        monkeypatch.setattr(cct_columnar, "from_cct",
+                            watched(cct_columnar.from_cct))
+        profile = _valued(1.0)
+        key = profile.cache_key()
+        assert profile.columnar(build=True) is not None
+        assert profile.cache_key() == key
+        assert held == [False, False]
 
 
 class TestRekeying:

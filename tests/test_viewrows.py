@@ -4,7 +4,7 @@ Each request the viewer session answers on columnar rows — hover and
 code-lens attribution, assembly annotations, search and its coverage,
 the summary window, zoom, click/select and the tree table — is held
 against the facade path: a twin of the same view whose arrays are
-dropped (``view_oracle.facade_only``), so the object functions walk its
+dropped (``twins.facade_only``), so the object functions walk its
 ``ViewNode`` facade and the CCT nodes behind its sources.  Inputs are two corpus
 profiles and hypothesis profiles with tied values (built through the
 object API, then given arrays).  Results must be equal exactly,
@@ -23,7 +23,6 @@ from repro.analysis.diff import diff_trees
 from repro.analysis.prune import hot_path
 from repro.analysis.query import match_fraction, search
 from repro.analysis.transform import transform
-from repro.bench.view_oracle import facade_only
 from repro.converters import pprof
 from repro.core.frame import FrameKind, intern_frame
 from repro.core.metric import Metric
@@ -33,6 +32,8 @@ from repro.ide.annotations import (assembly_attribution,
 from repro.profilers.corpus import generate_bytes, tier
 from repro.viz.layout import layout
 from repro.viz.treetable import TreeTable
+
+from .twins import facade_only
 
 SHAPES = ("top_down", "bottom_up", "flat")
 

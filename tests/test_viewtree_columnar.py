@@ -35,6 +35,8 @@ from repro.profilers.corpus import generate_bytes, tier
 from repro.profilers.workloads import (deep_path_profile, lulesh_profile,
                                        spark_profile)
 
+from .twins import facade_only
+
 SHAPES = ("top_down", "bottom_up", "flat")
 
 
@@ -87,37 +89,36 @@ def corpus_raw_alt():
 class TestTransformOracle:
     """Each vectorized transform vs the object transform, bit for bit."""
 
-    @pytest.mark.parametrize("shape", SHAPES)
-    def test_corpus(self, corpus_raw, shape):
-        col_profile, obj_profile = _pair(corpus_raw)
-        col_tree = transform(col_profile, shape)
+    @staticmethod
+    def check(col_profile, obj_profile, shape):
+        """The oracle's view of the object-only profile against the view
+        of the array-backed one, node by node, and against the view of
+        the object-only one, folded, by digest."""
+        assert col_profile.columnar() is not None
+        assert obj_profile.columnar() is None
         obj_tree = view_oracle.transform(obj_profile, shape)
+        col_tree = transform(col_profile, shape)
         assert col_tree.columnar() is not None
         assert obj_tree.columnar() is None
         assert_views_identical(col_tree, obj_tree)
-        assert viewtree_digest(col_tree) == viewtree_digest(obj_tree)
+        expected = viewtree_digest(obj_tree)
+        assert viewtree_digest(col_tree) == expected
+        folded = transform(obj_profile, shape)
+        assert folded.columnar() is not None
+        assert viewtree_digest(folded) == expected
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_corpus(self, corpus_raw, shape):
+        self.check(*_pair(corpus_raw), shape)
 
     @pytest.mark.parametrize("shape", SHAPES)
     @pytest.mark.parametrize("workload", [lulesh_profile, spark_profile])
     def test_workloads(self, workload, shape):
-        col_profile = _attach(workload())
-        obj_profile = workload()
-        assert col_profile.columnar() is not None
-        col_tree = transform(col_profile, shape)
-        obj_tree = view_oracle.transform(obj_profile, shape)
-        assert col_tree.columnar() is not None
-        assert_views_identical(col_tree, obj_tree)
-        assert viewtree_digest(col_tree) == viewtree_digest(obj_tree)
+        self.check(_attach(workload()), workload(), shape)
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_deep_chain(self, shape):
-        col_profile = _attach(deep_path_profile())
-        obj_profile = deep_path_profile()
-        col_tree = transform(col_profile, shape)
-        obj_tree = view_oracle.transform(obj_profile, shape)
-        assert col_tree.columnar() is not None
-        assert_views_identical(col_tree, obj_tree)
-        assert viewtree_digest(col_tree) == viewtree_digest(obj_tree)
+        self.check(_attach(deep_path_profile()), deep_path_profile(), shape)
 
 
 class TestAggregateOracle:
@@ -218,8 +219,7 @@ class TestMutationInvalidation:
 
     def test_derive_keeps_backing_and_redigests(self, corpus_raw):
         tree = transform(pprof.parse(corpus_raw), "top_down")
-        oracle = view_oracle.facade_only(
-            transform(pprof.parse(corpus_raw), "top_down"))
+        oracle = facade_only(transform(pprof.parse(corpus_raw), "top_down"))
         snapshot = tree.columnar()
         before = viewtree_digest(tree)
         first = tree.schema.names()[0]
@@ -270,7 +270,7 @@ class TestMutationInvalidation:
         diffed = diff_trees(
             transform(pprof.parse(corpus_raw), "top_down"),
             transform(pprof.parse(corpus_raw_alt), "top_down"))
-        oracle = view_oracle.facade_only(diff_trees(
+        oracle = facade_only(diff_trees(
             transform(pprof.parse(corpus_raw), "top_down"),
             transform(pprof.parse(corpus_raw_alt), "top_down")))
         before = viewtree_digest(diffed)
