@@ -39,6 +39,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Set, Tuple
 
+from ..core.gcguard import no_gc
 from ..errors import OversizedError
 from ..lint import has_errors
 from ..lint.profile_lint import lint_profile
@@ -177,8 +178,13 @@ class Collector:
             return self._denial_response(denial)
         self._pending_gauge.inc()
         try:
+            # The parsed profile lives only for this call.  Collections that
+            # the lint and store steps trigger would promote it into the
+            # oldest generation and bring on a full collection of the heap
+            # every few uploads; with collection off it is freed before
+            # any collection sees it.
             with _tracer.span("continuous.collector.upload",
-                              service=service) as span:
+                              service=service) as span, no_gc():
                 status, payload = self._admit_upload(headers, body, span)
             return status, payload
         finally:

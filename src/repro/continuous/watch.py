@@ -31,6 +31,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 from ..analysis.diff import TAG_ADDED, TAG_DELETED, diff_trees, summarize
 from ..analysis.viewtree import ViewNode, ViewTree
+from ..core.gcguard import no_gc
 from ..errors import EasyViewError
 from ..obs import get_registry, get_tracer
 from ..store.query import Query, parse_age, parse_query
@@ -203,6 +204,19 @@ class RegressionWatch:
         """Compare the two windows ending at ``now`` and rank the drift."""
         start = time.monotonic()
         now = int(now_nanos if now_nanos is not None else self.clock())
+        # The windows' trees and their diff are garbage once the report
+        # is built.  Collections during the tick would promote them into
+        # the oldest generation, where only a later full collection of
+        # the heap frees them; with collection off they are freed by the
+        # first young collection after it.
+        with no_gc():
+            report = self._tick(now)
+        self._ticks.inc()
+        self._found.inc(len(report.regressions))
+        self._tick_seconds.observe(max(0.0, time.monotonic() - start))
+        return report
+
+    def _tick(self, now: int) -> WatchReport:
         split = now - self.window_nanos
         with _tracer.span("continuous.watch.tick"):
             current = self.store.query_window(
@@ -210,11 +224,7 @@ class RegressionWatch:
             baseline = self.store.query_window(
                 self._window_query(split - self.baseline_nanos, split),
                 shape=self.shape)
-        report = self._compare(baseline, current, now)
-        self._ticks.inc()
-        self._found.inc(len(report.regressions))
-        self._tick_seconds.observe(max(0.0, time.monotonic() - start))
-        return report
+        return self._compare(baseline, current, now)
 
     # -- comparison --------------------------------------------------------
 

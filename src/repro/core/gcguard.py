@@ -10,8 +10,10 @@ construction — children/parent links are the only cycles).
 :func:`no_gc` pulls that lever: it disables collection for the duration
 of a bulk build and restores the previous state afterwards; measured on
 the Fig. 5 corpus it roughly halves profile-open time at the large end.
-Everything else, server requests included, runs under CPython's default
-collector.
+The collector's uploads (parse to store) and the regression watch's
+ticks (window queries to report) run under it too: what they build is
+garbage once they return.  Everything else, PVP server requests
+included, runs under CPython's default collector.
 """
 
 from __future__ import annotations

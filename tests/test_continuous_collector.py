@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import urllib.error
@@ -146,6 +147,43 @@ class TestUploadHandling:
         assert status == 200
         (entry,) = store.select("")
         assert entry.time_nanos == 777_000
+
+    def test_upload_runs_with_the_cyclic_collector_off(self, store,
+                                                        monkeypatch):
+        """Lint and store run with collection off, like the parse before
+        them, so no collection promotes the parsed profile; every outcome
+        turns collection back on."""
+        from repro.continuous import collector as collector_module
+        seen = []
+
+        def spying(step):
+            def spy(*args, **kwargs):
+                seen.append(gc.isenabled())
+                return step(*args, **kwargs)
+            return spy
+
+        monkeypatch.setattr(collector_module, "lint_profile",
+                            spying(collector_module.lint_profile))
+        monkeypatch.setattr(store, "ingest", spying(store.ingest))
+        collector = Collector(store)
+        env = checkout_envelope()
+        assert collector.handle_upload(env.to_headers(), env.blob)[0] == 200
+        assert seen == [False, False] and gc.isenabled()
+
+        garbage = CaptureEnvelope(service="checkout", host="h1",
+                                  ptype="cpu", seq=1, blob=b"\x00nope")
+        assert collector.handle_upload(garbage.to_headers(),
+                                       garbage.blob)[0] == 400
+        assert gc.isenabled()
+
+        def full(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(store, "ingest", full)
+        other = checkout_envelope(seq=2, seed=44)
+        with pytest.raises(OSError):
+            collector.handle_upload(other.to_headers(), other.blob)
+        assert gc.isenabled()
 
 
 class TestAdmission:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 
@@ -129,6 +130,34 @@ class TestRegressionRanking:
         assert report.improvements[0].path \
             == "main > handle_request > parse_payload"
         assert report.improvements[0].self_delta < 0
+
+    def test_tick_runs_with_the_cyclic_collector_off(self, regressed_store,
+                                                      monkeypatch):
+        """The windows and their diff are built with collection off, so
+        no collection promotes them; every tick turns it back on."""
+        from repro.continuous import watch as watch_module
+        seen = []
+
+        def spying(step):
+            def spy(*args, **kwargs):
+                seen.append(gc.isenabled())
+                return step(*args, **kwargs)
+            return spy
+
+        monkeypatch.setattr(regressed_store, "query_window",
+                            spying(regressed_store.query_window))
+        monkeypatch.setattr(watch_module, "diff_trees",
+                            spying(watch_module.diff_trees))
+        assert self.tick(regressed_store).has_regressions
+        assert seen == [False, False, False] and gc.isenabled()
+
+        def unreadable(*args, **kwargs):
+            raise OSError("segment unreadable")
+
+        monkeypatch.setattr(regressed_store, "query_window", unreadable)
+        with pytest.raises(OSError):
+            self.tick(regressed_store)
+        assert gc.isenabled()
 
     def test_min_ratio_filters_small_growth(self, regressed_store):
         watch = RegressionWatch(regressed_store,
