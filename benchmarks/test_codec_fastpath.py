@@ -5,8 +5,10 @@ tiers, writes ``BENCH_codec.json`` at the repo root, and enforces two
 things:
 
 * **Correctness always**: on every tier the fast path must decode to an
-  object equal to the reference codec's and re-encode byte-identically
-  (the harness raises :class:`repro.bench.codec.CodecMismatch` if not).
+  object equal to the reference codec's and re-encode byte-identically,
+  and the columnar ``.ezvw`` codec must write the per-node oracle's bytes
+  and load them to the oracle's profile digest (the harness raises
+  :class:`repro.bench.codec.CodecMismatch` if not).
 * **The decode target when it is measurable**: >= 3x reference decode
   throughput on the large tier, asserted only when the large tier is
   enabled (``EASYVIEW_BENCH_LARGE`` != 0).
@@ -36,6 +38,8 @@ def test_codec_fastpath(corpus):
         entry = report["tiers"][name]
         assert entry["equality"]["objects_equal"]
         assert entry["equality"]["bytes_identical"]
+        assert entry["ezvw"]["equality"] == {"bytes_identical": True,
+                                             "digests_equal": True}
         assert entry["decode"]["fastpath_s"] > 0
 
     if large_enabled:

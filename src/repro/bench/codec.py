@@ -6,11 +6,15 @@ line.  Both emit the same ``BENCH_codec.json`` report.
 
 For each corpus tier the harness measures raw pprof decode and encode
 throughput for the fastwire path (:mod:`repro.proto.pprof_pb`) against the
-pre-change codec preserved as :mod:`repro.proto.reference`.  The cold
-profile open (raw bytes to a calling-context tree) is timed by the CCT
-bench (:mod:`repro.bench.cct`), with a phase split.  Every run also gates
-on correctness: the two codecs must produce equal decoded objects and
-byte-identical serialized output, or :class:`CodecMismatch` is raised.
+pre-change codec preserved as :mod:`repro.proto.reference`, and EasyView's
+own ``.ezvw`` dump and load of the tier's capture on the columnar codec
+(:mod:`repro.core.serialize`) against the per-node oracle
+(:mod:`repro.bench.ezvw_oracle`).  The cold profile open (raw bytes to a
+calling-context tree) is timed by the CCT bench (:mod:`repro.bench.cct`),
+with a phase split.  Every run also gates on correctness: the pprof
+codecs must produce equal decoded objects and byte-identical serialized
+output, and the ``.ezvw`` codecs byte-identical files that load to equal
+profile digests, or :class:`CodecMismatch` is raised.
 
 The documented target is fast-path decode >= 3x the reference codec on
 the large tier (see ``docs/PERFORMANCE.md``).
@@ -103,6 +107,7 @@ def bench_tier(name: str, repeats: int = 3) -> Dict[str, object]:
 
     return {
         "raw_bytes": len(raw),
+        "ezvw": bench_ezvw(name, raw, repeats),
         "decode": {
             "reference_s": round(decode_ref, 4),
             "fastpath_s": round(decode_fast, 4),
@@ -116,6 +121,43 @@ def bench_tier(name: str, repeats: int = 3) -> Dict[str, object]:
             "fastpath_mb_s": round(mb / encode_fast, 1),
         },
         "equality": {"objects_equal": True, "bytes_identical": True},
+    }
+
+
+def bench_ezvw(name: str, raw: bytes, repeats: int = 3) -> Dict[str, object]:
+    """``.ezvw`` dump and load of one tier's capture, columnar codec vs
+    the per-node oracle; raises :class:`CodecMismatch` on drift."""
+    from ..converters import pprof as pprof_converter
+    from ..core import serialize
+    from ..core.digest import profile_digest
+    from . import ezvw_oracle
+
+    profile = pprof_converter.parse(raw)
+    data = serialize.dumps(profile)
+    if data != ezvw_oracle.dumps(pprof_converter.parse(raw)):
+        raise CodecMismatch(
+            ".ezvw bytes differ on tier %r (columnar vs per-node oracle)"
+            % name)
+    if (profile_digest(serialize.loads(data))
+            != profile_digest(ezvw_oracle.loads(data))):
+        raise CodecMismatch(
+            ".ezvw profiles differ on tier %r (columnar vs per-node oracle)"
+            % name)
+    times = _interleaved_best({
+        "dump": lambda: serialize.dumps(profile),
+        "dump_oracle": lambda: ezvw_oracle.dumps(profile),
+        "load": lambda: serialize.loads(data),
+        "load_oracle": lambda: ezvw_oracle.loads(data),
+    }, repeats)
+    return {
+        "bytes": len(data),
+        "dump": {"oracle_s": round(times["dump_oracle"], 4),
+                 "columnar_s": round(times["dump"], 4),
+                 "speedup": round(times["dump_oracle"] / times["dump"], 2)},
+        "load": {"oracle_s": round(times["load_oracle"], 4),
+                 "columnar_s": round(times["load"], 4),
+                 "speedup": round(times["load_oracle"] / times["load"], 2)},
+        "equality": {"bytes_identical": True, "digests_equal": True},
     }
 
 
@@ -159,6 +201,14 @@ def format_report(report: Dict[str, object]) -> str:
         lines.append("%-8s %9.1fM %14.1f %14.1f %8.2fx" % (
             name, entry["raw_bytes"] / 1e6, decode["fastpath_mb_s"],
             encode["fastpath_mb_s"], decode["speedup"]))
+    lines.append(".ezvw columnar vs per-node oracle  (best-of-N wall time)")
+    lines.append("%-8s %10s %10s %10s" % ("tier", "dump ms", "load ms",
+                                          "speedup"))
+    for name, entry in report["tiers"].items():
+        ezvw = entry["ezvw"]
+        lines.append("%-8s %10.1f %10.1f %9.1fx" % (
+            name, ezvw["dump"]["columnar_s"] * 1e3,
+            ezvw["load"]["columnar_s"] * 1e3, ezvw["load"]["speedup"]))
     if "large" in report["tiers"]:
         speedup = report["tiers"]["large"]["decode"]["speedup"]
         lines.append("large-tier decode speedup %.2fx (target >= %.1fx)"

@@ -10,8 +10,8 @@ in reused layers:
   to HTTP 429, a flooding service to 429 with reason ``service``, a
   draining collector to 503; every denial carries ``Retry-After-Ms``
   so agents back off by the server's clock, not their own guess.
-* **linting** — uploads run through
-  :func:`repro.lint.lint_profile` with ``require_time=True`` (the
+* **linting** — uploads run once through the store's ingest lint
+  (:meth:`~repro.store.ProfileStore.lint`, ``require_time=True``: the
   EV312 gate): stampless captures are *accepted* with a warning (the
   store indexes them at ingest time, per EV312's contract), while
   rule errors (NaN metrics, structural damage) are rejected with 422
@@ -21,8 +21,9 @@ in reused layers:
   its ``digest`` ingest label), so restarts do not re-admit bytes the
   store already holds.
 * **storage** — accepted captures go through
-  :meth:`~repro.store.ProfileStore.ingest`, whose WAL batches them
-  into immutable segments at its own ``flush_records`` cadence.
+  :meth:`~repro.store.ProfileStore.ingest` as the lint returned them
+  (no second lint); the WAL batches them into immutable segments at
+  the store's own ``flush_records`` cadence.
 
 Bodies over ``max_body_bytes``, and pprof bodies under it that would
 inflate past the decoder's budget
@@ -42,7 +43,6 @@ from typing import Any, Dict, Optional, Set, Tuple
 from ..core.gcguard import no_gc
 from ..errors import OversizedError
 from ..lint import has_errors
-from ..lint.profile_lint import lint_profile
 from ..obs import get_registry, get_tracer, registry_prometheus
 from ..serve.admission import AdmissionController, Denial
 from .envelope import CaptureEnvelope, EnvelopeError
@@ -244,21 +244,22 @@ class Collector:
             if profile.meta.time_nanos <= 0 and envelope.time_nanos > 0:
                 profile.meta.time_nanos = envelope.time_nanos
 
-            diagnostics = lint_profile(
-                profile, require_time=True,
-                subject="%s/%s#%d" % (envelope.service, envelope.host,
-                                      envelope.seq))
-            if has_errors(diagnostics):
+            # One lint per upload: its verdict gates the store, and the
+            # store logs the linted profile without linting it again.
+            linted = self.store.lint(
+                profile, subject="%s/%s#%d" % (envelope.service,
+                                               envelope.host, envelope.seq))
+            if has_errors(linted.diagnostics):
                 self._rejected.inc()
                 self._unmark(envelope.digest)
                 return 422, {"error": {
                     "code": "lint",
                     "message": "profile failed lint",
-                    "diagnostics": [d.to_dict() for d in diagnostics
+                    "diagnostics": [d.to_dict() for d in linted.diagnostics
                                     if d.severity.name == "ERROR"]}}
 
             result = self.store.ingest(
-                profile, service=envelope.service, ptype=envelope.ptype,
+                linted, service=envelope.service, ptype=envelope.ptype,
                 labels=envelope.store_labels())
         except Exception:
             self._unmark(envelope.digest)

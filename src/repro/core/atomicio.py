@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import os
 import tempfile
-from typing import Union
+from typing import Callable, Union
 
 
 def atomic_write_bytes(path: str, data: bytes, fsync: bool = True) -> None:
@@ -24,16 +24,37 @@ def atomic_write_bytes(path: str, data: bytes, fsync: bool = True) -> None:
     ``os.replace`` cannot cross a filesystem boundary; on any failure the
     temporary is removed and the destination is left untouched.
     """
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory,
-                                    prefix=os.path.basename(path) + ".",
+    name = os.path.basename(path)
+
+    def produce(write: Callable[[bytes], object]) -> str:
+        write(data)
+        return name
+
+    atomic_write_stream(os.path.dirname(os.path.abspath(path)), produce,
+                        prefix=name + ".", fsync=fsync)
+
+
+def atomic_write_stream(directory: str,
+                        produce: Callable[[Callable[[bytes], object]], str],
+                        prefix: str = "", fsync: bool = True) -> str:
+    """Write a file piece by piece and publish it under a name that may
+    depend on its content; returns the file's path.
+
+    ``produce(write)`` hands the content to ``write`` in pieces and
+    returns the file name, so a content-addressed file is hashed while it
+    is written instead of being held whole.  The pieces land in a
+    temporary file in ``directory``, which is flushed, fsynced and
+    renamed only after ``produce`` returns; on any failure it is removed.
+    """
+    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=prefix,
                                     suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
+            name = produce(handle.write)
             handle.flush()
             if fsync:
                 os.fsync(handle.fileno())
+        path = os.path.join(directory, name)
         os.replace(tmp_path, path)
     except BaseException:
         try:
@@ -41,6 +62,7 @@ def atomic_write_bytes(path: str, data: bytes, fsync: bool = True) -> None:
         except OSError:
             pass
         raise
+    return path
 
 
 def atomic_write_text(path: str, text: str,

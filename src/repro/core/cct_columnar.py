@@ -42,6 +42,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..errors import SchemaError
 from ..obs import get_registry
 from .cct import CCT, CCTNode
 from .frame import Frame, ROOT_FRAME
@@ -377,6 +378,9 @@ def from_cct(cct: CCT, n_metrics: int) -> ColumnarCCT:
     if rows:
         row_a = np.asarray(rows, dtype=np.int64)
         col_a = np.asarray(cols, dtype=np.int64)
+        if col_a.min() < 0 or col_a.max() >= n_metrics:
+            raise SchemaError("metric column %d outside the schema (%d "
+                              "columns)" % (col_a.max(), n_metrics))
         values[row_a, col_a] = np.asarray(vals, dtype=np.float64)
         present[row_a, col_a] = True
     col = ColumnarCCT(parent=np.asarray(parents, dtype=np.int64),

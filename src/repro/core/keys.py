@@ -6,8 +6,9 @@ key lives in one of three namespaces, told apart by its prefix, so a key
 of one kind can never equal a key of another:
 
 * ``source:`` — a profile parsed from bytes: BLAKE2b over the converter
-  name and the raw bytes (:func:`source_key`).  It holds only while the
-  profile's mutation stamp matches the one taken at parse
+  name and the raw bytes, or over a store record's provenance
+  (:func:`source_key`).  It holds only while the profile's mutation
+  stamp matches the one taken at parse
   (:meth:`~repro.core.profile.Profile.cache_key`).
 * ``derived:`` — a view tree the engine computed, or one an in-place
   mutator re-keyed: BLAKE2b over the operation, its input keys and its
@@ -30,18 +31,20 @@ CONTENT = "content:"
 _DIGEST_SIZE = 16
 
 
-def source_key(format: str, data: bytes) -> str:
-    """The provenance key of a profile parsed from ``data`` by the
-    converter named ``format``.
+def source_key(format: str, *parts: bytes) -> str:
+    """The provenance key of a profile parsed from bytes.
 
-    The cache never outlives the process, so the converter's name alone
-    pins the parse that produced the profile.
+    ``format`` names the reader: a converter, whose one part is the raw
+    bytes, or a store reader, whose parts are the record's bytes and
+    whatever else the load writes into the profile.  Every part is
+    hashed with its length, so no two part lists share a key.  The cache
+    never outlives the process, so the reader's name alone pins the parse
+    that produced the profile.
     """
-    name = format.encode("utf-8")
     h = hashlib.blake2b(digest_size=_DIGEST_SIZE)
-    h.update(len(name).to_bytes(8, "little"))
-    h.update(name)
-    h.update(data)
+    for part in (format.encode("utf-8"),) + parts:
+        h.update(len(part).to_bytes(8, "little"))
+        h.update(part)
     return SOURCE + h.hexdigest()
 
 

@@ -139,9 +139,10 @@ class Profile:
         return (col, cct, cct._version if cct is not None else None,
                 schema_digest(self.schema), len(self.points))
 
-    def set_source(self, format: str, data: bytes) -> None:
-        """Key this profile by the bytes it was parsed from."""
-        self._source = (source_key(format, data), self.stamp())
+    def set_source(self, format: str, *parts: bytes) -> None:
+        """Key this profile by the bytes it was parsed from (see
+        :func:`~repro.core.keys.source_key`)."""
+        self._source = (source_key(format, *parts), self.stamp())
 
     def cache_key(self) -> str:
         """The engine's cache key for this profile's current content.

@@ -5,22 +5,31 @@ On the wire, every CCT node becomes a ``ContextNode`` (parent links encode
 the tree), node-resident exclusive metrics become sequence-0 ``PLAIN``
 monitoring points, and advanced points (snapshots, multi-context pairs)
 serialize with their full context lists.
+
+Both directions run on arrays.  :func:`to_columns` lowers a profile's
+:class:`~repro.core.cct_columnar.ColumnarCCT` into a
+:class:`~repro.proto.easyview_pb.ProfileColumns` message, and
+:func:`from_columns` raises one straight into a columnar CCT; no object
+node is built for the tree or its per-node values.  Nodes go on the wire
+in pre-order with siblings in descending frame order, and strings are
+interned in first-use order (the tool, each metric's name, unit and
+description, then each node's name, file and module), so the bytes equal
+those of the per-node codec kept as an oracle in
+:mod:`repro.bench.ezvw_oracle`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..errors import FormatError
 from ..proto import easyview_pb as pb
-from .cct import CCTNode
-from .frame import Frame, FrameKind, intern_frame
+from .frame import ROOT_FRAME, Frame, FrameKind, intern_frame
 from .metric import Aggregation, Metric, MetricSchema
 from .monitor import MonitoringPoint, PointKind
 from .profile import Profile, ProfileMeta
-from .strings import StringTable
 
 _FRAME_KIND_TO_PB = {
     FrameKind.ROOT: pb.CONTEXT_ROOT,
@@ -33,68 +42,118 @@ _FRAME_KIND_TO_PB = {
 }
 _PB_TO_FRAME_KIND = {v: k for k, v in _FRAME_KIND_TO_PB.items()}
 
+_UINT64_MASK = (1 << 64) - 1
 
-def to_message(profile: Profile) -> pb.ProfileMessage:
-    """Lower a profile into its Protocol Buffer message form."""
-    strings = StringTable()
-    message = pb.ProfileMessage(string_table=[])
-    message.tool = strings.intern(profile.meta.tool)
-    message.time_nanos = profile.meta.time_nanos
-    message.duration_nanos = profile.meta.duration_nanos
 
+# -- encode --------------------------------------------------------------------
+
+def to_columns(profile: Profile) -> pb.ProfileColumns:
+    """Lower a profile into its columnar message form."""
+    if profile.points:
+        # The points' contexts are object nodes: with the tree in place,
+        # the snapshot's ``node_objects`` are that tree's nodes.
+        profile.cct
+    col = profile.columnar(build=True)
+    # Reversed post-order is pre-order with siblings in descending order.
+    walk = col.postorder_ids()[::-1]
+    n = walk.size
+    position = np.empty(n, dtype=np.int64)
+    position[walk] = np.arange(n, dtype=np.int64)
+
+    texts: List[str] = [""]
+    text_ids: Dict[str, int] = {"": 0}
+
+    def text_id(text: str) -> int:
+        index = text_ids.get(text)
+        if index is None:
+            index = text_ids[text] = len(texts)
+            texts.append(text)
+        return index
+
+    head = [text_id(profile.meta.tool)]
     for metric in profile.schema:
-        message.metrics.append(pb.MetricDescriptor(
-            name=strings.intern(metric.name),
-            unit=strings.intern(metric.unit),
-            description=strings.intern(metric.description),
-            aggregation=int(metric.aggregation)))
+        head += [text_id(metric.name), text_id(metric.unit),
+                 text_id(metric.description)]
+    per_frame = np.array(
+        [(text_id(f.name), text_id(f.file), text_id(f.module),
+          _FRAME_KIND_TO_PB[f.kind], int(f.line) & _UINT64_MASK,
+          int(f.address) & _UINT64_MASK) for f in col.frames],
+        dtype=np.uint64).reshape(-1, 6)
+    node_frames = per_frame[col.frame_id[walk]]
+    # Final string ids follow first use along the walk.
+    uses = np.concatenate((np.zeros(1, dtype=np.uint64),
+                           np.array(head, dtype=np.uint64),
+                           node_frames[:, :3].ravel()))
+    used, first = np.unique(uses, return_index=True)
+    order = used[np.argsort(first)]
+    final = np.zeros(len(texts), dtype=np.uint64)
+    final[order] = np.arange(order.size, dtype=np.uint64)
 
-    node_ids: Dict[int, int] = {}  # id(CCTNode) -> wire id
-    next_id = 0
-    # Pre-order walk so every parent is assigned before its children.
-    stack: List[CCTNode] = [profile.root]
-    while stack:
-        node = stack.pop()
-        node_ids[id(node)] = next_id
-        parent_id = node_ids[id(node.parent)] if node.parent is not None else 0
-        frame = node.frame
-        message.nodes.append(pb.ContextNode(
-            id=next_id,
-            parent_id=parent_id,
-            kind=_FRAME_KIND_TO_PB[frame.kind],
-            name=strings.intern(frame.name),
-            file=strings.intern(frame.file),
-            line=frame.line,
-            module=strings.intern(frame.module),
-            address=frame.address))
-        if node.metrics:
-            message.points.append(pb.MonitoringPoint(
-                context_id=[next_id],
-                values=[pb.MetricValue(metric_id=i, value=v)
-                        for i, v in sorted(node.metrics.items())],
-                kind=pb.POINT_PLAIN,
-                sequence=0))
-        next_id += 1
-        stack.extend(node.sorted_children())
+    nodes = np.empty((n, 8), dtype=np.uint64)
+    nodes[:, pb.NODE_ID] = np.arange(n, dtype=np.uint64)
+    parents = col.parent[walk]
+    parents[0] = walk[0]  # the root is its own parent on the wire: id 0
+    nodes[:, pb.NODE_PARENT] = position[parents]
+    nodes[:, pb.NODE_KIND] = node_frames[:, 3]
+    nodes[:, pb.NODE_NAME] = final[node_frames[:, 0]]
+    nodes[:, pb.NODE_FILE] = final[node_frames[:, 1]]
+    nodes[:, pb.NODE_MODULE] = final[node_frames[:, 2]]
+    nodes[:, pb.NODE_LINE] = node_frames[:, 4]
+    nodes[:, pb.NODE_ADDRESS] = node_frames[:, 5]
 
-    for point in profile.points:
+    rows, metric_ids = np.nonzero(col.present[walk])
+    counts = np.bincount(rows, minlength=n)
+    context = np.flatnonzero(counts)
+    offsets = np.zeros(context.size + 1, dtype=np.int64)
+    np.cumsum(counts[context], out=offsets[1:])
+
+    final_ids = final.tolist()
+    head_ids = [final_ids[i] for i in head]
+    metrics = [pb.MetricDescriptor(name=head_ids[1 + 3 * k],
+                                   unit=head_ids[2 + 3 * k],
+                                   description=head_ids[3 + 3 * k],
+                                   aggregation=int(metric.aggregation))
+               for k, metric in enumerate(profile.schema)]
+    return pb.ProfileColumns(
+        tool=head_ids[0],
+        string_table=[texts[i] for i in order.tolist()],
+        metrics=metrics, nodes=nodes,
+        plain_index=np.arange(context.size), plain_context=context,
+        value_offsets=offsets, value_metric=metric_ids,
+        value=col.values[walk[rows], metric_ids],
+        others=_point_messages(profile, col, position.tolist(),
+                               context.size),
+        time_nanos=profile.meta.time_nanos,
+        duration_nanos=profile.meta.duration_nanos)
+
+
+def _point_messages(profile: Profile, col,
+                    position: List[int], first_index: int
+                    ) -> List[Tuple[int, pb.MonitoringPoint]]:
+    """The advanced points as messages, after the plain ones."""
+    if not profile.points:
+        return []
+    wire_id = {id(node): position[i]
+               for i, node in enumerate(col.node_objects)}
+    messages = []
+    for k, point in enumerate(profile.points):
         context_ids = []
         for ctx in point.contexts:
-            wire_id = node_ids.get(id(ctx))
-            if wire_id is None:
+            found = wire_id.get(id(ctx))
+            if found is None:
                 raise FormatError(
                     "monitoring point references a context outside the CCT")
-            context_ids.append(wire_id)
-        message.points.append(pb.MonitoringPoint(
+            context_ids.append(found)
+        messages.append((first_index + k, pb.MonitoringPoint(
             context_id=context_ids,
             values=[pb.MetricValue(metric_id=i, value=v)
                     for i, v in sorted(point.values.items())],
             kind=int(point.kind),
-            sequence=point.sequence))
+            sequence=point.sequence)))
+    return messages
 
-    message.string_table = strings.as_list()
-    return message
 
+# -- decode --------------------------------------------------------------------
 
 def _enum(kind, value: int):
     """``kind(value)``, or :class:`FormatError` for a value it lacks."""
@@ -104,141 +163,274 @@ def _enum(kind, value: int):
         raise FormatError("unknown %s %d" % (kind.__name__, value)) from None
 
 
-def from_message(message: pb.ProfileMessage) -> Profile:
-    """Raise a Protocol Buffer message back into a :class:`Profile`."""
-    strings = message.string_table or [""]
+def from_columns(columns: pb.ProfileColumns) -> Profile:
+    """Raise a columnar message into a :class:`Profile`.
+
+    The tree and the per-node values land in a columnar CCT.  A node
+    table or a point list in the encoder's shape is raised in bulk;
+    anything else (duplicate sibling frames, forward parent references,
+    duplicate metric ids in one point, ...) replays node by node and
+    point by point, with the same semantics and error order.  Snapshot
+    and multi-context points reference object nodes, and a PLAIN value
+    outside the schema has no column, so a profile with either is built
+    on the object tree instead (:func:`_object_profile`).
+    """
+    from .cct_columnar import ColumnarBuilder, ColumnarCCT
+    strings = columns.string_table or [""]
 
     def lookup(index: int) -> str:
         return strings[index] if 0 <= index < len(strings) else ""
 
     schema = MetricSchema()
-    for descriptor in message.metrics:
+    for descriptor in columns.metrics:
         schema.add(Metric(
             name=lookup(descriptor.name),
             unit=lookup(descriptor.unit),
             description=lookup(descriptor.description),
             aggregation=_enum(Aggregation, descriptor.aggregation)))
-
-    meta = ProfileMeta(tool=lookup(message.tool),
-                       time_nanos=message.time_nanos,
-                       duration_nanos=message.duration_nanos)
+    meta = ProfileMeta(tool=lookup(columns.tool),
+                       time_nanos=columns.time_nanos,
+                       duration_nanos=columns.duration_nanos)
     profile = Profile(schema=schema, meta=meta)
+    n_metrics = len(schema)
+    if _needs_objects(columns, n_metrics):
+        return _object_profile(profile, columns, lookup)
 
-    columnar = _columnar_from_message(message, lookup, len(schema))
-    if columnar is not None:
-        profile.attach_columnar(columnar)
-        return profile
+    tree = _bulk_tree(columns.nodes, lookup)
+    if tree is not None:
+        n = tree[0].size
+        bulk = _bulk_values(columns, n, n_metrics)
+        values, present = bulk if bulk is not None else _exact_values(
+            columns, lambda wire_id: wire_id if 0 <= wire_id < n else None,
+            n, n_metrics)
+        profile.attach_columnar(ColumnarCCT(
+            *tree[:3], values=values, present=present, frames=tree[3]))
+    else:
+        builder = ColumnarBuilder()
+        col_of = _replay_nodes(columns.nodes, lookup, 0, builder.descend,
+                               builder.frame_token)
+        profile.attach_columnar(builder.finish(*_exact_values(
+            columns, col_of.get, builder.n_nodes, n_metrics)))
+    return profile
 
-    nodes_by_id: Dict[int, CCTNode] = {}
-    for wire_node in message.nodes:
-        kind = _PB_TO_FRAME_KIND.get(wire_node.kind, FrameKind.FUNCTION)
-        if kind is FrameKind.ROOT:
-            nodes_by_id[wire_node.id] = profile.root
-            continue
-        parent = nodes_by_id.get(wire_node.parent_id)
-        if parent is None:
-            raise FormatError(
-                "context %d references undefined parent %d"
-                % (wire_node.id, wire_node.parent_id))
-        frame = intern_frame(name=lookup(wire_node.name),
-                             file=lookup(wire_node.file),
-                             line=wire_node.line,
-                             module=lookup(wire_node.module),
-                             address=wire_node.address,
-                             kind=kind)
-        nodes_by_id[wire_node.id] = parent.child(frame)
 
-    for wire_point in message.points:
-        contexts = []
-        for context_id in wire_point.context_id:
-            node = nodes_by_id.get(context_id)
-            if node is None:
-                raise FormatError(
-                    "monitoring point references undefined context %d"
-                    % context_id)
-            contexts.append(node)
-        values = {mv.metric_id: mv.value for mv in wire_point.values}
-        if wire_point.kind == pb.POINT_PLAIN and wire_point.sequence == 0:
+def _needs_objects(columns: pb.ProfileColumns, n_metrics: int) -> bool:
+    """Whether a point needs object contexts or a column the schema lacks."""
+    metric = columns.value_metric
+    if metric.size and metric.max() >= n_metrics:
+        return True
+    for _, point in columns.others:
+        if point.kind != pb.POINT_PLAIN or point.sequence != 0:
+            return True
+        if any(mv.metric_id >= n_metrics for mv in point.values):
+            return True
+    return False
+
+
+def _object_profile(profile: Profile, columns: pb.ProfileColumns,
+                    lookup: Callable[[int], str]) -> Profile:
+    """Build the tree through the object API: the path of profiles whose
+    points reference contexts, which must be object nodes."""
+    root = profile.root
+    nodes = _replay_nodes(columns.nodes, lookup, root,
+                          lambda parent, frame: parent.child(frame),
+                          lambda frame: frame)
+    for kind, sequence, context_ids, pairs in columns.iter_points():
+        contexts = _contexts(context_ids, nodes.get)
+        values = dict(pairs)
+        if kind == pb.POINT_PLAIN and sequence == 0:
             if len(contexts) != 1:
                 raise FormatError("plain point must reference one context")
             for metric_index, value in values.items():
                 contexts[0].add_value(metric_index, value)
         else:
             profile.points.append(MonitoringPoint(
-                kind=_enum(PointKind, wire_point.kind),
-                contexts=contexts,
-                values=values,
-                sequence=wire_point.sequence))
+                kind=_enum(PointKind, kind), contexts=contexts,
+                values=values, sequence=sequence))
     return profile
 
 
-def _columnar_from_message(message: pb.ProfileMessage, lookup,
-                           n_metrics: int):
-    """Raise a wire message straight into a columnar CCT, or ``None``.
+def _bulk_tree(nodes, lookup: Callable[[int], str]):
+    """``(parent, frame_id, depth, frames)`` of a node table in the
+    encoder's shape, or ``None``.
 
-    Handles the common shape — every point a sequence-0 PLAIN point with
-    in-range metric ids — without constructing a single
-    :class:`CCTNode`.  Advanced points (snapshots, multi-context pairs)
-    and out-of-schema metric ids return ``None`` so the object path keeps
-    its exact semantics, including error ordering.
+    That shape: every id is the node's wire position, node 0 is the only
+    ROOT, every parent precedes its child, and no two siblings share a
+    frame — so the wire ids are the columnar ids.  Frames are interned
+    once per distinct attribution, numbered in first-use order as
+    :class:`ColumnarBuilder` numbers them.
     """
-    from .cct_columnar import ColumnarBuilder
+    n = nodes.shape[0]
+    if not n:
+        return None
+    wire = np.arange(n, dtype=np.uint64)
+    kinds = nodes[:, pb.NODE_KIND]
+    if (kinds[0] != pb.CONTEXT_ROOT
+            or (nodes[:, pb.NODE_ID] != wire).any()
+            or (kinds[1:] == pb.CONTEXT_ROOT).any()
+            or (nodes[1:, pb.NODE_PARENT] >= wire[1:]).any()):
+        return None
+    rest = nodes[1:]
+    keys = np.stack((rest[:, pb.NODE_NAME], rest[:, pb.NODE_FILE],
+                     rest[:, pb.NODE_LINE], rest[:, pb.NODE_MODULE],
+                     rest[:, pb.NODE_ADDRESS],
+                     np.where(kinds[1:] <= pb.CONTEXT_THREAD, kinds[1:],
+                              pb.CONTEXT_FUNCTION)), axis=1)
+    distinct, first, inverse = _distinct_rows(keys)
+    frames: List[Frame] = [ROOT_FRAME]
+    frame_index: Dict[Frame, int] = {ROOT_FRAME: 0}
+    table_id = np.empty(len(distinct), dtype=np.int64)
+    rows = distinct.tolist()
+    for u in np.argsort(first).tolist():
+        name, file, line, module, address, kind = rows[u]
+        frame = intern_frame(name=lookup(name), file=lookup(file),
+                             line=line, module=lookup(module),
+                             address=address, kind=FrameKind(kind))
+        fid = frame_index.get(frame)
+        if fid is None:
+            fid = frame_index[frame] = len(frames)
+            frames.append(frame)
+        table_id[u] = fid
+    frame_id = np.zeros(n, dtype=np.int64)
+    frame_id[1:] = table_id[inverse]
+    parent = nodes[:, pb.NODE_PARENT].astype(np.int64)
+    parent[0] = -1
+    siblings = np.sort(parent[1:] * len(frames) + frame_id[1:])
+    if (siblings[1:] == siblings[:-1]).any():
+        return None  # duplicate sibling frames merge node by node
+    return parent, frame_id, _depths(parent), frames
 
-    for wire_point in message.points:
-        if wire_point.kind != pb.POINT_PLAIN or wire_point.sequence != 0:
-            return None
-        for metric_value in wire_point.values:
-            if not 0 <= metric_value.metric_id < n_metrics:
-                return None
 
-    builder = ColumnarBuilder()
-    descend = builder.descend
-    frame_token = builder.frame_token
-    col_of: Dict[int, int] = {}
-    for wire_node in message.nodes:
-        kind = _PB_TO_FRAME_KIND.get(wire_node.kind, FrameKind.FUNCTION)
-        if kind is FrameKind.ROOT:
-            col_of[wire_node.id] = 0
+#: Odd multipliers that fold a row of six uint64 keys into one.
+_ROW_MIX = np.array([0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F,
+                     0x165667B19E3779F9, 0xD6E8FEB86659FD93,
+                     0xFF51AFD7ED558CCD, 0xC4CEB9FE1A85EC53],
+                    dtype=np.uint64)
+
+
+def _distinct_rows(keys):
+    """``np.unique(keys, axis=0, return_index=True, return_inverse=True)``
+    computed on one folded uint64 per row.
+
+    A sort of n integers instead of n row records; every row is then
+    compared with its group's first row, so a fold collision falls back
+    to the row-wise unique instead of merging distinct frames.
+    """
+    folded = (keys * _ROW_MIX).sum(axis=1, dtype=np.uint64)
+    _, first, inverse = np.unique(folded, return_index=True,
+                                  return_inverse=True)
+    inverse = inverse.reshape(-1)
+    if (keys == keys[first[inverse]]).all():
+        return keys[first], first, inverse
+    distinct, first, inverse = np.unique(keys, axis=0, return_index=True,
+                                         return_inverse=True)
+    return distinct, first, inverse.reshape(-1)
+
+
+def _depths(parent):
+    """Every node's depth in a parent-before-child tree, by pointer
+    doubling: O(n log depth) vectorized work."""
+    depth = np.ones(parent.size, dtype=np.int64)
+    depth[0] = 0
+    up = parent.copy()
+    up[0] = 0
+    while up.any():
+        depth += depth[up]
+        up = up[up]
+    return depth
+
+
+def _replay_nodes(nodes, lookup: Callable[[int], str], root, descend,
+                  token) -> Dict[int, object]:
+    """Replay the node table in wire order; returns wire id -> node.
+
+    ROOT nodes alias ``root``, a parent must be defined first (the last
+    definition of an id wins), and ``descend(parent, token(frame))``
+    merges sibling frames — on columnar ids or on object nodes.
+    """
+    node_of: Dict[int, object] = {}
+    for (wire_id, parent_id, kind, name, file, line, module,
+         address) in nodes.tolist():
+        frame_kind = _PB_TO_FRAME_KIND.get(kind, FrameKind.FUNCTION)
+        if frame_kind is FrameKind.ROOT:
+            node_of[wire_id] = root
             continue
-        parent = col_of.get(wire_node.parent_id)
+        parent = node_of.get(parent_id)
         if parent is None:
-            raise FormatError(
-                "context %d references undefined parent %d"
-                % (wire_node.id, wire_node.parent_id))
-        frame = intern_frame(name=lookup(wire_node.name),
-                             file=lookup(wire_node.file),
-                             line=wire_node.line,
-                             module=lookup(wire_node.module),
-                             address=wire_node.address,
-                             kind=kind)
-        col_of[wire_node.id] = descend(parent, frame_token(frame))
+            raise FormatError("context %d references undefined parent %d"
+                              % (wire_id, parent_id))
+        frame = intern_frame(name=lookup(name), file=lookup(file),
+                             line=line, module=lookup(module),
+                             address=address, kind=frame_kind)
+        node_of[wire_id] = descend(parent, token(frame))
+    return node_of
 
-    values = np.zeros((builder.n_nodes, n_metrics), dtype=np.float64)
-    present = np.zeros((builder.n_nodes, n_metrics), dtype=bool)
-    for wire_point in message.points:
-        contexts = []
-        for context_id in wire_point.context_id:
-            node = col_of.get(context_id)
-            if node is None:
-                raise FormatError(
-                    "monitoring point references undefined context %d"
-                    % context_id)
-            contexts.append(node)
+
+def _bulk_values(columns: pb.ProfileColumns, n: int, n_metrics: int):
+    """``(values, present)`` when every point was decoded in bulk and
+    references an existing node, else ``None``.  (Every point is a PLAIN
+    one with columns in the schema: see :func:`_needs_objects`.)"""
+    context = columns.plain_context
+    if columns.others or (context.size and (context.min() < 0
+                                            or context.max() >= n)):
+        return None
+    metric = columns.value_metric
+    rows = np.repeat(context, np.diff(columns.value_offsets))
+    cols = metric.astype(np.int64)
+    values = np.zeros((n, n_metrics), dtype=np.float64)
+    present = np.zeros((n, n_metrics), dtype=bool)
+    # Sequential per cell, in wire order: 0.0 + v1 + v2 ..., exactly as a
+    # point-by-point replay accumulates.
+    np.add.at(values, (rows, cols), columns.value)
+    present[rows, cols] = True
+    return values, present
+
+
+def _contexts(context_ids: List[int],
+              resolve: Callable[[int], Optional[int]]) -> List[int]:
+    contexts = []
+    for context_id in context_ids:
+        node = resolve(context_id)
+        if node is None:
+            raise FormatError(
+                "monitoring point references undefined context %d"
+                % context_id)
+        contexts.append(node)
+    return contexts
+
+
+def _exact_values(columns: pb.ProfileColumns,
+                  resolve: Callable[[int], Optional[int]], n: int,
+                  n_metrics: int):
+    """``(values, present)`` from replaying every point in wire order:
+    duplicate metric ids in one point collapse last-wins, points on one
+    node accumulate, and errors surface at the first offending point."""
+    rows: List[int] = []
+    cols: List[int] = []
+    vals: List[float] = []
+    for _, _, context_ids, pairs in columns.iter_points():
+        contexts = _contexts(context_ids, resolve)
         if len(contexts) != 1:
             raise FormatError("plain point must reference one context")
-        node = contexts[0]
-        # Duplicate metric ids within one point collapse last-wins before
-        # accumulating, matching the object path's value-dict semantics.
-        merged = {mv.metric_id: mv.value for mv in wire_point.values}
-        for metric_index, value in merged.items():
-            values[node, metric_index] += value
-            present[node, metric_index] = True
-    return builder.finish(values, present)
+        for metric_index, value in dict(pairs).items():
+            rows.append(contexts[0])
+            cols.append(metric_index)
+            vals.append(value)
+    values = np.zeros((n, n_metrics), dtype=np.float64)
+    present = np.zeros((n, n_metrics), dtype=bool)
+    if rows:
+        index = (np.array(rows, dtype=np.int64),
+                 np.array(cols, dtype=np.int64))
+        np.add.at(values, index, np.array(vals, dtype=np.float64))
+        present[index] = True
+    return values, present
 
+
+# -- files -----------------------------------------------------------------------
 
 def dumps(profile: Profile) -> bytes:
     """Serialize a profile to EasyView's binary file format."""
-    return pb.dumps(to_message(profile))
+    return pb.dumps(to_columns(profile))
 
 
 def loads(data: bytes) -> Profile:
@@ -249,7 +441,7 @@ def loads(data: bytes) -> Profile:
     """
     from ..proto.fastwire import WireError
     try:
-        return from_message(pb.loads(data))
+        return from_columns(pb.loads(data))
     except (WireError, UnicodeDecodeError) as exc:
         raise FormatError("corrupt EasyView profile: %s" % exc) from exc
 

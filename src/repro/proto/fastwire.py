@@ -21,6 +21,9 @@ semantics while removing the per-byte Python overhead:
   with a precomputed small-varint table and reserved length-prefix
   patching, so nested messages serialize in a single pass instead of
   child-bytes-then-copy.
+* :func:`varint_sizes` / :func:`put_varints` — bulk varint encode over
+  numpy arrays, one pass per byte position, for encoders that lay out a
+  whole repeated field at once (the columnar ``.ezvw`` codec).
 * :class:`StringInterner` — a shared intern pool for string-table decode,
   so the same function name appearing in ten thousand profiles is one
   ``str`` object process-wide.
@@ -729,6 +732,34 @@ def encode_packed_int64s(values: Sequence[int]) -> bytes:
             value >>= 7
         append(value)
     return bytes(out)
+
+
+#: The smallest value of each varint length from two bytes to ten.
+_VARINT_LENGTH_STEPS = np.array([1 << (7 * k) for k in range(1, 10)],
+                                dtype=np.uint64)
+
+
+def varint_sizes(values: "np.ndarray") -> "np.ndarray":
+    """Encoded length in bytes (1..10) of every uint64 in ``values``."""
+    return np.searchsorted(_VARINT_LENGTH_STEPS, values, side="right") + 1
+
+
+def put_varints(out: "np.ndarray", positions: "np.ndarray",
+                values: "np.ndarray", sizes: "np.ndarray") -> None:
+    """Write every uint64 of ``values`` as a varint into the uint8 array
+    ``out`` at ``positions``; ``sizes`` comes from :func:`varint_sizes`.
+
+    One vectorized pass per byte position, each over only the varints
+    that still have bytes left, so the work is O(bytes written).
+    """
+    while values.size:
+        more = sizes > 1
+        out[positions] = ((values & np.uint64(0x7F))
+                          | (more.astype(np.uint64) << np.uint64(7)))
+        keep = np.flatnonzero(more)
+        values = values[keep] >> np.uint64(7)
+        positions = positions[keep] + 1
+        sizes = sizes[keep] - 1
 
 
 class Writer:

@@ -19,11 +19,11 @@ from .segment import (RecordMeta, Segment, build_segment, load_profile,
                       parse_segment, read_segment, segment_address,
                       write_segment)
 from .store import (DEFAULT_FLUSH_RECORDS, DEFAULT_SMALL_SEGMENT_RECORDS,
-                    IngestResult, ProfileStore, QueryResult)
+                    IngestResult, LintedProfile, ProfileStore, QueryResult)
 from .wal import WalRecord, WriteAheadLog, scan
 
 __all__ = [
-    "ProfileStore", "IngestResult", "QueryResult",
+    "ProfileStore", "IngestResult", "LintedProfile", "QueryResult",
     "DEFAULT_FLUSH_RECORDS", "DEFAULT_SMALL_SEGMENT_RECORDS",
     "Query", "parse_age", "parse_query", "parse_time",
     "RecordEntry", "SegmentInfo", "Manifest", "LabelTimeIndex",

@@ -12,7 +12,9 @@ with its *private string table stripped*: all string indices are remapped
 into one segment-wide table carried by the footer, so a segment of 100
 profiles from the same service stores each function name, file path, and
 metric name once (per-segment string dedup).  The wire codec is the same
-:mod:`repro.proto.fastwire` the profile format uses.
+columnar one the profile format uses
+(:class:`~repro.proto.easyview_pb.ProfileColumns`): a record's string
+columns are remapped with one ``np.take`` each, and no profile is built.
 
 Footer message fields::
 
@@ -32,18 +34,24 @@ FOOTER`` and doubles as the file name (``<address>.seg``).  Addresses make
 segments immutable (any edit changes the name), flushes idempotent (re-
 flushing the same WAL bytes produces the same file), and integrity checks
 trivial (`easyview store stats` re-hashes and compares).
+
+:func:`write_segment` streams: the magic, each record blob as it is
+encoded, the footer and the trailer go into a temporary file and the
+address hash one piece at a time, and the file is renamed to its address
+at the end, so a flush holds one record's blob at a time, never the body.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import struct
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List
 
-from ..core.atomicio import atomic_write_bytes
+import numpy as np
+
+from ..core.atomicio import atomic_write_stream
 from ..core.profile import Profile
 from ..core.strings import StringTable
 from ..core import serialize
@@ -52,7 +60,7 @@ from ..obs import get_registry, get_tracer
 from ..proto import easyview_pb as pb
 from ..proto.fastwire import (WireError, Writer, decode_string, delimited,
                               intern_string, scalar, scan_fields)
-from .wal import WalRecord
+from .wal import WalRecord, labels_json, parse_labels
 
 _tracer = get_tracer()
 _registry = get_registry()
@@ -85,8 +93,7 @@ class RecordMeta:
     def _fields(self, writer: Writer) -> None:
         writer.string(1, self.service)
         writer.string(2, self.ptype)
-        writer.string(3, json.dumps(self.labels, sort_keys=True)
-                      if self.labels else "")
+        writer.string(3, labels_json(self.labels))
         writer.varint(4, self.time_nanos)
         writer.varint(5, self.duration_nanos)
         writer.varint(6, self.offset)
@@ -107,8 +114,8 @@ class RecordMeta:
             elif num == 2:
                 meta.ptype = intern_string(delimited(wtype, value))
             elif num == 3:
-                text = decode_string(delimited(wtype, value))
-                meta.labels = json.loads(text) if text else {}
+                meta.labels = parse_labels(
+                    decode_string(delimited(wtype, value)))
             elif num == 4:
                 meta.time_nanos = scalar(wtype, value)
             elif num == 5:
@@ -134,24 +141,37 @@ class Segment:
     size_bytes: int = 0
 
 
-def _remap_strings(message: pb.ProfileMessage, shared: StringTable) -> None:
-    """Re-point every string index into the segment-wide table."""
-    table = message.string_table or [""]
+def _remap_strings(columns: pb.ProfileColumns, shared: StringTable) -> None:
+    """Re-point every string index into the segment-wide table.
 
-    def remap(index: int) -> int:
-        text = table[index] if 0 <= index < len(table) else ""
-        return shared.intern(text)
-
-    message.tool = remap(message.tool)
-    for descriptor in message.metrics:
-        descriptor.name = remap(descriptor.name)
-        descriptor.unit = remap(descriptor.unit)
-        descriptor.description = remap(descriptor.description)
-    for node in message.nodes:
-        node.name = remap(node.name)
-        node.file = remap(node.file)
-        node.module = remap(node.module)
-    message.string_table = []
+    Strings enter ``shared`` in the order the fields first reference them
+    — the tool, each metric's name, unit and description, then each
+    node's name, file and module — and an out-of-range index reads as
+    the empty string, so the table comes out as a field-by-field remap
+    would build it.
+    """
+    table = columns.string_table or [""]
+    size = len(table)
+    head = [columns.tool]
+    for descriptor in columns.metrics:
+        head += [descriptor.name, descriptor.unit, descriptor.description]
+    nodes = columns.nodes
+    uses = np.concatenate((np.array(head, dtype=np.uint64),
+                           nodes[:, pb.NODE_STRING_COLUMNS].ravel()))
+    uses = np.minimum(uses, size).astype(np.intp)  # ``size`` stands for ""
+    used, first = np.unique(uses, return_index=True)
+    lut = np.zeros(size + 1, dtype=np.uint64)
+    for index in used[np.argsort(first)].tolist():
+        lut[index] = shared.intern(table[index] if index < size else "")
+    remapped = lut[uses[:len(head)]].tolist()
+    columns.tool = remapped[0]
+    for k, descriptor in enumerate(columns.metrics):
+        (descriptor.name, descriptor.unit,
+         descriptor.description) = remapped[1 + 3 * k:4 + 3 * k]
+    node_uses = uses[len(head):].reshape(-1, len(pb.NODE_STRING_COLUMNS))
+    for k, column in enumerate(pb.NODE_STRING_COLUMNS):
+        nodes[:, column] = np.take(lut, node_uses[:, k])
+    columns.string_table = []
 
 
 def _footer_bytes(strings: List[str], records: List[RecordMeta],
@@ -195,31 +215,36 @@ def segment_address(body: bytes, footer: bytes) -> str:
     return h.hexdigest()
 
 
-def build_segment(wal_records: List[WalRecord],
-                  created_nanos: int = 0) -> "tuple[bytes, Segment]":
-    """Compose segment file bytes (and metadata) from WAL records.
+def _compose(wal_records: List[WalRecord], created_nanos: int,
+             write: Callable[[bytes], object]) -> Segment:
+    """Encode a segment from WAL records, handing the file to ``write``
+    piece by piece, and return its metadata.
 
     The same WAL records always produce the same bytes — record order, the
     shared string table's intern order, and the footer encoding are all
     deterministic — so the content address is reproducible and a re-flush
-    after a crash lands on the identical file.
+    after a crash lands on the identical file.  Each record is decoded
+    into columns, its strings remapped and its blob re-encoded on its
+    own, and only that blob is alive while it is written.
     """
     if not wal_records:
         raise StoreError("cannot build a segment from zero records")
     _segments_built.inc()
     shared = StringTable()
-    body_parts: List[bytes] = []
+    hasher = hashlib.blake2b(digest_size=_ADDRESS_BYTES)
     metas: List[RecordMeta] = []
     offset = 0
+    write(SEGMENT_MAGIC)
     for record in wal_records:
         try:
-            message = pb.loads(record.blob)
-        except WireError as exc:
+            columns = pb.loads(record.blob)
+        except (WireError, UnicodeDecodeError) as exc:
             raise StoreError("WAL record #%d does not parse: %s"
                              % (record.seq, exc)) from exc
-        _remap_strings(message, shared)
-        blob = message.serialize()
-        body_parts.append(blob)
+        _remap_strings(columns, shared)
+        blob = columns.serialize()
+        write(blob)
+        hasher.update(blob)
         metas.append(RecordMeta(service=record.service, ptype=record.ptype,
                                 labels=dict(record.labels),
                                 time_nanos=record.time_nanos,
@@ -227,25 +252,45 @@ def build_segment(wal_records: List[WalRecord],
                                 offset=offset, length=len(blob),
                                 seq=record.seq))
         offset += len(blob)
-    body = b"".join(body_parts)
     with _tracer.span("store.segment.encode_footer",
                       records=len(metas), strings=len(shared)):
         footer = _footer_bytes(shared.as_list(), metas, created_nanos)
-    address = segment_address(body, footer)
-    data = (SEGMENT_MAGIC + body + footer +
-            _FOOTER_LEN.pack(len(footer)) + SEGMENT_END)
-    segment = Segment(address=address, path="", strings=shared.as_list(),
-                      records=metas, created_nanos=created_nanos,
-                      size_bytes=len(data))
-    return data, segment
+    hasher.update(footer)
+    write(footer)
+    write(_FOOTER_LEN.pack(len(footer)) + SEGMENT_END)
+    return Segment(address=hasher.hexdigest(), path="",
+                   strings=shared.as_list(), records=metas,
+                   created_nanos=created_nanos,
+                   size_bytes=(len(SEGMENT_MAGIC) + offset + len(footer)
+                               + _FOOTER_LEN.size + len(SEGMENT_END)))
+
+
+def build_segment(wal_records: List[WalRecord],
+                  created_nanos: int = 0) -> "tuple[bytes, Segment]":
+    """Compose segment file bytes (and metadata) from WAL records: the
+    bytes :func:`write_segment` streams to disk."""
+    pieces: List[bytes] = []
+    segment = _compose(wal_records, created_nanos, pieces.append)
+    return b"".join(pieces), segment
 
 
 def write_segment(directory: str, wal_records: List[WalRecord],
                   created_nanos: int = 0) -> Segment:
-    """Flush WAL records to ``<directory>/<address>.seg`` atomically."""
-    data, segment = build_segment(wal_records, created_nanos)
-    segment.path = os.path.join(directory, segment.address + SEGMENT_SUFFIX)
-    atomic_write_bytes(segment.path, data)
+    """Flush WAL records to ``<directory>/<address>.seg`` atomically.
+
+    The file is streamed into a temporary next to its destination and
+    renamed once the address is known; on any failure no segment
+    appears.
+    """
+    built: List[Segment] = []
+
+    def produce(write: Callable[[bytes], object]) -> str:
+        built.append(_compose(wal_records, created_nanos, write))
+        return built[0].address + SEGMENT_SUFFIX
+
+    path = atomic_write_stream(directory, produce, prefix="segment.")
+    segment = built[0]
+    segment.path = path
     return segment
 
 
@@ -302,7 +347,7 @@ def load_profile(segment: Segment, meta: RecordMeta) -> Profile:
     """Materialize one profile from a segment record.
 
     Reads only the record's byte range, reattaches the segment string
-    table, and raises the message into a :class:`Profile`.
+    table, and raises the columns into a :class:`Profile`.
     """
     with open(segment.path, "rb") as handle:
         handle.seek(len(SEGMENT_MAGIC) + meta.offset)
@@ -311,12 +356,12 @@ def load_profile(segment: Segment, meta: RecordMeta) -> Profile:
         raise StoreError("segment %s record #%d is truncated"
                          % (segment.path, meta.seq))
     try:
-        message = pb.ProfileMessage.parse(blob)
+        columns = pb.ProfileColumns.parse(blob)
     except (WireError, UnicodeDecodeError) as exc:
         raise StoreError("segment %s record #%d does not parse: %s"
                          % (segment.path, meta.seq, exc)) from exc
-    message.string_table = list(segment.strings)
-    profile = serialize.from_message(message)
+    columns.string_table = segment.strings
+    profile = serialize.from_columns(columns)
     profile.meta.time_nanos = meta.time_nanos
     profile.meta.duration_nanos = meta.duration_nanos
     return profile

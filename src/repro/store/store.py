@@ -55,6 +55,10 @@ from .wal import WalRecord, WriteAheadLog
 
 WAL_NAME = "wal.log"
 
+#: Provenance-key namespaces of loaded records (:meth:`ProfileStore.load`).
+WAL_SOURCE = "store-wal"
+SEGMENT_SOURCE = "store-segment"
+
 #: Spans cover the durability pipeline end to end — ingest, WAL append,
 #: segment write, query planning, merge-on-read — so a dogfooded profile
 #: answers "where does a slow ``store query`` spend its time?".
@@ -76,6 +80,15 @@ class IngestResult:
     #: True when the profile carried no wall-clock stamp and the store
     #: assigned its ingest time instead (EV312's remediation).
     assigned_time: bool = False
+
+
+@dataclass
+class LintedProfile:
+    """A profile with the ingest lint's diagnostics for it
+    (:meth:`ProfileStore.lint`)."""
+
+    profile: Profile
+    diagnostics: List[Any]
 
 
 @dataclass
@@ -159,32 +172,32 @@ class ProfileStore:
 
     # -- ingest ------------------------------------------------------------
 
-    def ingest(self, source: Union[str, bytes, Profile],
+    def ingest(self, source: Union[str, bytes, Profile, LintedProfile],
                service: str, ptype: str = "cpu",
                labels: Optional[Dict[str, str]] = None,
                format: Optional[str] = None) -> IngestResult:
         """Normalize, lint, and durably log one profile.
 
         ``source`` may be a file path, raw profile bytes in any supported
-        format, or an already-built :class:`Profile`.  Returns once the
-        record is fsynced into the WAL.  Auto-flushes to a segment when
-        the WAL reaches ``flush_records``.
+        format, an already-built :class:`Profile`, or what :meth:`lint`
+        returned for one — a caller that gates on the diagnostics (the
+        collector) lints first and hands that over, so the profile is
+        linted once.  Returns once the record is fsynced into the WAL.
+        Auto-flushes to a segment when the WAL reaches ``flush_records``.
         """
-        from ..lint import lint_profile
         with _tracer.span("store.ingest", service=service,
                           type=ptype) as span:
-            if isinstance(source, Profile):
-                profile = source
-            else:
-                from ..converters import open_profile, parse_bytes
-                if isinstance(source, bytes):
-                    profile = parse_bytes(source, format=format)
+            if not isinstance(source, LintedProfile):
+                if isinstance(source, Profile):
+                    profile = source
                 else:
-                    profile = open_profile(source, format=format)
-
-            with _tracer.span("store.ingest.lint"):
-                diagnostics = lint_profile(profile, require_time=True,
-                                           subject=service or "<ingest>")
+                    from ..converters import open_profile, parse_bytes
+                    if isinstance(source, bytes):
+                        profile = parse_bytes(source, format=format)
+                    else:
+                        profile = open_profile(source, format=format)
+                source = self.lint(profile, subject=service or "<ingest>")
+            profile = source.profile
             assigned = False
             time_nanos = profile.meta.time_nanos
             if time_nanos <= 0:
@@ -210,8 +223,21 @@ class ProfileStore:
                     span.set("seq", record.seq)
                 if len(self.wal) >= self.flush_records:
                     self.flush()
-            return IngestResult(entry=entry, diagnostics=diagnostics,
+            return IngestResult(entry=entry,
+                                diagnostics=list(source.diagnostics),
                                 assigned_time=assigned)
+
+    def lint(self, profile: Profile,
+             subject: str = "<ingest>") -> LintedProfile:
+        """The ingest lint: the profile rules plus EV312's time check.
+
+        The first of ingest's two steps; hand the result to
+        :meth:`ingest` to log the profile without linting it again.
+        """
+        from ..lint import lint_profile
+        with _tracer.span("store.ingest.lint"):
+            return LintedProfile(profile, lint_profile(
+                profile, require_time=True, subject=subject))
 
     # -- flush -------------------------------------------------------------
 
@@ -272,7 +298,22 @@ class ProfileStore:
         return segment
 
     def load(self, entry: RecordEntry) -> Profile:
-        """Materialize the profile behind one index entry."""
+        """Materialize the profile behind one index entry.
+
+        The profile carries a provenance key, so the engine keys it
+        without digesting its content: a WAL record is keyed by its blob
+        plus the time and duration this load writes into the profile's
+        meta, a segment record by (segment address, seq) — the address
+        hashes the record's blob and the footer holding its meta.  The
+        same record after a flush or a compaction gets a new key and the
+        same content digest.
+        """
+        profile, source = self._read(entry)
+        profile.set_source(*source)
+        return profile
+
+    def _read(self, entry: RecordEntry):
+        """``(profile, provenance key parts)`` of one index entry."""
         if entry.segment is None:
             with self._lock:
                 records = list(self.wal.records)
@@ -281,7 +322,9 @@ class ProfileStore:
                     profile = serialize.loads(record.blob)
                     profile.meta.time_nanos = record.time_nanos
                     profile.meta.duration_nanos = record.duration_nanos
-                    return profile
+                    return profile, (WAL_SOURCE, record.blob,
+                                     b"%d" % record.time_nanos,
+                                     b"%d" % record.duration_nanos)
             # A concurrent flush may have drained the WAL between the
             # query plan and this load; the index already knows which
             # segment the record moved to.
@@ -295,7 +338,9 @@ class ProfileStore:
         segment = self._segment(entry.segment)
         for meta in segment.records:
             if meta.seq == entry.seq:
-                return load_profile(segment, meta)
+                return load_profile(segment, meta), (
+                    SEGMENT_SOURCE, segment.address.encode("ascii"),
+                    b"%d" % meta.seq)
         raise StoreError("segment %s does not hold record #%d"
                          % (entry.segment, entry.seq))
 
@@ -312,12 +357,13 @@ class ProfileStore:
         """Merge-on-read: select, load, and aggregate matching profiles.
 
         Profile loads fan out through the engine's worker pool; the merge
-        itself is the engine's memoized ``aggregate_profiles``.  Loaded
-        profiles carry no source key (compaction rewrites the blobs), so
-        it is keyed by their content digests, each computed once per
-        loaded profile — so re-running a query over unchanged data is a
-        cache hit, whichever segments the records live in (compaction
-        does not change the answer *or* the key).
+        itself is the engine's memoized ``aggregate_profiles``.  Unlike
+        :meth:`load`, these loads carry no provenance key (a flush or a
+        compaction would change it), so the merge is keyed by content
+        digests, each computed once per loaded profile — so re-running a
+        query over unchanged data is a cache hit, whichever segments the
+        records live in (compaction does not change the answer *or* the
+        key).
         """
         with _tracer.span("store.query") as span:
             if isinstance(query, str):
@@ -334,7 +380,8 @@ class ProfileStore:
                 return QueryResult(query=query, entries=[], tree=None,
                                    shape=shape)
             with _tracer.span("store.query.load", records=len(entries)):
-                profiles = self.engine.pool.map(self.load, entries)
+                profiles = self.engine.pool.map(
+                    lambda entry: self._read(entry)[0], entries)
             tree = self.engine.aggregate_profiles(profiles, shape=shape)
             return QueryResult(query=query, entries=entries, tree=tree,
                                shape=shape)
@@ -362,8 +409,9 @@ class ProfileStore:
         window (the regression-watch cadence) is a cache hit keyed by
         :meth:`window_key` — no profile loads, no content re-digesting.
         A changed window misses here and falls through to the ordinary
-        content-keyed aggregation, so correctness never depends on this
-        cache.
+        aggregation over :meth:`load`'s provenance-keyed profiles, so
+        correctness never depends on this cache and a miss digests no
+        profile either.
         """
         with _tracer.span("store.query.window") as span:
             if isinstance(query, str):

@@ -60,6 +60,25 @@ _HEADER = struct.Struct("<2sII")  # magic, payload length, payload crc32
 MAX_RECORD_BYTES = 1 << 31
 
 
+def labels_json(labels: Dict[str, str]) -> str:
+    """Labels as their canonical JSON (sorted keys; empty for none)."""
+    return json.dumps(labels, sort_keys=True) if labels else ""
+
+
+def parse_labels(text: str) -> Dict[str, str]:
+    """Labels from their JSON form.
+
+    Raises ``ValueError`` unless the text is a JSON object whose values
+    are all strings: the index and the query language treat labels as
+    string pairs, so a record carrying anything else is corrupt.
+    """
+    labels = json.loads(text) if text else {}
+    if not isinstance(labels, dict) or not all(
+            isinstance(value, str) for value in labels.values()):
+        raise ValueError("labels must be a JSON object of strings")
+    return labels
+
+
 @dataclass
 class WalRecord:
     """One ingested profile, as logged."""
@@ -76,8 +95,7 @@ class WalRecord:
         writer = Writer()
         writer.string(1, self.service)
         writer.string(2, self.ptype)
-        writer.string(3, json.dumps(self.labels, sort_keys=True)
-                      if self.labels else "")
+        writer.string(3, labels_json(self.labels))
         writer.varint(4, self.time_nanos)
         writer.varint(5, self.duration_nanos)
         writer.bytes(6, self.blob)
@@ -96,8 +114,8 @@ class WalRecord:
             elif num == 2:
                 record.ptype = intern_string(delimited(wtype, value))
             elif num == 3:
-                text = decode_string(delimited(wtype, value))
-                record.labels = json.loads(text) if text else {}
+                record.labels = parse_labels(
+                    decode_string(delimited(wtype, value)))
             elif num == 4:
                 record.time_nanos = scalar(wtype, value)
             elif num == 5:
@@ -141,6 +159,7 @@ def scan(data: bytes) -> Tuple[List[WalRecord], int]:
         try:
             records.append(WalRecord.from_payload(payload))
         except (WireError, UnicodeDecodeError, ValueError, RecursionError):
+            # ValueError: labels that are not a JSON object of strings;
             # RecursionError: labels JSON nested past the parser's limit.
             break
         pos = end

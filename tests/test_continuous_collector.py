@@ -153,7 +153,6 @@ class TestUploadHandling:
         """Lint and store run with collection off, like the parse before
         them, so no collection promotes the parsed profile; every outcome
         turns collection back on."""
-        from repro.continuous import collector as collector_module
         seen = []
 
         def spying(step):
@@ -162,8 +161,7 @@ class TestUploadHandling:
                 return step(*args, **kwargs)
             return spy
 
-        monkeypatch.setattr(collector_module, "lint_profile",
-                            spying(collector_module.lint_profile))
+        monkeypatch.setattr(store, "lint", spying(store.lint))
         monkeypatch.setattr(store, "ingest", spying(store.ingest))
         collector = Collector(store)
         env = checkout_envelope()

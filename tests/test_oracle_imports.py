@@ -1,10 +1,13 @@
 """The object-path oracles stay off the production path.
 
-``repro.bench.view_oracle`` and ``repro.bench.pprof_oracle`` exist to be
-compared with, by the benchmark gates in ``repro.bench`` and by the
-tests.  A production module that imported one would run the slow object
-path in place of the arrays, and the differential checks would compare
-the fast path with itself.
+``repro.bench.view_oracle``, ``repro.bench.pprof_oracle`` and
+``repro.bench.ezvw_oracle`` exist to be compared with, by the benchmark
+gates in ``repro.bench`` and by the tests.  A production module that
+imported one would run the slow object path in place of the arrays, and
+the differential checks would compare the fast path with itself.  The
+per-node ``.ezvw`` messages (``ContextNode``, ``ProfileMessage``) are
+likewise only for the oracle, the reference codec and the schema module
+that defines them.
 """
 
 import ast
@@ -12,7 +15,7 @@ import pathlib
 
 import repro
 
-ORACLES = {"view_oracle", "pprof_oracle"}
+ORACLES = {"view_oracle", "pprof_oracle", "ezvw_oracle"}
 SRC = pathlib.Path(repro.__file__).resolve().parent
 
 
@@ -50,3 +53,25 @@ def test_the_check_sees_an_oracle_import():
     names = [name for name in _imported(tree)
              if ORACLES & set(name.split("."))]
     assert names == ["bench.view_oracle", "repro.bench.pprof_oracle"]
+
+
+#: The per-node ``.ezvw`` message classes, and the modules allowed to
+#: use them besides the bench package.
+PER_NODE_MESSAGES = {"ContextNode", "ProfileMessage"}
+MESSAGE_MODULES = {("proto", "easyview_pb.py"), ("proto", "reference.py")}
+
+
+def test_only_the_oracles_use_the_per_node_messages():
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        relative = path.relative_to(SRC)
+        if relative.parts[0] == "bench" or relative.parts in MESSAGE_MODULES:
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            name = (node.attr if isinstance(node, ast.Attribute)
+                    else node.id if isinstance(node, ast.Name) else None)
+            if name in PER_NODE_MESSAGES:
+                offenders.append("%s:%d uses %s"
+                                 % (relative, node.lineno, name))
+    assert offenders == []

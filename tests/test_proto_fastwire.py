@@ -16,8 +16,8 @@ import struct
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.bench import ezvw_oracle
 from repro.converters import pprof as pprof_conv
-from repro.core import serialize
 from repro.profilers.corpus import generate_bytes, tier
 from repro.proto import easyview_pb, fastwire, pprof_pb, reference
 from repro.proto.fastwire import WireError
@@ -46,7 +46,7 @@ def small_pprof_raw():
 @pytest.fixture(scope="module")
 def small_easyview_raw(small_pprof_raw):
     profile = pprof_conv.parse(small_pprof_raw)
-    return serialize.to_message(profile).serialize()
+    return ezvw_oracle.to_message(profile).serialize()
 
 
 # --------------------------------------------------------------------------
@@ -289,7 +289,19 @@ class TestEasyViewEquivalence:
     def test_loads_accepts_memoryview(self, small_easyview_raw):
         message = easyview_pb.ProfileMessage.parse(small_easyview_raw)
         framed = easyview_pb.dumps(message)
-        assert easyview_pb.loads(memoryview(framed)) == message
+        columns = easyview_pb.loads(memoryview(framed))
+        assert ezvw_oracle.message_of(columns) == message
+
+    def test_columnar_decode_equal(self, small_easyview_raw):
+        columns = easyview_pb.ProfileColumns.parse(small_easyview_raw)
+        assert (ezvw_oracle.message_of(columns)
+                == reference.parse_easyview(small_easyview_raw))
+
+    def test_columnar_encode_byte_identical(self, small_easyview_raw):
+        columns = easyview_pb.ProfileColumns.parse(small_easyview_raw)
+        message = ezvw_oracle.message_of(columns)
+        assert columns.serialize() == reference.serialize_easyview(message)
+        assert columns.serialize() == small_easyview_raw
 
 
 class TestStoreEncodingEquivalence:
