@@ -12,7 +12,7 @@ min, max, mean).  It powers:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.cct import CCTNode
 from ..core.metric import Aggregation, Metric, MetricSchema
@@ -39,63 +39,39 @@ def merge_trees(trees: Sequence[ViewTree],
     (0.0 where a tree lacked the node), which is what the histogram view
     renders.
     """
+    base_schema, schema = merged_schema(trees, operators)
+    remaps = [[base_schema.index_of(name) for name in tree.schema.names()]
+              for tree in trees]
+    return viewtree_columnar.merge_columnar(
+        [tree.columnar() for tree in trees], remaps, tuple(operators),
+        schema, "aggregate:%s" % trees[0].shape, len(base_schema))
+
+
+def merged_schema(trees: Sequence[ViewTree],
+                  operators: Sequence[Aggregation]
+                  ) -> Tuple[MetricSchema, MetricSchema]:
+    """The union of the trees' schemas, and the aggregate's schema: one
+    ``m:<operator>`` column per input metric and operator, operators
+    inner.  Raises for zero trees or mixed shapes."""
     if not trees:
         raise AnalysisError("cannot aggregate zero trees")
     shapes = {tree.shape for tree in trees}
     if len(shapes) != 1:
         raise AnalysisError("cannot aggregate mixed shapes: %s"
                             % ", ".join(sorted(shapes)))
-
     base_schema = trees[0].schema
     for tree in trees[1:]:
         base_schema = base_schema.union(tree.schema)
-    names = base_schema.names()
-
-    result = ViewTree(MetricSchema(), shape="aggregate:%s" % trees[0].shape)
-    stat_columns: Dict[Tuple[int, Aggregation], int] = {}
-    for index, metric in enumerate(base_schema):
+    schema = MetricSchema()
+    for metric in base_schema:
         for op in operators:
-            column = result.schema.add(Metric(
+            schema.add(Metric(
                 name="%s:%s" % (metric.name, op.name.lower()),
                 unit=metric.unit,
                 description="%s of %s across %d profiles"
                             % (op.name.lower(), metric.name, len(trees)),
                 aggregation=op))
-            stat_columns[(index, op)] = column
-
-    columnar = [tree.columnar() for tree in trees]
-    if all(cvt is not None for cvt in columnar):
-        remaps = [[base_schema.index_of(name) for name in tree.schema.names()]
-                  for tree in trees]
-        return viewtree_columnar.merge_columnar(
-            columnar, remaps, tuple(operators), result.schema,
-            result.shape, len(base_schema))
-
-    count = len(trees)
-    for position, tree in enumerate(trees):
-        # Map this tree's columns onto the unified column order.
-        remap = [base_schema.index_of(name) for name in tree.schema.names()]
-        stack = [(tree.root, result.root)]
-        while stack:
-            src, dst = stack.pop()
-            dst.sources.extend(src.sources)
-            for local_index, value in src.inclusive.items():
-                unified = remap[local_index]
-                series = dst.histogram.setdefault(unified, [0.0] * count)
-                series[position] += value
-            for local_index, value in src.exclusive.items():
-                unified = remap[local_index]
-                dst.add_exclusive(stat_columns.get(
-                    (unified, Aggregation.SUM),
-                    stat_columns[(unified, operators[0])]), value)
-            for child in src.children.values():
-                stack.append((child, dst.child(child.frame)))
-
-    for node in result.root.walk():
-        for unified, series in node.histogram.items():
-            for op in operators:
-                node.inclusive[stat_columns[(unified, op)]] = op.combine(series)
-    return result
+    return base_schema, schema
 
 
 def aggregate_profiles(profiles: Sequence[Profile], shape: str = "top_down",

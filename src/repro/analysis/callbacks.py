@@ -30,7 +30,7 @@ import numpy as np
 from ..core.cct import CCTNode
 from ..core.frame import Frame
 from ..core.metric import Metric
-from . import viewrows, viewtree_columnar
+from . import viewtree_columnar
 from .viewtree import ViewNode, ViewTree
 
 ElideFn = Callable[[CCTNode], bool]
@@ -131,7 +131,7 @@ class Customization:
         # Lazy import: the engine depends on this package.
         from ..engine import forget_everywhere
         cvt = tree.columnar()
-        nodes = viewrows.facade_nodes(tree, cvt)
+        nodes = cvt.facade()
         names = tree.schema.names()
         plans = [(tree.schema.add(metric), fn, inclusive)
                  for metric, fn, inclusive in self._derived]

@@ -19,9 +19,9 @@ quantify rather than merely hint.  Users who prefer ratios over differences
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional
 
-from ..core.metric import Aggregation, Metric, MetricSchema
+from ..core.metric import Aggregation, Metric
 from ..core.profile import Profile
 from ..errors import AnalysisError
 from . import formula, viewtree_columnar
@@ -49,62 +49,11 @@ def diff_trees(baseline: ViewTree, treatment: ViewTree,
         raise AnalysisError("cannot diff %s against %s"
                             % (baseline.shape, treatment.shape))
     schema = baseline.schema.union(treatment.schema)
-    result = ViewTree(schema, shape="diff:%s" % baseline.shape)
-
-    base_remap = [schema.index_of(n) for n in baseline.schema.names()]
-    treat_remap = [schema.index_of(n) for n in treatment.schema.names()]
-
-    base_columnar = baseline.columnar()
-    treat_columnar = treatment.columnar()
-    if base_columnar is not None and treat_columnar is not None:
-        return viewtree_columnar.diff_columnar(
-            base_columnar, treat_columnar, base_remap, treat_remap,
-            schema, result.shape, metric_index, tolerance)
-
-    # Overlay the baseline first, then the treatment, then classify.
-    base_seen = set()
-    stack = [(baseline.root, result.root)]
-    while stack:
-        src, dst = stack.pop()
-        base_seen.add(id(dst))
-        for local, value in src.inclusive.items():
-            dst.baseline[base_remap[local]] = (
-                dst.baseline.get(base_remap[local], 0.0) + value)
-        dst.sources.extend(src.sources)
-        for child in src.children.values():
-            stack.append((child, dst.child(child.frame)))
-
-    seen = set()
-    stack = [(treatment.root, result.root)]
-    while stack:
-        src, dst = stack.pop()
-        seen.add(id(dst))
-        for local, value in src.inclusive.items():
-            dst.add_inclusive(treat_remap[local], value)
-        for local, value in src.exclusive.items():
-            dst.add_exclusive(treat_remap[local], value)
-        dst.sources.extend(src.sources)
-        for child in src.children.values():
-            stack.append((child, dst.child(child.frame)))
-
-    for node in result.nodes():
-        if node is result.root:
-            continue
-        in_treatment = id(node) in seen
-        in_baseline = id(node) in base_seen
-        before = node.baseline.get(metric_index, 0.0)
-        after = node.inclusive.get(metric_index, 0.0)
-        if in_treatment and not in_baseline:
-            node.tag = TAG_ADDED
-        elif in_baseline and not in_treatment:
-            node.tag = TAG_DELETED
-        elif after > before + tolerance:
-            node.tag = TAG_GREW
-        elif after < before - tolerance:
-            node.tag = TAG_SHRANK
-        else:
-            node.tag = TAG_SAME
-    return result
+    return viewtree_columnar.diff_columnar(
+        baseline.columnar(), treatment.columnar(),
+        [schema.index_of(n) for n in baseline.schema.names()],
+        [schema.index_of(n) for n in treatment.schema.names()],
+        schema, "diff:%s" % baseline.shape, metric_index, tolerance)
 
 
 def diff_profiles(baseline: Profile, treatment: Profile,
@@ -132,54 +81,42 @@ def add_delta_column(tree: ViewTree, metric_index: int,
     ``after / before`` (0 where the baseline is 0) — the division variant
     §V-B recommends for scaling studies.  Returns the new column index.
     """
-    if not tree.shape.startswith("diff:"):
-        raise AnalysisError("delta columns only apply to diff trees")
-    if mode not in ("subtract", "ratio"):
-        raise AnalysisError("mode must be 'subtract' or 'ratio'")
     # Lazy import: the engine depends on this package.
     from ..engine import forget_everywhere
-    metric = tree.schema[metric_index]
-    suffix = "delta" if mode == "subtract" else "ratio"
-    column = tree.schema.add(Metric(
-        name="%s:%s" % (metric.name, suffix),
-        unit=metric.unit if mode == "subtract" else "",
-        description="%s of %s (treatment vs baseline)" % (suffix, metric.name),
-        aggregation=Aggregation.SUM))
+    column = delta_metric(tree, metric_index, mode)
     cvt = tree.columnar()
-    if cvt is not None:
-        # The formula engine's "-" and "/" are exactly the loop below.
-        env = {"after": viewtree_columnar.value_column(cvt, metric_index),
-               "before": viewtree_columnar.value_column(cvt, metric_index,
-                                                        "baseline")}
-        values = formula.evaluate_columns(
-            formula.parse("after - before" if mode == "subtract"
-                          else "after / before"), env, cvt.n_rows)
-        viewtree_columnar.add_column(tree, column, values)
-    else:
-        for node in tree.nodes():
-            before = node.baseline.get(metric_index, 0.0)
-            after = node.inclusive.get(metric_index, 0.0)
-            if mode == "subtract":
-                node.inclusive[column] = after - before
-            else:
-                node.inclusive[column] = after / before if before else 0.0
+    env = {"after": viewtree_columnar.value_column(cvt, metric_index),
+           "before": viewtree_columnar.value_column(cvt, metric_index,
+                                                    "baseline")}
+    values = formula.evaluate_columns(
+        formula.parse("after - before" if mode == "subtract"
+                      else "after / before"), env, cvt.n_rows)
+    viewtree_columnar.add_column(tree, column, values)
     # In-place mutation: drop the tree from any engine cache and re-key it.
     forget_everywhere(tree, "delta", metric_index, mode)
     return column
 
 
+def delta_metric(tree, metric_index: int, mode: str) -> int:
+    """Check a delta column's arguments and add its metric to the tree's
+    schema; returns the column index."""
+    if not tree.shape.startswith("diff:"):
+        raise AnalysisError("delta columns only apply to diff trees")
+    if mode not in ("subtract", "ratio"):
+        raise AnalysisError("mode must be 'subtract' or 'ratio'")
+    metric = tree.schema[metric_index]
+    suffix = "delta" if mode == "subtract" else "ratio"
+    return tree.schema.add(Metric(
+        name="%s:%s" % (metric.name, suffix),
+        unit=metric.unit if mode == "subtract" else "",
+        description="%s of %s (treatment vs baseline)" % (suffix, metric.name),
+        aggregation=Aggregation.SUM))
+
+
 def summarize(tree: ViewTree) -> Dict[str, int]:
     """Count nodes per differential tag (used in reports and tests).
 
-    Tags are keyed in the order the node walk first meets them; a
-    columnar-backed tree is counted off its tag codes without building
-    the facade.
+    Tags are keyed in the order the node walk first meets them, counted
+    off the tree's tag codes.
     """
-    cvt = tree.columnar()
-    if cvt is not None:
-        return viewtree_columnar.tag_counts(cvt)
-    counts: Dict[str, int] = {}
-    for node in tree.nodes():
-        if node.tag:
-            counts[node.tag] = counts.get(node.tag, 0) + 1
-    return counts
+    return viewtree_columnar.tag_counts(tree.columnar())

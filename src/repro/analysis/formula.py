@@ -43,7 +43,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Mapping, Optional, Union
+from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -519,35 +519,38 @@ def derive(tree: ViewTree, name: str, formula: str, unit: str = "",
     existing name again recomputes its column.  Returns the column index.
     A formula error raises before anything changes.
 
-    Columnar-backed trees keep their arrays: the formula runs once over
-    the value matrix and the column lands copy-on-write (see
-    :func:`~repro.analysis.viewtree_columnar.add_column`).
+    The formula runs once over the value matrix and the column lands
+    copy-on-write (see :func:`~repro.analysis.viewtree_columnar.
+    add_column`), so the tree keeps its arrays.
     """
     # Lazy import: the engine depends on this package.
     from ..engine import forget_everywhere
-    expr = parse(formula)
     names = tree.schema.names()
-    # Values never raise, so one evaluation over zeros raises exactly the
-    # name, function and arity errors — before the schema changes.
-    evaluate(expr, dict.fromkeys(names, 0.0))
-    index = tree.schema.add(Metric(name=name, unit=unit,
-                                   description=description or formula,
-                                   aggregation=aggregation))
+    expr, index = declare(tree, name, formula, unit, description,
+                          aggregation)
     cvt = tree.columnar()
-    if cvt is not None:
-        plane = "inclusive" if inclusive else "exclusive"
-        env = {metric_name: viewtree_columnar.value_column(cvt, i, plane)
-               for i, metric_name in enumerate(names)}
-        viewtree_columnar.add_column(
-            tree, index, evaluate_columns(expr, env, cvt.n_rows), inclusive)
-    else:
-        for node in tree.nodes():
-            table = node.inclusive if inclusive else node.exclusive
-            env = {metric_name: table.get(i, 0.0)
-                   for i, metric_name in enumerate(names)}
-            table[index] = evaluate(expr, env)
+    plane = "inclusive" if inclusive else "exclusive"
+    env = {metric_name: viewtree_columnar.value_column(cvt, i, plane)
+           for i, metric_name in enumerate(names)}
+    viewtree_columnar.add_column(
+        tree, index, evaluate_columns(expr, env, cvt.n_rows), inclusive)
     # The content changed: no engine may keep serving the tree under its
     # pre-mutation key, and the key moves on by this derivation.
     forget_everywhere(tree, "derive", name, formula, unit, description,
                       inclusive, int(aggregation))
     return index
+
+
+def declare(tree, name: str, formula: str, unit: str, description: str,
+            aggregation: Aggregation) -> Tuple[Expr, int]:
+    """Parse ``formula`` and add its metric to the tree's schema: the
+    parsed expression and the column index.  The formula's name,
+    function and arity errors raise before the schema changes."""
+    expr = parse(formula)
+    # Values never raise, so one evaluation over zeros raises exactly the
+    # name, function and arity errors.
+    evaluate(expr, dict.fromkeys(tree.schema.names(), 0.0))
+    index = tree.schema.add(Metric(name=name, unit=unit,
+                                   description=description or formula,
+                                   aggregation=aggregation))
+    return expr, index

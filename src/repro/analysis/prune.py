@@ -3,48 +3,130 @@
 These are the "associated analyses" §V-A(a) couples with tree traversal:
 collapsing deep and recursive call paths and pruning insignificant nodes,
 which keep large profiles readable and the renderer fast.
-All operations work on view trees and return new trees or node lists; the
-underlying profile is never mutated.
+All operations work on view trees and return new trees or node rows; the
+underlying profile is never mutated.  They run on the view rows: a result
+tree carries arrays like its input, with every value plane of the rows it
+keeps (diff baselines and aggregate histograms included).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+import numpy as np
 
-from ..core.frame import FrameKind
-from .viewtree import ViewNode, ViewTree
+from ..core.frame import FrameKind, intern_frame
+from . import viewrows
+from .viewtree import ViewTree
+from .viewtree_columnar import (ColumnarViewTree, _UnionSources, _cell_ranks,
+                                _grouped_csr, _renumber, take_rows,
+                                value_column)
 
 
 def collapse_recursion(tree: ViewTree) -> ViewTree:
     """Merge self-recursive chains: a child with its parent's identity folds
     into the parent (values and grandchildren move up).
 
-    ``f → f → f → g`` becomes ``f → g``; the folded ``f`` keeps the chain's
-    combined exclusive value and the outermost inclusive value.
+    ``f → f → f → g`` becomes ``f → g``.  A row's exclusive value sums
+    every row folded into it; its inclusive, baseline and histogram
+    values sum only the rows whose parent went to another row, so the
+    folded ``f`` keeps its outermost inclusive value, and a ``g`` met
+    under ``f`` at two recursion depths adds both.
     """
-    result = ViewTree(tree.schema.copy(), shape=tree.shape)
-    _copy_collapsed(tree.root, result.root)
-    return result
+    cvt = tree.columnar()
+    n = cvt.n_rows
+    parent = cvt.parent
+    first_token: dict = {}
+    canonical = np.asarray([first_token.setdefault(key, token)
+                            for token, key in enumerate(cvt.merge_keys)],
+                           dtype=np.int64)
+    key = canonical[cvt.token]
+    folded = np.zeros(n, dtype=bool)
+    folded[1:] = key[1:] == key[parent[1:]]
+    # Per row: the nearest ancestor-or-self that did not fold (the row
+    # whose output row it joins), and that output row's depth.
+    head = np.arange(n, dtype=np.int64)
+    depth = np.zeros(n, dtype=np.int64)
+    ids, start = cvt.depth_groups()
+    for level in range(1, len(start) - 1):
+        rows = ids[start[level]:start[level + 1]]
+        fold = folded[rows]
+        head[rows] = np.where(fold, head[parent[rows]], rows)
+        depth[rows] = depth[parent[rows]] + ~fold
 
+    # Heads meeting one output parent under one key merge, an output
+    # level at a time; each output row is created the first time the
+    # object walk scans one of its heads from the head's parent.
+    heads = np.flatnonzero(~folded)
+    order, bounds = _grouped_csr(depth[heads], int(depth.max()) + 1)
+    visit = cvt.creation_visit_positions()
+    n_keys = max(len(cvt.merge_keys), 1)
+    out = np.zeros(n, dtype=np.int64)
+    # (parent, depth, token, frame, creation rank) per new output row.
+    chunks = [(np.full(1, -1, dtype=np.int64), np.zeros(1, dtype=np.int64),
+               key[:1], cvt.frame_id[:1], np.zeros(1, dtype=np.int64))]
+    n_out = 1
+    for level in range(1, len(bounds) - 1):
+        rows = heads[order[bounds[level]:bounds[level + 1]]]
+        uniq, inverse = np.unique(out[head[parent[rows]]] * n_keys
+                                  + key[rows], return_inverse=True)
+        out[rows] = n_out + inverse
+        rank = visit[parent[rows]] * n + rows
+        by_rank = np.argsort(rank, kind="stable")
+        _, first = np.unique(inverse[by_rank], return_index=True)
+        creators = by_rank[first]
+        chunks.append((uniq // n_keys,
+                       np.full(uniq.shape[0], level, dtype=np.int64),
+                       uniq % n_keys, cvt.frame_id[rows[creators]],
+                       rank[creators]))
+        n_out += uniq.shape[0]
+    remap, row_parent, row_depth, row_token, row_frame = _renumber(
+        *(np.concatenate(part) for part in zip(*chunks)))
+    out = remap[out[head]]
 
-def _copy_collapsed(src: ViewNode, dst: ViewNode) -> None:
-    # Iterative: profiles carry call paths deep enough to blow the Python
-    # recursion limit (deeply recursive workloads).
-    stack = [(src, dst)]
-    while stack:
-        s, d = stack.pop()
-        for index, value in s.exclusive.items():
-            d.add_exclusive(index, value)
-        if not d.inclusive:
-            d.inclusive = dict(s.inclusive)
-        d.sources.extend(s.sources)
-        d.tag = d.tag or s.tag
-        for child in s.children.values():
-            if child.frame.merge_key() == d.frame.merge_key():
-                # Same function recursing: fold into d itself.
-                stack.append((child, d))
-            else:
-                stack.append((child, d.child(child.frame)))
+    # Values land in the object walk's order (the facade walk).
+    walk = cvt.walk_order()
+    own = walk[~folded[walk]]
+
+    def summed(rows, values, presence):
+        cells = presence[rows]
+        total = np.zeros((n_out,) + values.shape[1:], dtype=np.float64)
+        np.add.at(total, out[rows], np.where(
+            cells if values.ndim == 2 else cells[:, :, None],
+            values[rows], 0.0))
+        seen = np.zeros((n_out, presence.shape[1]), dtype=bool)
+        np.logical_or.at(seen, out[rows], cells)
+        return total, seen
+
+    planes = {}
+    planes["exclusive"], planes["excl_present"] = summed(
+        walk, cvt.exclusive, cvt.excl_present)
+    planes["inclusive"], planes["incl_present"] = summed(
+        own, cvt.inclusive, cvt.incl_present)
+    if cvt.baseline is not None:
+        planes["baseline"], planes["base_present"] = summed(
+            own, cvt.baseline, cvt.base_present)
+    if cvt.hist is not None:
+        planes["hist"], planes["hist_present"] = summed(
+            own, cvt.hist, cvt.hist_present)
+        planes["hist_first"] = np.zeros(planes["hist_present"].shape,
+                                        dtype=np.int64)
+    if cvt.tag_codes is not None:
+        # The first tag the walk meets on any of the row's contributors.
+        tagged = walk[cvt.tag_codes[walk] != 0]
+        rows, first = np.unique(out[tagged], return_index=True)
+        planes["tag_codes"] = np.zeros(n_out, dtype=np.int8)
+        planes["tag_codes"][rows] = cvt.tag_codes[tagged[first]]
+    target = out[walk]
+    grouped = np.argsort(target, kind="stable")
+    source_start = np.zeros(n_out + 1, dtype=np.int64)
+    np.cumsum(np.bincount(target, minlength=n_out), out=source_start[1:])
+    collapsed = ColumnarViewTree(
+        parent=row_parent, depth=row_depth, token=row_token,
+        frame_id=row_frame, frames=cvt.frames, merge_keys=cvt.merge_keys,
+        shape=cvt.shape, n_series=cvt.n_series,
+        row_sources=_UnionSources([cvt], np.zeros(n, dtype=np.int64),
+                                  walk[grouped], source_start),
+        **planes)
+    return ViewTree(tree.schema.copy(), tree.shape, collapsed)
 
 
 def prune(tree: ViewTree, metric_index: int = 0,
@@ -52,91 +134,107 @@ def prune(tree: ViewTree, metric_index: int = 0,
           other_label: str = "<pruned>") -> ViewTree:
     """Drop subtrees whose inclusive value falls below a fraction of total.
 
-    Pruned siblings are folded into a single ``<pruned>`` placeholder per
-    parent so totals remain exact (the flame graph still adds up).
+    Each parent that loses children gets one ``<pruned>`` child holding
+    their summed inclusive (also its exclusive), baseline and histogram
+    values, so totals remain exact (the flame graph still adds up).  A
+    parent whose kept children already include a ``<pruned>`` one (a
+    pruned tree, pruned again) adds the dropped values into it.
     """
-    total = tree.total(metric_index)
-    threshold = abs(total) * min_fraction
-    result = ViewTree(tree.schema.copy(), shape=tree.shape)
-    _copy_pruned(tree.root, result.root, metric_index, threshold, other_label)
-    return result
+    cvt = tree.columnar()
+    parent = cvt.parent
+    threshold = abs(tree.total(metric_index)) * min_fraction
+    keep = np.abs(value_column(cvt, metric_index)) >= threshold  # NaN fails
+    keep[0] = True
+    ids, start = cvt.depth_groups()
+    for level in range(1, len(start) - 1):
+        rows = ids[start[level]:start[level + 1]]
+        keep[rows] &= keep[parent[rows]]
+    kept = np.flatnonzero(keep)
+    dropped = np.flatnonzero(~keep)
+    dropped = dropped[keep[parent[dropped]]]  # in child order per parent
+    owners, slot = np.unique(parent[dropped], return_inverse=True)
 
+    frame = intern_frame(other_label, kind=FrameKind.BASIC_BLOCK)
+    placeholder = frame.merge_key()
+    is_placeholder = np.fromiter((key == placeholder
+                                  for key in cvt.merge_keys), dtype=bool,
+                                 count=len(cvt.merge_keys))
+    # A kept <pruned> child of an owner takes its dropped values.
+    existing = kept[1:][is_placeholder[cvt.token[kept[1:]]]]
+    position = np.searchsorted(owners, parent[existing])
+    hit = position < owners.shape[0]
+    hit[hit] = owners[position[hit]] == parent[existing[hit]]
+    target = np.full(owners.shape[0], -1, dtype=np.int64)
+    target[position[hit]] = np.searchsorted(kept, existing[hit])
+    fresh = np.flatnonzero(target < 0)
+    target[fresh] = kept.shape[0] + np.arange(fresh.shape[0], dtype=np.int64)
 
-def _copy_pruned(src: ViewNode, dst: ViewNode, metric_index: int,
-                 threshold: float, other_label: str) -> None:
-    from ..core.frame import intern_frame
-    placeholder_frame = intern_frame(other_label, kind=FrameKind.BASIC_BLOCK)
-    stack = [(src, dst)]
-    while stack:
-        s, d = stack.pop()
-        d.exclusive = dict(s.exclusive)
-        d.inclusive = dict(s.inclusive)
-        d.sources = s.sources.copy()
-        d.tag = s.tag
-        dropped: dict = {}
-        for child in s.children.values():
-            if abs(child.inclusive.get(metric_index, 0.0)) >= threshold:
-                stack.append((child, d.child(child.frame)))
-            else:
-                for index, value in child.inclusive.items():
-                    dropped[index] = dropped.get(index, 0.0) + value
-        if dropped:
-            placeholder = d.child(placeholder_frame)
-            for index, value in dropped.items():
-                placeholder.add_inclusive(index, value)
-                placeholder.add_exclusive(index, value)
+    out = take_rows(cvt, kept, extra=fresh.shape[0])
+    appended = slice(kept.shape[0], None)
+    out.parent[appended] = np.searchsorted(kept, owners[fresh])
+    out.depth[appended] = out.depth[out.parent[appended]] + 1
+    if is_placeholder.any():
+        out.token[appended] = int(np.argmax(is_placeholder))
+    else:
+        out.merge_keys = list(cvt.merge_keys) + [placeholder]
+        out.token[appended] = len(cvt.merge_keys)
+    out.frames = list(cvt.frames) + [frame]
+    out.frame_id[appended] = len(cvt.frames)
+
+    def add_dropped(plane, presence, values, cells):
+        """Add the dropped rows' ``values`` (present where ``cells``),
+        summed per owner in child order, into the owners' targets."""
+        spread = cells if values.ndim == 2 else cells[:, :, None]
+        sums = np.zeros((owners.shape[0],) + values.shape[1:],
+                        dtype=np.float64)
+        np.add.at(sums, slot, np.where(spread, values, 0.0))
+        seen = np.zeros((owners.shape[0], cells.shape[1]), dtype=bool)
+        np.logical_or.at(seen, slot, cells)
+        matrix = getattr(out, plane)
+        mask = getattr(out, presence)
+        had = mask[target] if values.ndim == 2 else mask[target][:, :, None]
+        now = seen if values.ndim == 2 else seen[:, :, None]
+        current = matrix[target]
+        matrix[target] = np.where(now, np.where(had, current, 0.0) + sums,
+                                  current)
+        mask[target] |= seen
+
+    lost = cvt.incl_present[dropped]
+    add_dropped("inclusive", "incl_present", cvt.inclusive[dropped], lost)
+    add_dropped("exclusive", "excl_present", cvt.inclusive[dropped], lost)
+    if cvt.baseline is not None:
+        add_dropped("baseline", "base_present", cvt.baseline[dropped],
+                    cvt.base_present[dropped])
+    if cvt.hist is not None:
+        add_dropped("hist", "hist_present", cvt.hist[dropped],
+                    cvt.hist_present[dropped])
+    return ViewTree(tree.schema.copy(), tree.shape, out)
 
 
 def hot_path(tree: ViewTree, metric_index: int = 0,
-             min_fraction: float = 0.5) -> List[ViewNode]:
+             min_fraction: float = 0.5) -> viewrows.NodeRows:
     """Follow the dominant child while it keeps ``min_fraction`` of its
-    parent's inclusive value; returns the path (root excluded).
+    parent's inclusive value; returns the path (root excluded) as rows.
 
     This is the classic "hot path" drill-down a viewer offers as a single
     action instead of repeated clicking.
     """
-    path: List[ViewNode] = []
-    node = tree.root
-    while node.children:
-        best: Optional[ViewNode] = None
-        best_value = 0.0
-        for child in node.children.values():
-            value = abs(child.inclusive.get(metric_index, 0.0))
-            if value > best_value:
-                best, best_value = child, value
-        parent_value = abs(node.inclusive.get(metric_index, 0.0))
-        if best is None or parent_value <= 0:
-            break
-        if best_value < min_fraction * parent_value:
-            break
-        path.append(best)
-        node = best
-    return path
+    cvt = tree.columnar()
+    return viewrows.NodeRows(cvt, viewrows.hot_path_rows(
+        cvt, metric_index, min_fraction))
 
 
 def truncate_depth(tree: ViewTree, max_depth: int) -> ViewTree:
-    """Cut the tree below ``max_depth``; cut subtrees collapse into their
-    deepest kept ancestor's exclusive value so totals are preserved."""
+    """Cut the tree below ``max_depth``; each cut row takes its inclusive
+    values as its exclusive ones, so totals are preserved."""
     if max_depth < 1:
         raise ValueError("max_depth must be at least 1")
-    result = ViewTree(tree.schema.copy(), shape=tree.shape)
-    _copy_truncated(tree.root, result.root, max_depth)
-    return result
-
-
-def _copy_truncated(src: ViewNode, dst: ViewNode, max_depth: int) -> None:
-    stack = [(src, dst, max_depth)]
-    while stack:
-        s, d, remaining = stack.pop()
-        d.exclusive = dict(s.exclusive)
-        d.inclusive = dict(s.inclusive)
-        d.sources = s.sources.copy()
-        d.tag = s.tag
-        if remaining == 0:
-            # Fold the entire remaining subtree into this node's exclusive
-            # cost so totals stay exact.
-            d.exclusive = dict(s.inclusive)
-            d.children = {}
-            continue
-        for child in s.children.values():
-            stack.append((child, d.child(child.frame), remaining - 1))
+    cvt = tree.columnar()
+    out = take_rows(cvt, np.flatnonzero(cvt.depth <= max_depth))
+    cut = (out.depth == max_depth)[:, None]
+    if out.cell_order:
+        out.cell_order["exclusive"] = np.where(
+            cut, _cell_ranks(out, "inclusive"), _cell_ranks(out, "exclusive"))
+    out.exclusive = np.where(cut, out.inclusive, out.exclusive)
+    out.excl_present = np.where(cut, out.incl_present, out.excl_present)
+    return ViewTree(tree.schema.copy(), tree.shape, out)

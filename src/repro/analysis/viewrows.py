@@ -15,9 +15,9 @@ directly:
   merge and diff results, so attribution is a group-by over CCT rows.
 
 The public functions (``query.search``, ``annotations.line_attribution``,
-``ViewTree.top``, ...) dispatch here for columnar-backed trees.  Their
-object walks stay for trees without arrays and are the oracles the
-tests compare these kernels with.
+``ViewTree.top``, ...) are these kernels: every view tree carries
+arrays.  Their object walks are the oracle the tests compare them with
+(:mod:`repro.bench.view_oracle`).
 """
 
 from __future__ import annotations
@@ -39,15 +39,6 @@ _EMPTY = np.zeros(0, dtype=np.int64)
 # rows standing in for nodes
 # ---------------------------------------------------------------------------
 
-def facade_nodes(tree, cvt: ColumnarViewTree) -> List:
-    """The ``ViewNode`` per row of ``cvt``, building the facade once."""
-    if cvt.node_objects is None:
-        tree.root  # materializes the facade into the tree
-    if cvt.node_objects is None:  # the tree has since moved on
-        cvt.materialize()
-    return cvt.node_objects
-
-
 class NodeRows:
     """View rows standing in for a list of ``ViewNode`` objects.
 
@@ -55,17 +46,16 @@ class NodeRows:
     or compares gets the facade nodes, built on first use.
     """
 
-    __slots__ = ("tree", "cvt", "rows", "_items")
+    __slots__ = ("cvt", "rows", "_items")
 
-    def __init__(self, tree, cvt: ColumnarViewTree, rows) -> None:
-        self.tree = tree
+    def __init__(self, cvt: ColumnarViewTree, rows) -> None:
         self.cvt = cvt
         self.rows = rows
         self._items: Optional[List] = None
 
     def _force(self) -> List:
         if self._items is None:
-            nodes = facade_nodes(self.tree, self.cvt)
+            nodes = self.cvt.facade()
             self._items = [nodes[row] for row in self.rows.tolist()]
         return self._items
 
@@ -82,6 +72,8 @@ class NodeRows:
         return self._force()[index]
 
     def __add__(self, other):
+        if isinstance(other, NodeRows) and other.cvt is self.cvt:
+            return NodeRows(self.cvt, np.concatenate([self.rows, other.rows]))
         return self._force() + list(other)
 
     def __eq__(self, other):

@@ -16,7 +16,7 @@ from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
 
 from ..core.cct import CCTNode
 from ..core.digest import viewtree_digest
-from ..core.frame import Frame, FrameKind, ROOT_FRAME
+from ..core.frame import Frame, FrameKind
 from ..core.keys import CONTENT, derived_key
 from ..core.metric import MetricSchema
 
@@ -234,12 +234,11 @@ class ViewNode:
 class ViewTree:
     """A view tree plus the metric schema its column indices refer to.
 
-    The node objects can be *lazy*: a tree built by the columnar
-    transforms carries a :class:`~repro.analysis.viewtree_columnar.
-    ColumnarViewTree` and only materializes ``ViewNode`` objects when
-    ``root`` is first touched.  Array-aware consumers (digest, layout,
-    merge, diff) read the columnar form through :meth:`columnar` and
-    never pay for the facade.
+    The tree *is* its :class:`~repro.analysis.viewtree_columnar.
+    ColumnarViewTree`: digest, layout, merge, diff, the hygiene
+    operations and the IDE's row kernels read the arrays through
+    :meth:`columnar`, and ``ViewNode`` objects exist only once something
+    touches :attr:`root` (the facade, built from the arrays).
     """
 
     #: Engine cache keys (:mod:`repro.core.keys`): the derivation key the
@@ -251,47 +250,26 @@ class ViewTree:
 
     #: The shape of the view: "top_down", "bottom_up", "flat", or a
     #: decorated shape such as "diff:top_down" / "aggregate:top_down".
-    def __init__(self, schema: MetricSchema, shape: str = "top_down") -> None:
-        self._root: Optional[ViewNode] = ViewNode(ROOT_FRAME)
-        self._columnar = None
+    def __init__(self, schema: MetricSchema, shape: str, columnar) -> None:
+        self._columnar = columnar
         self.schema = schema
         self.shape = shape
 
-    @classmethod
-    def columnar_backed(cls, schema: MetricSchema, shape: str,
-                        columnar) -> "ViewTree":
-        """A tree whose nodes materialize lazily from columnar arrays."""
-        tree = cls.__new__(cls)
-        tree._root = None
-        tree._columnar = columnar
-        tree.schema = schema
-        tree.shape = shape
-        return tree
-
     @property
     def root(self) -> ViewNode:
-        node = self._root
-        if node is None:
-            node = self._root = self._columnar.materialize()
-        return node
-
-    @root.setter
-    def root(self, node: ViewNode) -> None:
-        # Replacing the root hand-builds a new tree; any columnar
-        # snapshot no longer describes it.
-        self._root = node
-        self._columnar = None
+        """The facade's root node, materialized on first touch."""
+        return self._columnar.facade()[0]
 
     def columnar(self):
-        """The backing column arrays, or None for object-built trees."""
+        """The backing column arrays."""
         return self._columnar
 
     def fork(self) -> "ViewTree":
-        """A copy of a columnar-backed tree to mutate in place: it shares
-        the arrays (never the facade) and starts from this tree's cache
-        key, but owns its schema, so this tree stays as it was."""
-        tree = ViewTree.columnar_backed(self.schema.copy(), self.shape,
-                                        self._columnar.with_planes())
+        """A copy to mutate in place: it shares the arrays (never the
+        facade) and starts from this tree's cache key, but owns its
+        schema, so this tree stays as it was."""
+        tree = ViewTree(self.schema.copy(), self.shape,
+                        self._columnar.with_planes())
         tree._derivation_key = self.cache_key()
         return tree
 
@@ -317,24 +295,20 @@ class ViewTree:
                                 if old is not None and derivation else None)
 
     def nodes(self) -> Iterator[ViewNode]:
-        """Pre-order iteration over all nodes."""
+        """Pre-order iteration over the facade's nodes."""
         return self.root.walk()
 
     def node_count(self) -> int:
         """Total node count including the root."""
-        if self._root is None:
-            return self._columnar.n_rows
-        return sum(1 for _ in self.nodes())
+        return self._columnar.n_rows
 
     def total(self, metric_index: int) -> float:
         """The root's inclusive value for a metric."""
-        if self._root is None:
-            columnar = self._columnar
-            if 0 <= metric_index < columnar.n_metrics and \
-                    columnar.incl_present[0, metric_index]:
-                return float(columnar.inclusive[0, metric_index])
-            return 0.0
-        return self.root.inclusive.get(metric_index, 0.0)
+        columnar = self._columnar
+        if 0 <= metric_index < columnar.n_metrics and \
+                columnar.incl_present[0, metric_index]:
+            return float(columnar.inclusive[0, metric_index])
+        return 0.0
 
     def find_by_name(self, name: str) -> List[ViewNode]:
         """All nodes whose frame name equals ``name``."""
@@ -342,15 +316,9 @@ class ViewTree:
 
     def top(self, metric_index: int = 0, count: int = 10,
             inclusive: bool = False) -> Sequence[ViewNode]:
-        """The hottest non-root nodes by a metric (ties in walk order);
-        rows of a columnar tree, as :class:`~repro.analysis.viewrows.
-        NodeRows`."""
+        """The hottest non-root nodes by a metric (ties in walk order), as
+        :class:`~repro.analysis.viewrows.NodeRows`."""
+        from . import viewrows
         columnar = self._columnar
-        if columnar is not None:
-            from . import viewrows
-            return viewrows.NodeRows(self, columnar, viewrows.top_rows(
-                columnar, metric_index, count, inclusive))
-        candidates = [n for n in self.nodes()
-                      if n.frame.kind is not FrameKind.ROOT]
-        candidates.sort(key=lambda n: -n.value(metric_index, inclusive))
-        return candidates[:count]
+        return viewrows.NodeRows(columnar, viewrows.top_rows(
+            columnar, metric_index, count, inclusive))

@@ -34,7 +34,7 @@ lazy parts keep code links resolvable without touching CCT objects.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -232,18 +232,6 @@ class _UnionSources:
         return out
 
 
-class _StoredSources:
-    """Row sources captured from an existing object tree (round-trips)."""
-
-    __slots__ = ("lists",)
-
-    def __init__(self, lists: List[SourceList]) -> None:
-        self.lists = lists
-
-    def __call__(self, row: int) -> SourceList:
-        return self.lists[row].copy()
-
-
 # ---------------------------------------------------------------------------
 # the columnar view tree
 # ---------------------------------------------------------------------------
@@ -368,6 +356,12 @@ class ColumnarViewTree:
         if provider is None:
             return SourceList()
         return provider(row)
+
+    def facade(self) -> List[ViewNode]:
+        """The ``ViewNode`` per row, materialized on first use."""
+        if self.node_objects is None:
+            self.materialize()
+        return self.node_objects
 
     def with_planes(self, **planes) -> "ColumnarViewTree":
         """A copy carrying the given value planes (``inclusive=...``,
@@ -511,9 +505,9 @@ def add_column(tree: ViewTree, index: int, values,
     Copy-on-write: a new :class:`ColumnarViewTree` with fresh value planes
     (both widened to the new column count) replaces the old one in a
     single assignment, so a reader still holding the old snapshot never
-    sees a half-written array.  The tree's own materialized facade gets
-    the values too, so its nodes stay current; a facade some other tree
-    built from a shared snapshot is never written.
+    sees a half-written array.  The tree's materialized facade gets the
+    values too, so its nodes stay current; a fork shares no facade, so
+    none of its writes reach another tree's nodes.
 
     A row that lacked the column gets the key last, as a dict
     assignment would; where that is not ascending order, the plane's
@@ -555,11 +549,9 @@ def add_column(tree: ViewTree, index: int, values,
         planes[name] = fresh
         planes[_PRESENCE[name]] = fresh_mask
     nodes = cvt.node_objects
-    if nodes is not None and tree._root is nodes[0]:
+    if nodes is not None:
         for node, value in zip(nodes, values.tolist()):
             getattr(node, plane)[index] = value
-    else:
-        nodes = None
     tree._columnar = cvt.with_planes(cell_order=order, node_objects=nodes,
                                      **planes)
 
@@ -581,115 +573,51 @@ def tag_counts(cvt: ColumnarViewTree) -> Dict[str, int]:
     return {_TAGS[code]: counts[code] for code in present}
 
 
-def from_viewtree(tree: ViewTree) -> Optional[ColumnarViewTree]:
-    """Snapshot an object view tree into columnar form.
+# ---------------------------------------------------------------------------
+# row selection (the hygiene kernels of ``prune`` and ``query``)
+# ---------------------------------------------------------------------------
 
-    The inverse of :meth:`ColumnarViewTree.materialize`, used by the
-    round-trip tests and by consumers that want array kernels over a
-    hand-built tree (the tree table).  Row ids follow the same
-    reversed-push DFS as ``cct_columnar.from_cct``, so within a parent
-    the ascending row ids are the children's insertion order, and the
-    snapshot's ``node_objects`` are the tree's own nodes.
+#: The planes indexed by row on their first axis (absent ones are None).
+_ROW_PLANES = ("depth", "token", "frame_id", "inclusive", "incl_present",
+               "exclusive", "excl_present", "baseline", "base_present",
+               "tag_codes", "hist", "hist_present", "hist_first")
+
+
+def take_rows(cvt: ColumnarViewTree, rows, extra: int = 0
+              ) -> ColumnarViewTree:
+    """The tree of ``rows`` (ascending and closed under ancestors, so the
+    root comes first): every plane of each row, parents renumbered, and
+    each row's sources read through its input row.
+
+    ``extra`` empty rows follow — no values, no tag, no sources, parent
+    and frame left for the caller to fill in, like their values.  Any
+    topological numbering that keeps siblings in order builds the same
+    facade, so appended rows become their parents' last children.
     """
-    n_metrics = len(tree.schema)
-    root = tree.root
-    frame_index: Dict[int, int] = {}
-    frames: List[Frame] = []
-    token_of: Dict[MergeKey, int] = {}
-    merge_keys: List[MergeKey] = []
-    parents: List[int] = []
-    depths: List[int] = []
-    tokens: List[int] = []
-    frame_ids: List[int] = []
-    records = []
+    kept = rows.shape[0]
+    n_rows = kept + extra
 
-    def intern(frame: Frame) -> int:
-        index = frame_index.get(id(frame))
-        if index is None:
-            index = len(frames)
-            frame_index[id(frame)] = index
-            frames.append(frame)
-        return index
+    def cut(plane):
+        if plane is None:
+            return None
+        out = np.zeros((n_rows,) + plane.shape[1:], dtype=plane.dtype)
+        out[:kept] = plane[rows]
+        return out
 
-    def token_for(key: MergeKey) -> int:
-        token = token_of.get(key)
-        if token is None:
-            token = len(merge_keys)
-            token_of[key] = token
-            merge_keys.append(key)
-        return token
-
-    stack = [(root, root.frame.merge_key(), -1, 0)]
-    while stack:
-        node, key, parent_id, depth = stack.pop()
-        row = len(parents)
-        parents.append(parent_id)
-        depths.append(depth)
-        tokens.append(token_for(key))
-        frame_ids.append(intern(node.frame))
-        records.append(node)
-        for child_key, child in reversed(list(node.children.items())):
-            stack.append((child, child_key, row, depth + 1))
-
-    n_rows = len(parents)
-    inclusive = np.zeros((n_rows, n_metrics), dtype=np.float64)
-    incl_present = np.zeros((n_rows, n_metrics), dtype=bool)
-    exclusive = np.zeros((n_rows, n_metrics), dtype=np.float64)
-    excl_present = np.zeros((n_rows, n_metrics), dtype=bool)
-    baseline = None
-    base_present = None
-    tag_codes = None
-    hist = None
-    hist_present = None
-    hist_first = None
-    n_series = 0
-    source_lists: List[SourceList] = []
-    for row, node in enumerate(records):
-        for col, value in node.inclusive.items():
-            inclusive[row, col] = value
-            incl_present[row, col] = True
-        for col, value in node.exclusive.items():
-            exclusive[row, col] = value
-            excl_present[row, col] = True
-        if node.baseline:
-            if baseline is None:
-                baseline = np.zeros((n_rows, n_metrics), dtype=np.float64)
-                base_present = np.zeros((n_rows, n_metrics), dtype=bool)
-            for col, value in node.baseline.items():
-                baseline[row, col] = value
-                base_present[row, col] = True
-        if node.tag is not None:
-            if tag_codes is None:
-                tag_codes = np.zeros(n_rows, dtype=np.int8)
-            tag_codes[row] = _TAG_CODE.get(node.tag, 0)
-        if node.histogram:
-            if hist is None:
-                n_series = len(next(iter(node.histogram.values())))
-                hist = np.zeros((n_rows, n_metrics, n_series),
-                                dtype=np.float64)
-                hist_present = np.zeros((n_rows, n_metrics), dtype=bool)
-                hist_first = np.zeros((n_rows, n_metrics), dtype=np.int64)
-            for rank, (col, series) in enumerate(node.histogram.items()):
-                if len(series) != n_series:
-                    return None  # ragged histograms stay on the object path
-                hist[row, col, :] = series
-                hist_present[row, col] = True
-                hist_first[row, col] = rank
-        source_lists.append(node.sources)
-
-    cvt = ColumnarViewTree(
-        parent=np.asarray(parents, dtype=np.int64),
-        depth=np.asarray(depths, dtype=np.int64),
-        token=np.asarray(tokens, dtype=np.int64),
-        frame_id=np.asarray(frame_ids, dtype=np.int64),
-        frames=frames, merge_keys=merge_keys, shape=tree.shape,
-        inclusive=inclusive, incl_present=incl_present,
-        exclusive=exclusive, excl_present=excl_present,
-        baseline=baseline, base_present=base_present, tag_codes=tag_codes,
-        hist=hist, hist_present=hist_present, hist_first=hist_first,
-        n_series=n_series, row_sources=_StoredSources(source_lists))
-    cvt.node_objects = records
-    return cvt
+    new_id = np.zeros(cvt.n_rows, dtype=np.int64)
+    new_id[rows] = np.arange(kept, dtype=np.int64)
+    parent = np.full(n_rows, -1, dtype=np.int64)
+    parent[1:kept] = new_id[cvt.parent[rows[1:]]]
+    start = np.full(n_rows + 1, kept, dtype=np.int64)
+    start[:kept + 1] = np.arange(kept + 1, dtype=np.int64)
+    return ColumnarViewTree(
+        parent=parent, frames=cvt.frames, merge_keys=cvt.merge_keys,
+        shape=cvt.shape, n_series=cvt.n_series,
+        row_sources=_UnionSources([cvt], np.zeros(kept, dtype=np.int64),
+                                  rows, start),
+        cell_order={plane: cut(rank)
+                    for plane, rank in cvt.cell_order.items()},
+        **{name: cut(getattr(cvt, name)) for name in _ROW_PLANES})
 
 
 # ---------------------------------------------------------------------------
@@ -814,7 +742,7 @@ def build_top_down(profile, col, custom) -> ViewTree:
         incl_present=np.ones((n_rows, n_metrics), dtype=bool),
         exclusive=exclusive, excl_present=written > 0,
         row_sources=_CCTSources(profile, col, source_ids, source_start))
-    return ViewTree.columnar_backed(profile.schema.copy(), "top_down", cvt)
+    return ViewTree(profile.schema.copy(), "top_down", cvt)
 
 
 def build_bottom_up(profile, col, custom) -> ViewTree:
@@ -919,7 +847,7 @@ def build_bottom_up(profile, col, custom) -> ViewTree:
         inclusive=inclusive, incl_present=written > 0,
         exclusive=exclusive, excl_present=excl_written > 0,
         row_sources=provider)
-    return ViewTree.columnar_backed(profile.schema.copy(), "bottom_up", cvt)
+    return ViewTree(profile.schema.copy(), "bottom_up", cvt)
 
 
 def build_flat(profile, col, custom) -> ViewTree:
@@ -1087,7 +1015,7 @@ def build_flat(profile, col, custom) -> ViewTree:
         inclusive=inclusive, incl_present=incl_present,
         exclusive=exclusive, excl_present=excl_written > 0,
         row_sources=provider)
-    return ViewTree.columnar_backed(profile.schema.copy(), "flat", cvt)
+    return ViewTree(profile.schema.copy(), "flat", cvt)
 
 
 # ---------------------------------------------------------------------------
@@ -1337,7 +1265,7 @@ def merge_columnar(trees: Sequence[ColumnarViewTree],
         n_series=n_trees, row_sources=_union_sources(trees, union),
         cell_order={plane: rank for plane, rank in order.items()
                     if rank is not None})
-    return ViewTree.columnar_backed(schema, shape, cvt)
+    return ViewTree(schema, shape, cvt)
 
 
 def diff_columnar(base: ColumnarViewTree, treatment: ColumnarViewTree,
@@ -1401,4 +1329,4 @@ def diff_columnar(base: ColumnarViewTree, treatment: ColumnarViewTree,
         baseline=baseline, base_present=base_present, tag_codes=codes,
         row_sources=_union_sources([base, treatment], union),
         cell_order=order)
-    return ViewTree.columnar_backed(schema, shape, cvt)
+    return ViewTree(schema, shape, cvt)

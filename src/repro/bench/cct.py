@@ -10,9 +10,9 @@ pprof bytes to a queryable CCT) through the columnar fast path
 (:func:`~repro.bench.pprof_oracle.parse_object`), with a per-phase
 breakdown of the columnar open (wire decode vs CCT build).  On top of
 the open it measures the whole columnar *view pipeline* against the
-object transforms (:mod:`repro.bench.view_oracle`, whose trees carry no
-arrays, so their merges, diffs and layouts take the object paths too) —
-warm profile, cold view: every timed call builds a
+object oracle (:mod:`repro.bench.view_oracle`: transforms, merges,
+diffs, layouts and digests that walk ``ViewNode`` objects on trees
+without arrays) — warm profile, cold view: every timed call builds a
 fresh view tree, but the profile it reads is already open, so the
 numbers isolate the operation instead of re-paying the parse (which the
 pre-columnar-view harness mistakenly folded into ``view_columnar``).
@@ -23,8 +23,9 @@ traversal throughput over the columnar kernels.
 Every run gates on correctness first: the two representations must
 produce equal profile digests, structurally identical materialized
 trees (child order included), equal view-tree digests on *every* shape
-plus the aggregate and diff trees, and matching flame-graph rectangles,
-or :class:`OracleMismatch` is raised — the benchmark refuses to report
+plus the derived, aggregate and diff trees and the hygiene operations
+(prune, collapse, truncate, filter) of the top-down view, and matching
+flame-graph rectangles, or :class:`OracleMismatch` is raised — the benchmark refuses to report
 numbers for a fast path that drifted, and for a reference side that
 carries arrays (it would compare the fast path with itself).
 
@@ -38,10 +39,13 @@ import json
 import time
 from typing import Dict, Iterable, List, Optional
 
-from ..analysis.transform import bottom_up, flat, top_down
+from ..analysis import viewrows
 from ..analysis.aggregate import aggregate_profiles, merge_trees
 from ..analysis.diff import diff_profiles, diff_trees, summarize
 from ..analysis.formula import derive
+from ..analysis.prune import collapse_recursion, prune, truncate_depth
+from ..analysis.query import filter_by_name
+from ..analysis.transform import bottom_up, flat, top_down
 from ..core.atomicio import atomic_write_text
 from ..core.cct_columnar import ColumnarCCT
 from ..core.digest import profile_digest, viewtree_digest
@@ -106,13 +110,10 @@ def _assert_trees_equal(name: str, a, b) -> None:
 
 
 def _assert_view_digests(name: str, label: str, fast_tree, ref_tree) -> None:
-    if fast_tree.columnar() is None:
-        raise OracleMismatch(
-            "tier %r: %s did not take the columnar path" % (name, label))
-    if ref_tree.columnar() is not None:
+    if not isinstance(ref_tree, view_oracle.ObjectTree):
         raise OracleMismatch(
             "tier %r: the reference %s carries arrays" % (name, label))
-    if viewtree_digest(fast_tree) != viewtree_digest(ref_tree):
+    if viewtree_digest(fast_tree) != view_oracle.digest(ref_tree):
         raise OracleMismatch(
             "tier %r: %s view trees differ (columnar vs object)"
             % (name, label))
@@ -161,26 +162,55 @@ def _check_equality(name: str, fast, ref, fast_other, other) -> None:
     fast_second = top_down(fast_other)
     ref_second = view_oracle.top_down(other)
     source = _GATE_FORMULA.format(fast.schema.names()[0])
-    for tree in (fast_views["top_down"], ref_views["top_down"],
-                 fast_second, ref_second):
+    for tree in (fast_views["top_down"], fast_second):
         derive(tree, "gate_derived", source)
+    for tree in (ref_views["top_down"], ref_second):
+        view_oracle.derive(tree, "gate_derived", source)
     _assert_view_digests(name, "derived", fast_views["top_down"],
                          ref_views["top_down"])
     fast_views["aggregate"] = merge_trees(
         [fast_views["top_down"], fast_second])
-    ref_views["aggregate"] = merge_trees([ref_views["top_down"], ref_second])
+    ref_views["aggregate"] = view_oracle.merge_trees(
+        [ref_views["top_down"], ref_second])
     _assert_view_digests(name, "aggregate", fast_views["aggregate"],
                          ref_views["aggregate"])
     fast_views["diff"] = diff_trees(fast_views["top_down"], fast_second)
-    ref_views["diff"] = diff_trees(ref_views["top_down"], ref_second)
+    ref_views["diff"] = view_oracle.diff_trees(ref_views["top_down"],
+                                               ref_second)
     _assert_view_digests(name, "diff", fast_views["diff"],
                          ref_views["diff"])
     if (list(summarize(fast_views["diff"]).items())
-            != list(summarize(ref_views["diff"]).items())):
+            != list(view_oracle.summarize(ref_views["diff"]).items())):
         raise OracleMismatch(
             "tier %r: diff tag counts differ (columnar vs object)" % name)
     _assert_layouts_equal(name, layout(fast_views["top_down"]),
-                          layout(ref_views["top_down"]))
+                          view_oracle.layout(ref_views["top_down"]))
+    _check_hygiene(name, fast_views["top_down"], ref_views["top_down"])
+
+
+def _check_hygiene(name: str, fast_tree, ref_tree) -> None:
+    """The §V-A(a) kernels on a view against the oracle's node walks:
+    prune (once and twice), collapse, truncate, and a filter on the name
+    of the view's hottest context."""
+    cvt = fast_tree.columnar()
+    hottest = int(viewrows.top_rows(cvt, 0, 1, False)[0])
+    pattern = viewrows.row_frame(cvt, hottest).name
+    checks = (
+        ("prune", lambda: prune(fast_tree),
+         lambda: view_oracle.prune(ref_tree)),
+        ("prune of a pruned tree",
+         lambda: prune(prune(fast_tree), min_fraction=0.05),
+         lambda: view_oracle.prune(view_oracle.prune(ref_tree),
+                                   min_fraction=0.05)),
+        ("collapse_recursion", lambda: collapse_recursion(fast_tree),
+         lambda: view_oracle.collapse_recursion(ref_tree)),
+        ("truncate_depth", lambda: truncate_depth(fast_tree, 3),
+         lambda: view_oracle.truncate_depth(ref_tree, 3)),
+        ("filter_by_name", lambda: filter_by_name(fast_tree, pattern),
+         lambda: view_oracle.filter_by_name(ref_tree, pattern)),
+    )
+    for label, ours, theirs in checks:
+        _assert_view_digests(name, label, ours(), theirs())
 
 
 def bench_tier(name: str, repeats: int = 3) -> Dict[str, object]:
@@ -222,11 +252,11 @@ def bench_tier(name: str, repeats: int = 3) -> Dict[str, object]:
         "flat_object": lambda: view_oracle.flat(ref),
         "aggregate_columnar": lambda: aggregate_profiles(
             [fast, fast_other]),
-        "aggregate_object": lambda: merge_trees(
+        "aggregate_object": lambda: view_oracle.merge_trees(
             [view_oracle.top_down(ref), view_oracle.top_down(other)]),
         "diff_columnar": lambda: diff_profiles(fast, fast_other),
-        "diff_object": lambda: diff_trees(view_oracle.top_down(ref),
-                                          view_oracle.top_down(other)),
+        "diff_object": lambda: view_oracle.diff_trees(
+            view_oracle.top_down(ref), view_oracle.top_down(other)),
     }, repeats)
 
     # Layout on warm view trees: the columnar side emits rect geometry
@@ -235,7 +265,7 @@ def bench_tier(name: str, repeats: int = 3) -> Dict[str, object]:
     ref_view = view_oracle.top_down(ref)
     layout_times = _interleaved_best({
         "layout_columnar": lambda: layout(fast_view),
-        "layout_object": lambda: layout(ref_view),
+        "layout_object": lambda: view_oracle.layout(ref_view),
     }, repeats)
 
     # Rewrap the arrays per call so lazily-cached kernels (pre-order,

@@ -195,9 +195,10 @@ def _update_points(h, profile: "Profile") -> None:
 def _update_viewtree_columnar(h, cvt) -> None:
     """Feed the hash a view tree's walk straight from columnar arrays.
 
-    Byte-identical to the object walk in :func:`viewtree_digest`: the
-    pre-order visits children ranked by ``repr(merge_key)`` (the object
-    walk's sort key), and each value plane — inclusive, exclusive,
+    Byte-identical to the object walk of the view oracle
+    (:func:`repro.bench.view_oracle.digest`): the pre-order visits
+    children ranked by ``repr(merge_key)`` (the object walk's sort key),
+    and each value plane — inclusive, exclusive,
     baseline, histogram — becomes one structured-array encode over its
     written cells, sliced per row by a cumulative byte offset.
     """
@@ -281,35 +282,5 @@ def viewtree_digest(tree: "ViewTree") -> str:
     h = _new_hash()
     _update_str(h, tree.shape)
     _update_schema(h, tree.schema)
-
-    columnar = getattr(tree, "columnar", None)
-    cvt = columnar() if columnar is not None else None
-    if cvt is not None:
-        # Digest straight off the arrays — same bytes, no ViewNode
-        # materialization.
-        _update_viewtree_columnar(h, cvt)
-        return h.hexdigest()
-
-    stack = [(tree.root, False)]
-    while stack:
-        node, exiting = stack.pop()
-        if exiting:
-            h.update(_EXIT)
-            continue
-        h.update(_ENTER)
-        _update_frame(h, node.frame)
-        _update_values(h, node.inclusive)
-        _update_values(h, node.exclusive)
-        _update_str(h, node.tag or "")
-        _update_values(h, node.baseline)
-        for index in sorted(node.histogram):
-            h.update(_PACK_INT(index))
-            series = node.histogram[index]
-            h.update(_PACK_INT(len(series)))
-            for value in series:
-                h.update(_PACK_DOUBLE(value))
-        h.update(_SEP)
-        stack.append((node, True))
-        children = sorted(node.children.items(), key=lambda kv: repr(kv[0]))
-        stack.extend((child, False) for _, child in reversed(children))
+    _update_viewtree_columnar(h, tree.columnar())
     return h.hexdigest()

@@ -39,13 +39,13 @@ from __future__ import annotations
 import threading
 import weakref
 from typing import (Any, Callable, Dict, Hashable, List, Optional, Sequence,
-                    Tuple, Union)
+                    Tuple)
 
 from ..analysis import aggregate as aggregate_mod
 from ..analysis import diff as diff_mod
 from ..analysis.callbacks import Customization
 from ..analysis.transform import transform as transform_fn
-from ..analysis.viewtree import ViewNode, ViewTree
+from ..analysis.viewtree import ViewTree
 from ..core.keys import derived_key
 from ..core.metric import Aggregation
 from ..core.profile import Profile
@@ -122,7 +122,7 @@ class AnalysisEngine:
 
     def layout(self, tree: ViewTree, metric_index: int = 0,
                canvas_width: float = 1200.0, min_width: float = 0.5,
-               root: Union[ViewNode, int, None] = None,
+               root: Optional[int] = None,
                max_depth: Optional[int] = None) -> FlameLayout:
         """Memoized flame-graph layout (zoomed layouts bypass the cache:
         a zoom is one-off, and a dragged slider would flood the LRU)."""

@@ -11,7 +11,6 @@ from typing import Dict, List, Optional, Tuple
 
 from ..analysis import viewrows
 from ..analysis.viewtree import ViewTree
-from ..core.frame import FrameKind
 from .actions import CodeLens, Decoration, FloatingWindow, Hover
 
 LineKey = Tuple[str, int]
@@ -21,25 +20,11 @@ def line_attribution(tree: ViewTree) -> Dict[LineKey, Dict[int, float]]:
     """Aggregate exclusive metric values per (file, line).
 
     View nodes merge on (name, file, module); their *sources* retain the
-    original CCT contexts with exact lines, so attribution uses the sources.
-    A columnar tree is attributed as a group-by over its sources' CCT
-    rows (:func:`~repro.analysis.viewrows.line_attribution`).
+    original CCT contexts with exact lines, so attribution uses the sources:
+    a group-by over the sources' CCT rows
+    (:func:`~repro.analysis.viewrows.line_attribution`).
     """
-    cvt = tree.columnar()
-    if cvt is not None:
-        return viewrows.line_attribution(cvt)
-    table: Dict[LineKey, Dict[int, float]] = {}
-    for node in tree.nodes():
-        if node.frame.kind is FrameKind.ROOT:
-            continue
-        for source in node.sources:
-            frame = source.frame
-            if not frame.file or frame.line <= 0:
-                continue
-            bucket = table.setdefault((frame.file, frame.line), {})
-            for index, value in source.metrics.items():
-                bucket[index] = bucket.get(index, 0.0) + value
-    return table
+    return viewrows.line_attribution(tree.columnar())
 
 
 def assembly_attribution(tree: ViewTree) -> Dict[LineKey, List[str]]:
@@ -50,28 +35,7 @@ def assembly_attribution(tree: ViewTree) -> Dict[LineKey, List[str]]:
     (HPCToolkit ``S`` scopes, perf addresses).  Each instruction context
     under a line becomes one annotation string, hottest first.
     """
-    cvt = tree.columnar()
-    if cvt is not None:
-        return viewrows.assembly_attribution(cvt)
-    table: Dict[LineKey, List] = {}
-    for node in tree.nodes():
-        for source in node.sources:
-            for child in source.children.values():
-                frame = child.frame
-                if frame.kind is not FrameKind.INSTRUCTION:
-                    continue
-                if not frame.file or frame.line <= 0:
-                    continue
-                weight = sum(child.metrics.values())
-                if frame.address:
-                    text = "0x%x  %s" % (frame.address, frame.name)
-                else:
-                    text = frame.name
-                table.setdefault((frame.file, frame.line), []).append(
-                    (weight, text))
-    return {key: [text for _, text in
-                  sorted(entries, key=lambda e: -e[0])]
-            for key, entries in table.items()}
+    return viewrows.assembly_attribution(tree.columnar())
 
 
 def build_code_lenses(tree: ViewTree, file: Optional[str] = None,

@@ -214,7 +214,7 @@ class ViewerSession:
         """
         if isinstance(target, ViewNode):
             tree = self.view(profile_id, shape)
-            row = viewrows.facade_nodes(tree, tree.columnar()).index(target)
+            row = tree.columnar().facade().index(target)
         else:
             tree, row = self._row(self.get(profile_id), target)
         cvt = tree.columnar()

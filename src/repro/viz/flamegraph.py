@@ -39,7 +39,7 @@ class FlameGraph:
             self.metric_index = 0
         self.canvas_width = canvas_width
         self.min_width = min_width
-        self._zoom_root: Optional[ViewNode] = None
+        self._zoom_root: Optional[int] = None
         self._highlighted: Set[int] = set()
         self._layout: Optional[FlameLayout] = None
 
@@ -107,9 +107,10 @@ class FlameGraph:
 
     # -- interaction ---------------------------------------------------------
 
-    def zoom(self, node: Optional[ViewNode]) -> None:
-        """Zoom to a subtree (None resets); the next layout reflects it."""
-        self._zoom_root = node
+    def zoom(self, row: Optional[int]) -> None:
+        """Zoom to the subtree of a view row (None resets); the next
+        layout reflects it."""
+        self._zoom_root = row
         self._layout = None
 
     def search(self, pattern: str, regex: bool = False) -> List[ViewNode]:

@@ -11,7 +11,7 @@ zoomed node, exactly like the VSCode extension re-renders on click.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from ..analysis.viewtree import ViewNode, ViewTree
 
@@ -46,11 +46,9 @@ class LazyRects:
     view facade once and wraps each laid-out row in a ``FlameRect``.
     """
 
-    __slots__ = ("_tree", "_columnar", "_rows", "_x", "_width", "_depth",
-                 "_items")
+    __slots__ = ("_columnar", "_rows", "_x", "_width", "_depth", "_items")
 
-    def __init__(self, tree, columnar, rows, x, width, depth) -> None:
-        self._tree = tree
+    def __init__(self, columnar, rows, x, width, depth) -> None:
         self._columnar = columnar
         self._rows = rows
         self._x = x
@@ -60,8 +58,7 @@ class LazyRects:
 
     def _force(self) -> List[FlameRect]:
         if self._items is None:
-            from ..analysis.viewrows import facade_nodes
-            nodes = facade_nodes(self._tree, self._columnar)
+            nodes = self._columnar.facade()
             self._items = [
                 FlameRect(node=nodes[row], x=x, width=width, depth=depth)
                 for row, x, width, depth in zip(
@@ -132,7 +129,8 @@ class FlameLayout:
     metric_index: int
     laid_out_nodes: int
     skipped_nodes: int
-    #: Array-form geometry when the layout came off columnar view rows.
+    #: Array-form geometry of the view rows (None for :func:`layout_profile`,
+    #: which walks the CCT).
     geometry: Optional[RectGeometry] = None
 
     def rows(self) -> List[List[FlameRect]]:
@@ -151,75 +149,31 @@ class FlameLayout:
 
 def layout(tree: ViewTree, metric_index: int = 0,
            canvas_width: float = 1200.0, min_width: float = 0.5,
-           root: Union[ViewNode, int, None] = None,
+           root: Optional[int] = None,
            max_depth: Optional[int] = None) -> FlameLayout:
-    """Lay out a view tree as flame-graph rectangles.
+    """Lay out a view tree as flame-graph rectangles, straight from its
+    rows — no ``ViewNode`` in sight.
 
-    ``root`` zooms the layout to a subtree (it takes the full canvas
-    width): a row of a columnar tree, or a ``ViewNode`` (laid out by the
-    object walk below).  ``min_width`` is the lazy-layout cutoff in
-    pixels; pass 0 to force a full layout (the ablation benchmark does).
-    """
-    if not isinstance(root, ViewNode):
-        columnar = tree.columnar()
-        if columnar is not None:
-            return _layout_columnar(tree, columnar, metric_index,
-                                    canvas_width, min_width, max_depth,
-                                    0 if root is None else int(root))
-    origin = root if root is not None else tree.root
-    total = origin.inclusive.get(metric_index, 0.0)
-    rects: List[FlameRect] = []
-    skipped = 0
-    deepest = 0
-    if total > 0:
-        scale = canvas_width / total
-        # (node, x, depth); children are laid out left-to-right by
-        # descending value, the conventional flame-graph ordering.
-        stack = [(origin, 0.0, 0)]
-        while stack:
-            node, x, depth = stack.pop()
-            value = node.inclusive.get(metric_index, 0.0)
-            width = value * scale
-            if width < min_width:
-                skipped += 1 + _subtree_size(node)
-                continue
-            rects.append(FlameRect(node=node, x=x, width=width, depth=depth))
-            if depth > deepest:
-                deepest = depth
-            if max_depth is not None and depth >= max_depth:
-                continue
-            child_x = x
-            for child in node.sorted_children():
-                child_value = child.inclusive.get(metric_index, 0.0)
-                if child_value <= 0:
-                    continue
-                stack.append((child, child_x, depth + 1))
-                child_x += child_value * scale
-    return FlameLayout(rects=rects, canvas_width=canvas_width,
-                       max_depth=deepest, total_value=total,
-                       metric_index=metric_index,
-                       laid_out_nodes=len(rects), skipped_nodes=skipped)
+    ``root`` zooms the layout to the subtree of a row (it takes the full
+    canvas width; depths count from it).  ``min_width`` is the
+    lazy-layout cutoff in pixels; pass 0 to force a full layout (the
+    ablation benchmark does).
 
-
-def _layout_columnar(tree: ViewTree, cvt, metric_index: int,
-                     canvas_width: float, min_width: float,
-                     max_depth: Optional[int], origin: int) -> FlameLayout:
-    """Flame rects straight from columnar preorder — no ViewNode in sight.
-
-    Replays :func:`layout` exactly on the view-row arrays: per depth level,
-    candidate rows (positive value, parent laid out) get x positions from a
-    grouped exclusive running sum of sibling widths in the object path's
-    sort order (descending metric-0 value, then frame name/file, insertion
-    order on ties), the ``min_width`` cutoff prunes whole subtrees via the
-    precomputed subtree sizes, and the final rect order is the preorder
-    under the *reversed* sort key — the pop order of the object DFS.  The
-    returned layout carries a :class:`RectGeometry` and a :class:`LazyRects`
-    sequence, so rendering geometry never materializes the facade.  A
-    zoom starts the sweep at the ``origin`` row: only its descendants can
-    have a laid-out parent, and depths count from it.
+    Per depth level, candidate rows (positive value, parent laid out)
+    get x positions from a grouped exclusive running sum of sibling
+    widths in sort order (descending metric-0 value, then frame
+    name/file, insertion order on ties), the ``min_width`` cutoff prunes
+    whole subtrees via the precomputed subtree sizes, and the final rect
+    order is the preorder under the *reversed* sort key — the pop order
+    of a depth-first walk that pushes children in sort order.  The
+    returned layout carries a :class:`RectGeometry` and a
+    :class:`LazyRects` sequence, so rendering geometry never
+    materializes the facade.
     """
     import numpy as np
 
+    cvt = tree.columnar()
+    origin = 0 if root is None else int(root)
     n = cvt.n_rows
     m = cvt.n_metrics
     if 0 <= metric_index < m:
@@ -229,7 +183,7 @@ def _layout_columnar(tree: ViewTree, cvt, metric_index: int,
     empty = np.zeros(0, dtype=np.int64)
     if not total > 0:
         return FlameLayout(
-            rects=LazyRects(tree, cvt, empty, empty.astype(np.float64),
+            rects=LazyRects(cvt, empty, empty.astype(np.float64),
                             empty.astype(np.float64), empty),
             canvas_width=canvas_width, max_depth=0, total_value=total,
             metric_index=metric_index, laid_out_nodes=0, skipped_nodes=0,
@@ -265,8 +219,9 @@ def _layout_columnar(tree: ViewTree, cvt, metric_index: int,
     # Emitted children per laid-out row, in sibling sort order — feeds the
     # emission-order replay below.
     kept_children: dict = {}
-    # The object walk skips a rect when ``width < min_width`` and a child
-    # when ``value <= 0``; the negations keep its NaN behaviour.
+    # The oracle's object walk (``repro.bench.view_oracle.layout``) skips
+    # a rect when ``width < min_width`` and a child when ``value <= 0``;
+    # the negations keep its NaN behaviour.
     if not width[origin] < min_width:
         emitted[origin] = True
     else:
@@ -343,7 +298,7 @@ def _layout_columnar(tree: ViewTree, cvt, metric_index: int,
     geometry = RectGeometry(row=laid, x=rect_x, width=rect_w, depth=rect_d,
                             frame_id=cvt.frame_id[laid], frames=cvt.frames)
     return FlameLayout(
-        rects=LazyRects(tree, cvt, laid, rect_x, rect_w, rect_d),
+        rects=LazyRects(cvt, laid, rect_x, rect_w, rect_d),
         canvas_width=canvas_width, max_depth=deepest, total_value=total,
         metric_index=metric_index, laid_out_nodes=int(laid.shape[0]),
         skipped_nodes=skipped, geometry=geometry)
@@ -421,14 +376,3 @@ def layout_profile(profile, metric_index: int = 0,
                        max_depth=deepest, total_value=total,
                        metric_index=metric_index,
                        laid_out_nodes=len(rects), skipped_nodes=skipped)
-
-
-def _subtree_size(node: ViewNode) -> int:
-    """Count of descendants (for lazy-layout accounting)."""
-    count = 0
-    stack = list(node.children.values())
-    while stack:
-        current = stack.pop()
-        count += 1
-        stack.extend(current.children.values())
-    return count

@@ -122,20 +122,21 @@ def render_tree_text(tree: ViewTree, metric_index: int = 0,
 def render_summary(tree: ViewTree, metric_index: int = 0,
                    count: int = 10) -> str:
     """A floating-window style textual summary: the hottest contexts."""
+    cvt = tree.columnar()
+    rows = tree.top(metric_index, count=count, inclusive=False).rows
+    return format_summary(
+        tree, metric_index,
+        zip(value_column(cvt, metric_index, "exclusive")[rows].tolist(),
+            [cvt.frames[index] for index in cvt.frame_id[rows].tolist()]))
+
+
+def format_summary(tree, metric_index: int, entries) -> str:
+    """The summary text of ``(exclusive value, frame)`` entries, hottest
+    first; zero entries are left out."""
     total = tree.total(metric_index) or 1.0
     metric = tree.schema[metric_index] if len(tree.schema) else None
     lines = ["Hottest contexts by %s:"
              % (metric.name if metric else "metric %d" % metric_index)]
-    top = tree.top(metric_index, count=count, inclusive=False)
-    cvt = tree.columnar()
-    if cvt is not None:  # read the rows, never the facade
-        entries = zip(value_column(cvt, metric_index,
-                                   "exclusive")[top.rows].tolist(),
-                      [cvt.frames[index]
-                       for index in cvt.frame_id[top.rows].tolist()])
-    else:
-        entries = ((node.value(metric_index, inclusive=False), node.frame)
-                   for node in top)
     for value, frame in entries:
         if value == 0.0:
             continue

@@ -17,7 +17,7 @@ import numpy as np
 
 from ..analysis import viewrows
 from ..analysis.viewtree import ViewNode, ViewTree
-from ..analysis.viewtree_columnar import from_viewtree, value_column
+from ..analysis.viewtree_columnar import value_column
 
 
 @dataclass
@@ -39,8 +39,7 @@ class TreeTable:
     """An interactive (fold/unfold) table over a view tree.
 
     The table reads the tree's columnar rows: fold state is a set of
-    rows, and a hand-built object tree is snapshotted into rows per
-    request (:func:`~repro.analysis.viewtree_columnar.from_viewtree`).
+    rows.
     """
 
     def __init__(self, tree: ViewTree,
@@ -63,20 +62,10 @@ class TreeTable:
             return list(range(len(self.tree.schema)))
         return self._columns
 
-    def _rows(self):
-        cvt = self.tree.columnar()
-        if cvt is None:
-            cvt = from_viewtree(self.tree)
-            if cvt is None:
-                raise ValueError("a tree table needs equal-length "
-                                 "histograms")
-        return cvt
-
     def _row_of(self, item: Union[ViewNode, int]) -> Optional[int]:
         if not isinstance(item, ViewNode):
             return int(item)
-        for row, node in enumerate(viewrows.facade_nodes(self.tree,
-                                                         self._rows())):
+        for row, node in enumerate(self.tree.columnar().facade()):
             if node is item:
                 return row
         return None
@@ -98,7 +87,7 @@ class TreeTable:
         This is the expensive operation eager baseline viewers perform up
         front and EasyView performs on demand.
         """
-        cvt = self._rows()
+        cvt = self.tree.columnar()
         rows = (np.arange(cvt.n_rows) if max_depth is None
                 else np.flatnonzero(cvt.depth < max_depth))
         self._expanded.update(rows.tolist())
@@ -107,12 +96,12 @@ class TreeTable:
     def expand_hot_path(self, metric_index: Optional[int] = None,
                         min_fraction: float = 0.5) -> Sequence[ViewNode]:
         """Unfold along the dominant-child path (the drill-down shortcut)."""
-        cvt = self._rows()
+        cvt = self.tree.columnar()
         path = viewrows.hot_path_rows(
             cvt, metric_index if metric_index is not None
             else self.sort_column, min_fraction)
         self._expanded.update(path.tolist())
-        return viewrows.NodeRows(self.tree, cvt, path)
+        return viewrows.NodeRows(cvt, path)
 
     # -- rows ----------------------------------------------------------------
 
@@ -120,7 +109,7 @@ class TreeTable:
         """The currently visible rows, respecting fold state and sorting:
         siblings by descending sort-column value, insertion order on
         ties."""
-        cvt = self._rows()
+        cvt = self.tree.columnar()
         order, start = cvt.children_csr()
         plane = "inclusive" if self.inclusive else "exclusive"
         key = -value_column(cvt, self.sort_column, plane)

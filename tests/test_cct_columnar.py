@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.aggregate import aggregate_profiles, merge_trees
-from repro.analysis.diff import diff_profiles, diff_trees
+from repro.analysis.aggregate import aggregate_profiles
+from repro.analysis.diff import diff_profiles
 from repro.analysis.metrics import compute_inclusive, inclusive_value
 from repro.analysis.traversal import bfs, postorder, preorder
 from repro.analysis.transform import bottom_up, top_down
@@ -33,6 +33,8 @@ from repro.profilers.corpus import generate_bytes, tier
 from repro.profilers.workloads import (deep_path_profile, lulesh_profile,
                                        spark_profile)
 
+from .twins import assert_views_identical
+
 
 def assert_trees_identical(a, b):
     """Structural equality including child insertion order."""
@@ -42,24 +44,6 @@ def assert_trees_identical(a, b):
         assert x.frame == y.frame
         assert x.metrics == y.metrics
         assert list(x.children) == list(y.children)
-        stack.extend(zip(x.children.values(), y.children.values()))
-
-
-def assert_views_identical(a, b, check_sources=True):
-    stack = [(a.root, b.root)]
-    while stack:
-        x, y = stack.pop()
-        assert x.frame == y.frame
-        assert x.exclusive == y.exclusive
-        assert x.inclusive == y.inclusive
-        assert x.tag == y.tag
-        assert x.baseline == y.baseline
-        assert x.histogram == y.histogram
-        assert list(x.children) == list(y.children)
-        if check_sources:
-            assert len(x.sources) == len(y.sources)
-            assert (sorted(s.frame.key() for s in x.sources)
-                    == sorted(s.frame.key() for s in y.sources))
         stack.extend(zip(x.children.values(), y.children.values()))
 
 
@@ -104,9 +88,9 @@ class TestConverterOracle:
             generate_bytes(tier("small"), compress=False))
         ref_views = [view_oracle.top_down(ref), view_oracle.top_down(other)]
         assert (viewtree_digest(diff_profiles(fast, other))
-                == viewtree_digest(diff_trees(*ref_views)))
+                == view_oracle.digest(view_oracle.diff_trees(*ref_views)))
         assert (viewtree_digest(aggregate_profiles([fast, other]))
-                == viewtree_digest(merge_trees(ref_views)))
+                == view_oracle.digest(view_oracle.merge_trees(ref_views)))
 
 
 class TestRoundTrips:

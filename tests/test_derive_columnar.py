@@ -1,10 +1,10 @@
 """Differential oracle for column-wise derived metrics.
 
 ``formula.derive`` and ``diff.add_delta_column`` evaluate over the value
-matrix of a columnar-backed view and keep the arrays; the scalar
-evaluator over the ``ViewNode`` dicts stays as the oracle.  Every check
-here runs the same operations on a columnar tree and on its
-``twins.facade_only`` twin (same arrays, facade only) and demands
+matrix of a view and keep the arrays; the scalar evaluator over the
+``ViewNode`` dicts stays as the oracle (:mod:`repro.bench.view_oracle`).
+Every check here runs the same operations on a view and, through the
+oracle, on its ``twins.facade_only`` twin (its facade only) and demands
 identical results bit for bit — digests, materialized dicts with key
 order, signed zeros — and the same diff / aggregate / summary / flame
 layout on top.
@@ -27,7 +27,7 @@ from repro.analysis import formula
 from repro.analysis.aggregate import merge_trees
 from repro.analysis.diff import add_delta_column, diff_trees, summarize
 from repro.analysis.transform import transform
-from repro.analysis.viewtree import ViewTree
+from repro.bench import view_oracle
 from repro.core.cct_columnar import from_cct
 from repro.core.digest import viewtree_digest
 from repro.errors import EasyViewError
@@ -140,19 +140,17 @@ def assert_same_facade(a, b):
 
 def assert_same_tree(fast, oracle):
     # The arrays hash exactly like the facade materialized from them...
-    facade = ViewTree(fast.schema, fast.shape)
-    facade.root = fast.root
-    assert viewtree_digest(fast) == viewtree_digest(facade)
+    assert viewtree_digest(fast) == view_oracle.digest(facade_only(fast))
     # ...and that facade equals the oracle's.
     if not assert_same_facade(fast, oracle):
-        assert viewtree_digest(fast) == viewtree_digest(oracle)
+        assert viewtree_digest(fast) == view_oracle.digest(oracle)
 
 
 def _twins(profile, shape):
-    """(columnar tree, object-only twin) built off the same arrays."""
+    """(view, object-only twin) built off the same arrays."""
     fast = transform(profile, shape)
     oracle = facade_only(transform(profile, shape))
-    assert fast.columnar() is not None and oracle.columnar() is None
+    assert isinstance(oracle, view_oracle.ObjectTree)
     return fast, oracle
 
 
@@ -160,10 +158,11 @@ def _apply(steps, fast, oracle):
     """Run each derive on both trees; both must succeed or fail alike."""
     for name, source, inclusive in steps:
         outcomes = []
-        for tree in (fast, oracle):
+        for derive, tree in ((formula.derive, fast),
+                             (view_oracle.derive, oracle)):
             try:
-                outcomes.append(formula.derive(tree, name, source,
-                                               inclusive=inclusive))
+                outcomes.append(derive(tree, name, source,
+                                       inclusive=inclusive))
             except EasyViewError as exc:
                 outcomes.append((type(exc), str(exc)))
         assert outcomes[0] == outcomes[1]
@@ -198,26 +197,27 @@ def test_derive_then_diff_merge_summarize(base, treat, steps_a, steps_b,
     _apply(steps_b, fast_b, oracle_b)
 
     fast_diff = diff_trees(fast_a, fast_b)
-    oracle_diff = diff_trees(oracle_a, oracle_b)
+    oracle_diff = view_oracle.diff_trees(oracle_a, oracle_b)
     assert fast_diff.columnar() is not None
     # The summary is counted off the tag codes; its key order must be
     # the order the facade walk meets each tag.
     assert list(summarize(fast_diff).items()) == \
-        list(summarize(oracle_diff).items())
+        list(view_oracle.summarize(oracle_diff).items())
     assert_same_tree(fast_diff, oracle_diff)
     for metric_index in range(len(fast_diff.schema)):
         assert (add_delta_column(fast_diff, metric_index, mode)
-                == add_delta_column(oracle_diff, metric_index, mode))
+                == view_oracle.add_delta_column(oracle_diff, metric_index,
+                                                mode))
     assert fast_diff.columnar() is not None
     assert_same_tree(fast_diff, oracle_diff)
 
     fast_merged = merge_trees([fast_a, fast_b])
-    oracle_merged = merge_trees([oracle_a, oracle_b])
+    oracle_merged = view_oracle.merge_trees([oracle_a, oracle_b])
     assert fast_merged.columnar() is not None
     assert_same_tree(fast_merged, oracle_merged)
     index = formula.derive(fast_merged, "spread", "`cpu:max` - `cpu:min`")
-    assert index == formula.derive(oracle_merged, "spread",
-                                   "`cpu:max` - `cpu:min`")
+    assert index == view_oracle.derive(oracle_merged, "spread",
+                                       "`cpu:max` - `cpu:min`")
     assert fast_merged.columnar() is not None
     assert_same_tree(fast_merged, oracle_merged)
 
@@ -230,7 +230,8 @@ def test_derive_then_layout(samples, steps, shape):
     _apply(steps, fast, oracle)
     for metric_index in range(len(fast.schema)):
         ours = layout(fast, metric_index=metric_index, min_width=0.0)
-        theirs = layout(oracle, metric_index=metric_index, min_width=0.0)
+        theirs = view_oracle.layout(oracle, metric_index=metric_index,
+                                    min_width=0.0)
         assert ours.laid_out_nodes == theirs.laid_out_nodes
         assert ours.skipped_nodes == theirs.skipped_nodes
         assert ours.max_depth == theirs.max_depth

@@ -7,6 +7,7 @@ from repro import ProfileBuilder
 from repro.analysis.callbacks import Customization
 from repro.analysis.diff import add_delta_column
 from repro.analysis.formula import derive
+from repro.analysis.query import search
 from repro.analysis.transform import top_down, transform
 from repro.core.digest import profile_digest, schema_digest, viewtree_digest
 from repro.core.metric import Metric
@@ -237,10 +238,10 @@ class TestEngineMemoization:
     def test_zoomed_layout_bypasses(self):
         engine = AnalysisEngine()
         tree = engine.transform(build(ENTRIES), "top_down")
-        node = tree.find_by_name("work")[0]
+        row = search(tree, "work").rows[0]
         before = engine.cache.stats.bypasses
-        engine.layout(tree, root=node)
-        engine.layout(tree, root=node)
+        engine.layout(tree, root=row)
+        engine.layout(tree, root=row)
         assert engine.cache.stats.bypasses == before + 2
 
     def test_callback_customization_bypasses(self):

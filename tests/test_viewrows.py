@@ -3,9 +3,9 @@
 Each request the viewer session answers on columnar rows — hover and
 code-lens attribution, assembly annotations, search and its coverage,
 the summary window, zoom, click/select and the tree table — is held
-against the facade path: a twin of the same view whose arrays are
-dropped (``twins.facade_only``), so the object functions walk its
-``ViewNode`` facade and the CCT nodes behind its sources.  Inputs are two corpus
+against the object oracle (:mod:`repro.bench.view_oracle`) run on a twin
+of the same view without arrays (``twins.facade_only``), so the oracle
+walks its ``ViewNode`` facade and the CCT nodes behind its sources.  Inputs are two corpus
 profiles and hypothesis profiles with tied values (built through the
 object API, then given arrays).  Results must be equal exactly,
 floating-point sums and tie-breaks included.
@@ -20,9 +20,9 @@ from hypothesis import given, settings, strategies as st
 from repro.analysis import viewrows
 from repro.analysis.aggregate import merge_trees
 from repro.analysis.diff import diff_trees
-from repro.analysis.prune import hot_path
 from repro.analysis.query import match_fraction, search
 from repro.analysis.transform import transform
+from repro.bench import view_oracle
 from repro.converters import pprof
 from repro.core.frame import FrameKind, intern_frame
 from repro.core.metric import Metric
@@ -31,6 +31,7 @@ from repro.ide.annotations import (assembly_attribution,
                                    build_floating_window, line_attribution)
 from repro.profilers.corpus import generate_bytes, tier
 from repro.viz.layout import layout
+from repro.viz.terminal import render_summary
 from repro.viz.treetable import TreeTable
 
 from .twins import facade_only
@@ -136,27 +137,31 @@ def _object_click(tree, node):
 
 def check_all(col_tree, obj_tree):
     cvt = col_tree.columnar()
-    assert cvt is not None and obj_tree.columnar() is None
-    assert line_attribution(col_tree) == line_attribution(obj_tree)
-    assert assembly_attribution(col_tree) == assembly_attribution(obj_tree)
+    assert isinstance(obj_tree, view_oracle.ObjectTree)
+    assert line_attribution(col_tree) == \
+        view_oracle.line_attribution(obj_tree)
+    assert assembly_attribution(col_tree) == \
+        view_oracle.assembly_attribution(obj_tree)
 
     for pattern in ("Handle", "a", "zzz"):
         col = search(col_tree, pattern)
-        obj = search(obj_tree, pattern)
+        obj = view_oracle.search(obj_tree, pattern)
         assert [viewrows.row_label(cvt, row) for row in col.rows.tolist()] \
             == [node.label() for node in obj]
         for metric in range(len(col_tree.schema)):
             assert match_fraction(col_tree, col, metric) \
-                == match_fraction(obj_tree, obj, metric)
-    assert build_floating_window(col_tree).body \
-        == build_floating_window(obj_tree).body
+                == view_oracle.match_fraction(obj_tree, obj, metric)
+    assert render_summary(col_tree) == view_oracle.render_summary(obj_tree)
+    assert build_floating_window(col_tree).body.endswith(
+        view_oracle.render_summary(obj_tree))
 
     # Zoom into every match of a broad pattern, plus the root.
     col = search(col_tree, "a")
-    obj = search(obj_tree, "a")
+    obj = view_oracle.search(obj_tree, "a")
     for row, node in list(zip(col.rows.tolist(), obj))[:12] + [(0, None)]:
         zoomed = layout(col_tree, root=row, min_width=0.0)
-        oracle = layout(obj_tree, root=node or obj_tree.root, min_width=0.0)
+        oracle = view_oracle.layout(obj_tree, root=node or obj_tree.root,
+                                    min_width=0.0)
         assert zoomed.laid_out_nodes == oracle.laid_out_nodes
         assert zoomed.max_depth == oracle.max_depth
         assert zoomed.skipped_nodes == oracle.skipped_nodes
@@ -179,7 +184,7 @@ def check_all(col_tree, obj_tree):
     for inclusive in (True, False):
         table = TreeTable(col_tree, inclusive=inclusive)
         path = table.expand_hot_path()
-        oracle_path = hot_path(obj_tree, table.sort_column)
+        oracle_path = view_oracle.hot_path(obj_tree, table.sort_column)
         assert [viewrows.row_label(cvt, row) for row in path.rows.tolist()] \
             == [node.label() for node in oracle_path]
         expanded = {id(obj_tree.root)} | {id(node) for node in oracle_path}
@@ -232,7 +237,7 @@ def test_kernels_build_no_facade(corpus):
 def test_node_rows_behave_like_node_lists(corpus):
     col_tree, obj_tree = _views(corpus, "top_down")
     matches = search(col_tree, "Handle")
-    assert len(matches) == len(search(obj_tree, "Handle"))
+    assert len(matches) == len(view_oracle.search(obj_tree, "Handle"))
     nodes = list(matches)
     assert matches == nodes and matches[0] is nodes[0]
     assert np.array_equal(matches.rows, search(col_tree, "Handle").rows)

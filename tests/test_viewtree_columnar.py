@@ -1,7 +1,7 @@
 """Differential oracle for the columnar view pipeline.
 
 The array-backed view trees (:mod:`repro.analysis.viewtree_columnar`) and
-the per-``ViewNode`` object transforms (:mod:`repro.bench.view_oracle`)
+the per-``ViewNode`` object oracle (:mod:`repro.bench.view_oracle`)
 must be observably identical: same materialized trees (child insertion
 order included), same digests, same aggregate and diff results, same
 flame-graph rectangles.  The object path is kept alive purely as the
@@ -22,7 +22,6 @@ from repro.analysis import formula
 from repro.analysis.aggregate import merge_trees
 from repro.analysis.diff import add_delta_column, diff_trees, summarize
 from repro.analysis.transform import bottom_up, flat, top_down, transform
-from repro.analysis.viewtree import ViewNode, ViewTree
 from repro.analysis import viewtree_columnar
 from repro.bench import view_oracle
 from repro.bench.pprof_oracle import parse_object
@@ -35,28 +34,9 @@ from repro.profilers.corpus import generate_bytes, tier
 from repro.profilers.workloads import (deep_path_profile, lulesh_profile,
                                        spark_profile)
 
-from .twins import facade_only
+from .twins import assert_views_identical, facade_only, with_arrays
 
 SHAPES = ("top_down", "bottom_up", "flat")
-
-
-def assert_views_identical(a, b, check_sources=True):
-    """Bitwise view-tree equality, child insertion order included."""
-    stack = [(a.root, b.root)]
-    while stack:
-        x, y = stack.pop()
-        assert x.frame == y.frame
-        assert x.exclusive == y.exclusive
-        assert x.inclusive == y.inclusive
-        assert x.tag == y.tag
-        assert x.baseline == y.baseline
-        assert x.histogram == y.histogram
-        assert list(x.children) == list(y.children)
-        if check_sources:
-            assert len(x.sources) == len(y.sources)
-            assert (sorted(s.frame.key() for s in x.sources)
-                    == sorted(s.frame.key() for s in y.sources))
-        stack.extend(zip(x.children.values(), y.children.values()))
 
 
 def _pair(raw):
@@ -99,9 +79,9 @@ class TestTransformOracle:
         obj_tree = view_oracle.transform(obj_profile, shape)
         col_tree = transform(col_profile, shape)
         assert col_tree.columnar() is not None
-        assert obj_tree.columnar() is None
+        assert isinstance(obj_tree, view_oracle.ObjectTree)
         assert_views_identical(col_tree, obj_tree)
-        expected = viewtree_digest(obj_tree)
+        expected = view_oracle.digest(obj_tree)
         assert viewtree_digest(col_tree) == expected
         folded = transform(obj_profile, shape)
         assert folded.columnar() is not None
@@ -128,10 +108,10 @@ class TestAggregateOracle:
                transform(pprof.parse(corpus_raw_alt), shape)]
         obj = [_oracle(corpus_raw, shape), _oracle(corpus_raw_alt, shape)]
         merged_col = merge_trees(col)
-        merged_obj = merge_trees(obj)
+        merged_obj = view_oracle.merge_trees(obj)
         assert merged_col.columnar() is not None
         assert_views_identical(merged_col, merged_obj)
-        assert viewtree_digest(merged_col) == viewtree_digest(merged_obj)
+        assert viewtree_digest(merged_col) == view_oracle.digest(merged_obj)
 
     def test_merge_of_merges(self, corpus_raw, corpus_raw_alt):
         """Nested merges keep the columnar path and stay lazy."""
@@ -141,8 +121,9 @@ class TestAggregateOracle:
                _oracle(corpus_raw_alt, "top_down")]
         nested_col = merge_trees([merge_trees(col), merge_trees(col)],
                                  operators=(Aggregation.SUM,))
-        nested_obj = merge_trees([merge_trees(obj), merge_trees(obj)],
-                                 operators=(Aggregation.SUM,))
+        nested_obj = view_oracle.merge_trees(
+            [view_oracle.merge_trees(obj), view_oracle.merge_trees(obj)],
+            operators=(Aggregation.SUM,))
         assert nested_col.columnar() is not None
         assert_views_identical(nested_col, nested_obj)
 
@@ -155,10 +136,10 @@ class TestAggregateOracle:
         obj = [_oracle(corpus_raw, "top_down"),
                _oracle(corpus_raw_alt, "top_down")]
         merged_col = merge_trees(col, operators=operators)
-        merged_obj = merge_trees(obj, operators=operators)
+        merged_obj = view_oracle.merge_trees(obj, operators=operators)
         assert merged_col.columnar() is not None
         assert_views_identical(merged_col, merged_obj)
-        assert viewtree_digest(merged_col) == viewtree_digest(merged_obj)
+        assert viewtree_digest(merged_col) == view_oracle.digest(merged_obj)
 
 
     @pytest.mark.parametrize("series", [
@@ -184,24 +165,24 @@ class TestDiffOracle:
     def test_diff(self, corpus_raw, corpus_raw_alt, shape):
         diff_col = diff_trees(transform(pprof.parse(corpus_raw), shape),
                               transform(pprof.parse(corpus_raw_alt), shape))
-        diff_obj = diff_trees(_oracle(corpus_raw, shape),
-                              _oracle(corpus_raw_alt, shape))
+        diff_obj = view_oracle.diff_trees(_oracle(corpus_raw, shape),
+                                          _oracle(corpus_raw_alt, shape))
         assert diff_col.columnar() is not None
         assert_views_identical(diff_col, diff_obj)
-        assert viewtree_digest(diff_col) == viewtree_digest(diff_obj)
-        assert summarize(diff_col) == summarize(diff_obj)
+        assert viewtree_digest(diff_col) == view_oracle.digest(diff_obj)
+        assert summarize(diff_col) == view_oracle.summarize(diff_obj)
 
     def test_diff_tolerance(self, corpus_raw, corpus_raw_alt):
         diff_col = diff_trees(
             transform(pprof.parse(corpus_raw), "top_down"),
             transform(pprof.parse(corpus_raw_alt), "top_down"),
             tolerance=50.0)
-        diff_obj = diff_trees(
+        diff_obj = view_oracle.diff_trees(
             _oracle(corpus_raw, "top_down"),
             _oracle(corpus_raw_alt, "top_down"),
             tolerance=50.0)
         assert diff_col.columnar() is not None
-        assert summarize(diff_col) == summarize(diff_obj)
+        assert summarize(diff_col) == view_oracle.summarize(diff_obj)
         assert_views_identical(diff_col, diff_obj)
 
     def test_self_diff_all_same(self, corpus_raw):
@@ -224,13 +205,14 @@ class TestMutationInvalidation:
         before = viewtree_digest(tree)
         first = tree.schema.names()[0]
         column = formula.derive(tree, "doubled", "2 * %s" % first)
-        assert formula.derive(oracle, "doubled", "2 * %s" % first) == column
+        assert view_oracle.derive(oracle, "doubled",
+                                  "2 * %s" % first) == column
         assert tree.columnar() is not None
         # Copy-on-write: the old snapshot keeps its arrays unchanged.
         assert tree.columnar() is not snapshot
         assert snapshot.n_metrics == column
         assert viewtree_digest(tree) != before
-        assert viewtree_digest(tree) == viewtree_digest(oracle)
+        assert viewtree_digest(tree) == view_oracle.digest(oracle)
         assert_views_identical(tree, oracle)
         root = tree.root
         assert root.inclusive[column] == 2 * root.inclusive.get(0, 0.0)
@@ -245,16 +227,16 @@ class TestMutationInvalidation:
         oracle = _oracle(corpus_raw, "top_down")
         view_oracle.finish(custom, oracle)
         assert_views_identical(tree, oracle)
-        assert viewtree_digest(tree) == viewtree_digest(oracle)
+        assert viewtree_digest(tree) == view_oracle.digest(oracle)
 
     def test_derive_matches_object_path(self, corpus_raw):
         col_tree = transform(pprof.parse(corpus_raw), "top_down")
         obj_tree = _oracle(corpus_raw, "top_down")
         first = col_tree.schema.names()[0]
         formula.derive(col_tree, "doubled", "2 * %s" % first)
-        formula.derive(obj_tree, "doubled", "2 * %s" % first)
+        view_oracle.derive(obj_tree, "doubled", "2 * %s" % first)
         assert_views_identical(col_tree, obj_tree)
-        assert viewtree_digest(col_tree) == viewtree_digest(obj_tree)
+        assert viewtree_digest(col_tree) == view_oracle.digest(obj_tree)
 
     def test_sources_resolve_after_mutation(self, corpus_raw):
         """Lazy source parts must survive a new array snapshot."""
@@ -275,10 +257,10 @@ class TestMutationInvalidation:
             transform(pprof.parse(corpus_raw_alt), "top_down")))
         before = viewtree_digest(diffed)
         assert add_delta_column(diffed, 0, mode) == \
-            add_delta_column(oracle, 0, mode)
+            view_oracle.add_delta_column(oracle, 0, mode)
         assert diffed.columnar() is not None
         assert viewtree_digest(diffed) != before
-        assert viewtree_digest(diffed) == viewtree_digest(oracle)
+        assert viewtree_digest(diffed) == view_oracle.digest(oracle)
         assert_views_identical(diffed, oracle)
 
 
@@ -312,7 +294,7 @@ class TestLayoutOracle:
         col_tree = transform(pprof.parse(corpus_raw), shape)
         obj_tree = _oracle(corpus_raw, shape)
         self._assert_layouts_identical(layout(col_tree, **kwargs),
-                                       layout(obj_tree, **kwargs))
+                                       view_oracle.layout(obj_tree, **kwargs))
 
     def test_merge_and_diff_layouts(self, corpus_raw, corpus_raw_alt):
         from repro.viz.layout import layout
@@ -320,26 +302,29 @@ class TestLayoutOracle:
                transform(pprof.parse(corpus_raw_alt), "top_down")]
         obj = [_oracle(corpus_raw, "top_down"),
                _oracle(corpus_raw_alt, "top_down")]
-        self._assert_layouts_identical(layout(merge_trees(col)),
-                                       layout(merge_trees(obj)))
+        self._assert_layouts_identical(
+            layout(merge_trees(col)),
+            view_oracle.layout(view_oracle.merge_trees(obj)))
         self._assert_layouts_identical(
             layout(diff_trees(col[0], col[1]), metric_index=1),
-            layout(diff_trees(obj[0], obj[1]), metric_index=1))
+            view_oracle.layout(view_oracle.diff_trees(obj[0], obj[1]),
+                               metric_index=1))
 
     def test_geometry_is_lazy(self, corpus_raw):
         from repro.viz.layout import layout
         tree = transform(pprof.parse(corpus_raw), "top_down")
         laid = layout(tree)
-        assert tree._root is None  # geometry came without materializing
+        # Geometry comes without materializing the facade.
+        assert tree.columnar().node_objects is None
         geometry = laid.geometry
         assert len(laid.rects) == geometry.row.shape[0] > 0
         colors = geometry.colors()
         assert len(colors) == len(laid.rects)
-        assert tree._root is None
+        assert tree.columnar().node_objects is None
         # Touching a rect's node forces the facade exactly once.
         first = laid.rects[0]
         assert first.node is tree.root
-        assert tree._root is not None
+        assert tree.columnar().node_objects is not None
 
     def test_geometry_colors_match_object_colors(self, corpus_raw):
         from repro.viz.color import frame_color
@@ -350,29 +335,25 @@ class TestLayoutOracle:
         for rect, color in zip(laid.rects, colors):
             assert frame_color(rect.node) == color
 
-    def test_zoomed_layout_uses_object_path(self, corpus_raw):
+    def test_zoomed_layout_takes_a_row(self, corpus_raw):
         from repro.viz.layout import layout
         tree = transform(pprof.parse(corpus_raw), "top_down")
         zoom_root = tree.root.sorted_children()[0]
-        zoomed = layout(tree, root=zoom_root)
-        assert zoomed.geometry is None
+        row = tree.columnar().facade().index(zoom_root)
+        zoomed = layout(tree, root=row)
         assert zoomed.rects[0].node is zoom_root
+        self._assert_layouts_identical(
+            zoomed, view_oracle.layout(facade_only(tree), root=zoom_root))
 
 
 class TestRoundTrip:
-    """columnar → facade → from_viewtree → facade fixpoint."""
+    """columnar → facade → ``view_oracle.to_arrays`` → facade fixpoint."""
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_corpus_round_trip(self, corpus_raw, shape):
         tree = transform(pprof.parse(corpus_raw), shape)
-        cvt = tree.columnar()
-        assert cvt is not None
         digest = viewtree_digest(tree)
-        tree.root  # materialize the facade
-        stored = viewtree_columnar.from_viewtree(tree)
-        assert stored is not None
-        round_trip = ViewTree.columnar_backed(tree.schema.copy(), tree.shape,
-                                              stored)
+        round_trip = with_arrays(facade_only(tree))
         assert viewtree_digest(round_trip) == digest
         assert_views_identical(round_trip, tree)
 
@@ -392,7 +373,7 @@ def _view_trees(draw):
     for i in range(n_metrics):
         schema.add(Metric(name="m%d" % i, unit="u",
                           aggregation=Aggregation.SUM))
-    tree = ViewTree(schema)
+    tree = view_oracle.ObjectTree(schema)
     nodes = [tree.root]
     count = draw(st.integers(min_value=0, max_value=24))
     for index in range(count):
@@ -417,15 +398,10 @@ def _view_trees(draw):
 @given(_view_trees())
 @settings(max_examples=40, deadline=None)
 def test_hypothesis_columnar_facade_round_trip(tree):
-    stored = viewtree_columnar.from_viewtree(tree)
-    assert stored is not None
-    facade = ViewTree.columnar_backed(tree.schema.copy(), tree.shape, stored)
+    facade = with_arrays(tree)
     assert facade.node_count() == tree.node_count()
-    assert viewtree_digest(facade) == viewtree_digest(tree)
+    assert viewtree_digest(facade) == view_oracle.digest(tree)
     assert_views_identical(facade, tree, check_sources=False)
     # And the facade, once materialized, re-encodes to the same digest.
-    facade.root
-    again = viewtree_columnar.from_viewtree(facade)
-    assert again is not None
-    second = ViewTree.columnar_backed(tree.schema.copy(), tree.shape, again)
-    assert viewtree_digest(second) == viewtree_digest(tree)
+    second = with_arrays(facade_only(facade))
+    assert viewtree_digest(second) == view_oracle.digest(tree)

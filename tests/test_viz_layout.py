@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro.analysis.query import search
 from repro.analysis.transform import top_down
 from repro.viz.layout import layout, layout_profile
+
+from .twins import empty_view
 
 
 class TestLayout:
@@ -44,7 +47,7 @@ class TestLayout:
 
     def test_zoom_root_takes_full_width(self, simple_profile):
         tree = top_down(simple_profile)
-        work = tree.find_by_name("work")[0]
+        work = search(tree, "work").rows[0]
         flame = layout(tree, root=work, canvas_width=1000.0)
         assert flame.rects[0].width == pytest.approx(1000.0)
         names = {r.node.frame.name for r in flame.rects}
@@ -55,9 +58,7 @@ class TestLayout:
         assert flame.max_depth == 1
 
     def test_empty_tree(self):
-        from repro.analysis.viewtree import ViewTree
-        from repro.core.metric import MetricSchema
-        flame = layout(ViewTree(MetricSchema()))
+        flame = layout(empty_view())
         assert flame.rects == []
 
     def test_find(self, simple_profile):

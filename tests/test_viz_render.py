@@ -14,6 +14,8 @@ from repro.viz.svg import render_diff_svg, render_svg
 from repro.viz.terminal import (render_flame_text, render_summary,
                                 render_tree_text)
 
+from .twins import empty_view
+
 
 class TestColors:
     def test_frame_color_deterministic(self, simple_profile):
@@ -144,9 +146,7 @@ class TestTerminal:
         assert "inner" in lines[0]   # hottest exclusive context first
 
     def test_empty_layout_text(self):
-        from repro.analysis.viewtree import ViewTree
-        from repro.core.metric import MetricSchema
-        assert "empty" in render_flame_text(layout(ViewTree(MetricSchema())))
+        assert "empty" in render_flame_text(layout(empty_view()))
 
 
 class TestHistogram:

@@ -1,9 +1,46 @@
-"""Facade-only twins of view trees for the differential tests."""
+"""Object-only twins of view trees, arrays for hand-built ones, and the
+node-by-node comparison of two views."""
+
+from repro.analysis.viewtree import ViewTree
+from repro.bench.view_oracle import ObjectTree, to_arrays
+from repro.core.metric import MetricSchema
 
 
 def facade_only(tree):
-    """Drop a view tree's arrays, keeping its ``ViewNode`` facade, so
-    every function given the tree walks the objects (and the CCT nodes
-    behind their sources).  Returns the tree."""
-    tree.root = tree.root
-    return tree
+    """A view tree's ``ViewNode`` facade as an oracle tree (no arrays), so
+    every oracle function given it walks the objects (and the CCT nodes
+    behind their sources)."""
+    return ObjectTree(tree.schema, tree.shape, tree.root)
+
+
+def with_arrays(tree):
+    """A hand-built oracle tree as a :class:`ViewTree` with its arrays."""
+    columnar = to_arrays(tree)
+    assert columnar is not None, "histograms of unequal length"
+    return ViewTree(tree.schema.copy(), tree.shape, columnar)
+
+
+def empty_view(schema=None):
+    """A root-only view tree."""
+    return with_arrays(ObjectTree(schema if schema is not None
+                                  else MetricSchema()))
+
+
+def assert_views_identical(a, b, check_sources=True):
+    """Bitwise view-tree equality, child insertion order included: frames,
+    values, tags, baselines, histograms and the sources' frames."""
+    stack = [(a.root, b.root)]
+    while stack:
+        x, y = stack.pop()
+        assert x.frame == y.frame
+        assert x.exclusive == y.exclusive
+        assert x.inclusive == y.inclusive
+        assert x.tag == y.tag
+        assert x.baseline == y.baseline
+        assert x.histogram == y.histogram
+        assert list(x.children) == list(y.children)
+        if check_sources:
+            assert len(x.sources) == len(y.sources)
+            assert (sorted(s.frame.key() for s in x.sources)
+                    == sorted(s.frame.key() for s in y.sources))
+        stack.extend(zip(x.children.values(), y.children.values()))
