@@ -16,9 +16,50 @@ import numpy as np
 from ..core.frame import FrameKind, intern_frame
 from . import viewrows
 from .viewtree import ViewTree
-from .viewtree_columnar import (ColumnarViewTree, _UnionSources, _cell_ranks,
-                                _grouped_csr, _renumber, take_rows,
+from .viewtree_columnar import (_PRESENCE, ColumnarViewTree, _UnionSources,
+                                _cell_ranks, _grouped_csr, _if_unordered,
+                                _regroup, _renumber, _root_chunk, take_rows,
                                 value_column)
+
+
+def _insertion_order(presence, *keys):
+    """Each present cell's position among its row's present cells when
+    they insert by ``keys`` (matrices shaped like ``presence``, the most
+    significant first)."""
+    rows, cols = np.nonzero(presence)
+    by_key = np.lexsort(tuple(key[rows, cols] for key in reversed(keys))
+                        + (rows,))
+    rows = rows[by_key]
+    order = np.zeros(presence.shape, dtype=np.int64)
+    order[rows, cols[by_key]] = (np.arange(rows.shape[0], dtype=np.int64)
+                                 - np.searchsorted(rows, rows))
+    return order
+
+
+def _group_sums(values, presence, ranks, groups, n_groups):
+    """Add contributor rows into ``n_groups`` output rows the way the
+    object loops fill dicts: each value in turn onto 0.0, and each
+    output row's keys in the order its contributions first bring them.
+
+    ``values``, ``presence`` and ``ranks`` (a contributor's own key
+    order) hold one contributor per row, in contribution order;
+    ``groups`` is each one's output row.  Returns ``(sums, seen,
+    order)``, where ``order`` is each seen cell's insertion position
+    within its row.
+    """
+    spread = presence if values.ndim == 2 else presence[:, :, None]
+    sums = np.zeros((n_groups,) + values.shape[1:], dtype=np.float64)
+    np.add.at(sums, groups, np.where(spread, values, 0.0))
+    seen = np.zeros((n_groups, presence.shape[1]), dtype=bool)
+    np.logical_or.at(seen, groups, presence)
+    # Per output cell: the first contribution that has it, and the
+    # cell's rank in that contributor's dict.
+    at, cols = np.nonzero(presence)
+    first = np.full(seen.shape, presence.shape[0], dtype=np.int64)
+    np.minimum.at(first, (groups[at], cols), at)
+    first[~seen] = 0
+    columns = np.arange(seen.shape[1], dtype=np.int64)
+    return sums, seen, _insertion_order(seen, first, ranks[first, columns])
 
 
 def collapse_recursion(tree: ViewTree) -> ViewTree:
@@ -58,26 +99,16 @@ def collapse_recursion(tree: ViewTree) -> ViewTree:
     heads = np.flatnonzero(~folded)
     order, bounds = _grouped_csr(depth[heads], int(depth.max()) + 1)
     visit = cvt.creation_visit_positions()
-    n_keys = max(len(cvt.merge_keys), 1)
     out = np.zeros(n, dtype=np.int64)
-    # (parent, depth, token, frame, creation rank) per new output row.
-    chunks = [(np.full(1, -1, dtype=np.int64), np.zeros(1, dtype=np.int64),
-               key[:1], cvt.frame_id[:1], np.zeros(1, dtype=np.int64))]
+    chunks = [_root_chunk(key[0], cvt.frame_id[0])]
     n_out = 1
     for level in range(1, len(bounds) - 1):
         rows = heads[order[bounds[level]:bounds[level + 1]]]
-        uniq, inverse = np.unique(out[head[parent[rows]]] * n_keys
-                                  + key[rows], return_inverse=True)
-        out[rows] = n_out + inverse
-        rank = visit[parent[rows]] * n + rows
-        by_rank = np.argsort(rank, kind="stable")
-        _, first = np.unique(inverse[by_rank], return_index=True)
-        creators = by_rank[first]
-        chunks.append((uniq // n_keys,
-                       np.full(uniq.shape[0], level, dtype=np.int64),
-                       uniq % n_keys, cvt.frame_id[rows[creators]],
-                       rank[creators]))
-        n_out += uniq.shape[0]
+        out[rows], chunk = _regroup(
+            out[head[parent[rows]]], key[rows], visit[parent[rows]] * n + rows,
+            cvt.frame_id[rows], max(len(cvt.merge_keys), 1), level, n_out)
+        chunks.append(chunk)
+        n_out += chunk[0].shape[0]
     remap, row_parent, row_depth, row_token, row_frame = _renumber(
         *(np.concatenate(part) for part in zip(*chunks)))
     out = remap[out[head]]
@@ -85,30 +116,22 @@ def collapse_recursion(tree: ViewTree) -> ViewTree:
     # Values land in the object walk's order (the facade walk).
     walk = cvt.walk_order()
     own = walk[~folded[walk]]
-
-    def summed(rows, values, presence):
-        cells = presence[rows]
-        total = np.zeros((n_out,) + values.shape[1:], dtype=np.float64)
-        np.add.at(total, out[rows], np.where(
-            cells if values.ndim == 2 else cells[:, :, None],
-            values[rows], 0.0))
-        seen = np.zeros((n_out, presence.shape[1]), dtype=bool)
-        np.logical_or.at(seen, out[rows], cells)
-        return total, seen
-
     planes = {}
-    planes["exclusive"], planes["excl_present"] = summed(
-        walk, cvt.exclusive, cvt.excl_present)
-    planes["inclusive"], planes["incl_present"] = summed(
-        own, cvt.inclusive, cvt.incl_present)
-    if cvt.baseline is not None:
-        planes["baseline"], planes["base_present"] = summed(
-            own, cvt.baseline, cvt.base_present)
+    cell_order = {}
+    for plane, rows in (("exclusive", walk), ("inclusive", own),
+                        ("baseline", own)):
+        if getattr(cvt, plane) is None:
+            continue
+        presence = _PRESENCE[plane]
+        planes[plane], planes[presence], rank = _group_sums(
+            getattr(cvt, plane)[rows], getattr(cvt, presence)[rows],
+            _cell_ranks(cvt, plane)[rows], out[rows], n_out)
+        if _if_unordered(rank, planes[presence]) is not None:
+            cell_order[plane] = rank
     if cvt.hist is not None:
-        planes["hist"], planes["hist_present"] = summed(
-            own, cvt.hist, cvt.hist_present)
-        planes["hist_first"] = np.zeros(planes["hist_present"].shape,
-                                        dtype=np.int64)
+        planes["hist"], planes["hist_present"], planes["hist_first"] = \
+            _group_sums(cvt.hist[own], cvt.hist_present[own],
+                        cvt.hist_first[own], out[own], n_out)
     if cvt.tag_codes is not None:
         # The first tag the walk meets on any of the row's contributors.
         tagged = walk[cvt.tag_codes[walk] != 0]
@@ -125,7 +148,7 @@ def collapse_recursion(tree: ViewTree) -> ViewTree:
         shape=cvt.shape, n_series=cvt.n_series,
         row_sources=_UnionSources([cvt], np.zeros(n, dtype=np.int64),
                                   walk[grouped], source_start),
-        **planes)
+        cell_order=cell_order, **planes)
     return ViewTree(tree.schema.copy(), tree.shape, collapsed)
 
 
@@ -181,33 +204,47 @@ def prune(tree: ViewTree, metric_index: int = 0,
     out.frames = list(cvt.frames) + [frame]
     out.frame_id[appended] = len(cvt.frames)
 
-    def add_dropped(plane, presence, values, cells):
-        """Add the dropped rows' ``values`` (present where ``cells``),
-        summed per owner in child order, into the owners' targets."""
-        spread = cells if values.ndim == 2 else cells[:, :, None]
-        sums = np.zeros((owners.shape[0],) + values.shape[1:],
-                        dtype=np.float64)
-        np.add.at(sums, slot, np.where(spread, values, 0.0))
-        seen = np.zeros((owners.shape[0], cells.shape[1]), dtype=bool)
-        np.logical_or.at(seen, slot, cells)
+    def add_dropped(plane, sums, seen, order):
+        """Add per-owner sums (see :func:`_group_sums`) into the owners'
+        targets; keys new to a target insert after its own, in
+        ``order``."""
+        is_hist = plane == "hist"
         matrix = getattr(out, plane)
-        mask = getattr(out, presence)
-        had = mask[target] if values.ndim == 2 else mask[target][:, :, None]
-        now = seen if values.ndim == 2 else seen[:, :, None]
+        mask = getattr(out, "hist_present" if is_hist else _PRESENCE[plane])
+        had = mask[target]
+        now, before = (seen[:, :, None], had[:, :, None]) if is_hist \
+            else (seen, had)
         current = matrix[target]
-        matrix[target] = np.where(now, np.where(had, current, 0.0) + sums,
+        matrix[target] = np.where(now, np.where(before, current, 0.0) + sums,
                                   current)
         mask[target] |= seen
+        recorded = out.hist_first if is_hist else out.cell_order.get(plane)
+        ranks = (recorded if recorded is not None
+                 else _cell_ranks(out, plane))[target]
+        ranks = np.where(seen & ~had, int(ranks.max(initial=0)) + 1 + order,
+                         ranks)  # new keys after every key the row had
+        ranks = _insertion_order(mask[target], ranks)
+        if recorded is None:
+            if _if_unordered(ranks, mask[target]) is None:
+                return  # ascending by column, as the facade fills it
+            recorded = out.cell_order[plane] = np.array(
+                _cell_ranks(out, plane))
+        recorded[target] = ranks
 
-    lost = cvt.incl_present[dropped]
-    add_dropped("inclusive", "incl_present", cvt.inclusive[dropped], lost)
-    add_dropped("exclusive", "excl_present", cvt.inclusive[dropped], lost)
+    n_owners = owners.shape[0]
+    inclusive = _group_sums(cvt.inclusive[dropped], cvt.incl_present[dropped],
+                            _cell_ranks(cvt, "inclusive")[dropped], slot,
+                            n_owners)
+    add_dropped("inclusive", *inclusive)
+    add_dropped("exclusive", *inclusive)
     if cvt.baseline is not None:
-        add_dropped("baseline", "base_present", cvt.baseline[dropped],
-                    cvt.base_present[dropped])
+        add_dropped("baseline", *_group_sums(
+            cvt.baseline[dropped], cvt.base_present[dropped],
+            _cell_ranks(cvt, "baseline")[dropped], slot, n_owners))
     if cvt.hist is not None:
-        add_dropped("hist", "hist_present", cvt.hist[dropped],
-                    cvt.hist_present[dropped])
+        add_dropped("hist", *_group_sums(
+            cvt.hist[dropped], cvt.hist_present[dropped],
+            cvt.hist_first[dropped], slot, n_owners))
     return ViewTree(tree.schema.copy(), tree.shape, out)
 
 

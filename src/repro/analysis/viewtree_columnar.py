@@ -151,6 +151,33 @@ def _renumber(parent, depth, token, frame_id, creation):
     return remap, new_parent, new_depth, new_token, new_frame
 
 
+def _root_chunk(token, frame_id):
+    """The root row as a :func:`_renumber` chunk (see :func:`_regroup`)."""
+    return (np.full(1, -1, dtype=np.int64), np.zeros(1, dtype=np.int64),
+            np.full(1, token, dtype=np.int64),
+            np.full(1, frame_id, dtype=np.int64),
+            np.zeros(1, dtype=np.int64))
+
+
+def _regroup(out_parent, token, rank, frame_id, n_tokens, level, n_rows):
+    """One output level of a regrouping: input rows meeting one output
+    parent under one merge token become one output row, created by the
+    one of lowest creation ``rank`` (and taking its frame).
+
+    Returns each input row's output row, numbered from ``n_rows`` on,
+    and the new rows as a :func:`_renumber` chunk: (parent, depth,
+    token, frame, creation rank).
+    """
+    uniq, inverse = np.unique(out_parent * n_tokens + token,
+                              return_inverse=True)
+    by_rank = np.argsort(rank, kind="stable")
+    _, first = np.unique(inverse[by_rank], return_index=True)
+    creators = by_rank[first]
+    chunk = (uniq // n_tokens, np.full(uniq.shape[0], level, dtype=np.int64),
+             uniq % n_tokens, frame_id[creators], rank[creators])
+    return n_rows + inverse, chunk
+
+
 def _grouped_csr(index, minlength):
     """Stable-sort ``index`` into per-group ranges: ``(order, start)``."""
     order = np.argsort(index, kind="stable")
@@ -1081,18 +1108,11 @@ def _union_rows(trees: Sequence[ColumnarViewTree]) -> _UnionRows:
     levels = [tree.depth_groups() for tree in trees]
     max_depth = max(len(start) - 2 for _, start in levels)
 
-    chunk_parent = [np.full(1, -1, dtype=np.int64)]
-    chunk_token = [np.asarray([union_tok[0][trees[0].token[0]]],
-                              dtype=np.int64)]
-    chunk_depth = [np.zeros(1, dtype=np.int64)]
-    chunk_frame = [np.asarray([frame_off[0] + trees[0].frame_id[0]],
-                              dtype=np.int64)]
-    chunk_creation = [np.zeros(1, dtype=np.int64)]
+    chunks = [_root_chunk(union_tok[0][trees[0].token[0]],
+                          frame_off[0] + trees[0].frame_id[0])]
     n_rows = 1
     for level in range(1, max_depth + 1):
-        key_parts = []
-        rank_parts = []
-        frame_parts = []
+        parts = []
         slices = []
         for index, tree in enumerate(trees):
             ids, start = levels[index]
@@ -1102,36 +1122,26 @@ def _union_rows(trees: Sequence[ColumnarViewTree]) -> _UnionRows:
             if not rows.shape[0]:
                 continue
             parents = tree.parent[rows]
-            key_parts.append(row_of[index][parents] * n_tokens
-                             + union_tok[index][tree.token[rows]])
-            rank_parts.append((index * max_rank + visit[index][parents])
-                              * max_rank + rows)
-            frame_parts.append(frame_off[index] + tree.frame_id[rows])
+            parts.append((row_of[index][parents],
+                          union_tok[index][tree.token[rows]],
+                          (index * max_rank + visit[index][parents])
+                          * max_rank + rows,
+                          frame_off[index] + tree.frame_id[rows]))
             slices.append((index, rows))
-        if not key_parts:
+        if not parts:
             continue
-        keys = np.concatenate(key_parts)
-        ranks = np.concatenate(rank_parts)
-        frame_ids = np.concatenate(frame_parts)
-        uniq, inverse = np.unique(keys, return_inverse=True)
-        result_rows = n_rows + inverse
+        result_rows, chunk = _regroup(
+            *(np.concatenate(part) for part in zip(*parts)),
+            n_tokens, level, n_rows)
         cursor = 0
         for index, rows in slices:
             row_of[index][rows] = result_rows[cursor:cursor + rows.shape[0]]
             cursor += rows.shape[0]
-        by_rank = np.argsort(ranks, kind="stable")
-        _, first = np.unique(inverse[by_rank], return_index=True)
-        chunk_parent.append(uniq // n_tokens)
-        chunk_token.append(uniq % n_tokens)
-        chunk_depth.append(np.full(uniq.shape[0], level, dtype=np.int64))
-        chunk_frame.append(frame_ids[by_rank[first]])
-        chunk_creation.append(ranks[by_rank[first]])
-        n_rows += uniq.shape[0]
+        chunks.append(chunk)
+        n_rows += chunk[0].shape[0]
 
     remap, parent, depth, token, frame_id = _renumber(
-        np.concatenate(chunk_parent), np.concatenate(chunk_depth),
-        np.concatenate(chunk_token), np.concatenate(chunk_frame),
-        np.concatenate(chunk_creation))
+        *(np.concatenate(part) for part in zip(*chunks)))
     row_of = [remap[mapping] for mapping in row_of]
     return _UnionRows(parent, depth, token, frame_id, frames, merge_keys,
                       row_of, visit, max_rank)

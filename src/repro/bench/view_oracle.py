@@ -44,7 +44,8 @@ from ..analysis import aggregate, diff, formula as formula_mod, query
 from ..analysis.callbacks import Customization
 from ..analysis.metrics import compute_inclusive
 from ..analysis.viewtree import MergeKey, SourceList, ViewNode
-from ..analysis.viewtree_columnar import _TAG_CODE, ColumnarViewTree
+from ..analysis.viewtree_columnar import (_TAG_CODE, ColumnarViewTree,
+                                          _if_unordered)
 from ..core import digest as digest_mod
 from ..core.cct import CCTNode
 from ..core.frame import Frame, FrameKind, ROOT_FRAME, intern_frame
@@ -822,20 +823,27 @@ def to_arrays(tree: ObjectTree) -> Optional[ColumnarViewTree]:
     hist_first = None
     n_series = 0
     source_lists: List[SourceList] = []
+    # Each cell's position in its dict, for the planes whose dicts are not
+    # all ascending by key (``ColumnarViewTree.cell_order``).
+    ranks = {plane: np.zeros((n_rows, n_metrics), dtype=np.int64)
+             for plane in ("inclusive", "exclusive", "baseline")}
     for row, node in enumerate(records):
-        for col, value in node.inclusive.items():
+        for rank, (col, value) in enumerate(node.inclusive.items()):
             inclusive[row, col] = value
             incl_present[row, col] = True
-        for col, value in node.exclusive.items():
+            ranks["inclusive"][row, col] = rank
+        for rank, (col, value) in enumerate(node.exclusive.items()):
             exclusive[row, col] = value
             excl_present[row, col] = True
+            ranks["exclusive"][row, col] = rank
         if node.baseline:
             if baseline is None:
                 baseline = np.zeros((n_rows, n_metrics), dtype=np.float64)
                 base_present = np.zeros((n_rows, n_metrics), dtype=bool)
-            for col, value in node.baseline.items():
+            for rank, (col, value) in enumerate(node.baseline.items()):
                 baseline[row, col] = value
                 base_present[row, col] = True
+                ranks["baseline"][row, col] = rank
         if node.tag is not None:
             if tag_codes is None:
                 tag_codes = np.zeros(n_rows, dtype=np.int8)
@@ -865,4 +873,8 @@ def to_arrays(tree: ObjectTree) -> Optional[ColumnarViewTree]:
         exclusive=exclusive, excl_present=excl_present,
         baseline=baseline, base_present=base_present, tag_codes=tag_codes,
         hist=hist, hist_present=hist_present, hist_first=hist_first,
-        n_series=n_series, row_sources=_StoredSources(source_lists))
+        n_series=n_series, row_sources=_StoredSources(source_lists),
+        cell_order={plane: ranks[plane] for plane, presence in (
+            ("inclusive", incl_present), ("exclusive", excl_present),
+            ("baseline", base_present)) if presence is not None
+            and _if_unordered(ranks[plane], presence) is not None})

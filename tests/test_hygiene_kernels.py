@@ -5,10 +5,10 @@
 Each is held against its object body in :mod:`repro.bench.view_oracle`,
 run on the facade of the same view (``twins.facade_only``): equal
 digests, and equal trees node by node — values, tags, baselines,
-histograms, child order and sources.  Inputs: the corpus small and
-medium tiers, the LULESH and Spark workloads, a 10,000-frame chain, a
-root-only profile and hypothesis profiles; trees: the three shapes plus
-one diff and one aggregate tree of each input.
+histograms, child order, each dict's key order and sources.  Inputs:
+the corpus small and medium tiers, the LULESH and Spark workloads, a
+10,000-frame chain, a root-only profile and hypothesis profiles; trees:
+the three shapes plus one diff and one aggregate tree of each input.
 
 Also here: the rules both sides share — a row merged from several
 recursion depths sums their inclusive values, and every plane of a kept
@@ -25,7 +25,7 @@ from hypothesis import given, settings, strategies as st
 from repro import ProfileBuilder, obs
 from repro.analysis import (collapse_recursion, derive, diff_trees,
                             filter_by_name, filter_tree, merge_trees, prune,
-                            truncate_depth)
+                            truncate_depth, viewrows)
 from repro.analysis.diff import add_delta_column
 from repro.analysis.transform import bottom_up, flat, top_down, transform
 from repro.analysis.viewtree import ViewTree
@@ -271,6 +271,52 @@ def test_prune_of_a_pruned_tree_adds_into_its_placeholder(prune_fn, twin):
     assert [child.frame.name for child in main.children.values()] == \
         ["a", "b", "<pruned>"]
     assert _rows(twice)["<pruned>"] == (10.0, 10.0)   # and then e
+
+
+def _two_metrics(samples):
+    builder = ProfileBuilder(tool="test")
+    builder.metric("cpu")
+    builder.metric("alloc")
+    for path, values in samples:
+        builder.sample([(name, "r.c", line)
+                        for line, name in enumerate(path, 1)], values)
+    return builder.build()
+
+
+@pytest.mark.parametrize("prune_fn,twin", [(prune, lambda t: t),
+                                           (view_oracle.prune, facade_only)])
+def test_pruned_row_keys_follow_the_dropped_children(prune_fn, twin):
+    # In the bottom-up view, a (dropped first) brings only alloc, then b
+    # brings cpu: the <pruned> row lists alloc first, and so does its
+    # histogram in an aggregate, whose first series the click pane shows.
+    profile = _two_metrics([(["main", "a"], {1: 1.0}),
+                            (["main", "b"], {0: 1.0, 1: 2.0}),
+                            (["main", "c"], {0: 100.0})])
+    (placeholder,) = prune_fn(twin(bottom_up(profile)),
+                              min_fraction=0.1).find_by_name("<pruned>")
+    assert list(placeholder.inclusive.items()) == [(1, 3.0), (0, 1.0)]
+    assert list(placeholder.exclusive.items()) == [(1, 3.0), (0, 1.0)]
+    merged = merge_trees([bottom_up(profile), bottom_up(profile)])
+    pruned = prune_fn(twin(merged), min_fraction=0.1)
+    (placeholder,) = pruned.find_by_name("<pruned>")
+    assert list(placeholder.histogram.items()) == [(1, [3.0, 3.0]),
+                                                   (0, [1.0, 1.0])]
+    if prune_fn is prune:
+        cvt = pruned.columnar()
+        (row,) = [row for row in range(cvt.n_rows)
+                  if viewrows.row_label(cvt, row) == placeholder.label()]
+        assert viewrows.row_histogram(cvt, row) == [3.0, 3.0]
+
+
+@pytest.mark.parametrize("collapse", [collapse_recursion,
+                                      view_oracle.collapse_recursion])
+def test_collapsed_row_keys_follow_the_walk(collapse):
+    # The outer f brings alloc before the inner f, folded in, brings cpu.
+    tree = top_down(_two_metrics([(["main", "f"], {1: 3.0}),
+                                  (["main", "f", "f"], {0: 4.0})]))
+    (f,) = collapse(tree if collapse is collapse_recursion
+                    else facade_only(tree)).find_by_name("f")
+    assert list(f.exclusive.items()) == [(1, 3.0), (0, 4.0)]
 
 
 # -- every view carries arrays ------------------------------------------------

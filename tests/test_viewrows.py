@@ -135,6 +135,15 @@ def _object_click(tree, node):
             sorted(node.inclusive.items()), first)
 
 
+def _oracle_window(tree):
+    """The summary floating window's body, read off the object tree."""
+    lines = ["view: %s" % tree.shape, "contexts: %d" % tree.node_count()]
+    for index, metric in enumerate(tree.schema):
+        lines.append("total %s: %s"
+                     % (metric.name, metric.format_value(tree.total(index))))
+    return "\n".join(lines + ["", view_oracle.render_summary(tree)])
+
+
 def check_all(col_tree, obj_tree):
     cvt = col_tree.columnar()
     assert isinstance(obj_tree, view_oracle.ObjectTree)
@@ -152,8 +161,7 @@ def check_all(col_tree, obj_tree):
             assert match_fraction(col_tree, col, metric) \
                 == view_oracle.match_fraction(obj_tree, obj, metric)
     assert render_summary(col_tree) == view_oracle.render_summary(obj_tree)
-    assert build_floating_window(col_tree).body.endswith(
-        view_oracle.render_summary(obj_tree))
+    assert build_floating_window(col_tree).body == _oracle_window(obj_tree)
 
     # Zoom into every match of a broad pattern, plus the root.
     col = search(col_tree, "a")

@@ -27,17 +27,17 @@ def empty_view(schema=None):
 
 
 def assert_views_identical(a, b, check_sources=True):
-    """Bitwise view-tree equality, child insertion order included: frames,
-    values, tags, baselines, histograms and the sources' frames."""
+    """Bitwise view-tree equality, insertion order included (children and
+    every value dict's keys): frames, values, tags, baselines, histograms
+    and the sources' frames."""
     stack = [(a.root, b.root)]
     while stack:
         x, y = stack.pop()
         assert x.frame == y.frame
-        assert x.exclusive == y.exclusive
-        assert x.inclusive == y.inclusive
+        for plane in ("exclusive", "inclusive", "baseline", "histogram"):
+            assert list(getattr(x, plane).items()) == \
+                list(getattr(y, plane).items()), plane
         assert x.tag == y.tag
-        assert x.baseline == y.baseline
-        assert x.histogram == y.histogram
         assert list(x.children) == list(y.children)
         if check_sources:
             assert len(x.sources) == len(y.sources)
