@@ -119,6 +119,12 @@ def from_message(message: pb.ProfileMessage) -> Profile:
                        time_nanos=message.time_nanos,
                        duration_nanos=message.duration_nanos)
     profile = Profile(schema=schema, meta=meta)
+    # A value outside the schema has no column to live in.
+    for wire_point in message.points:
+        for metric_value in wire_point.values:
+            if metric_value.metric_id >= len(schema):
+                raise FormatError("metric %d outside the schema (%d columns)"
+                                  % (metric_value.metric_id, len(schema)))
 
     columnar = _columnar_from_message(message, lookup, len(schema))
     if columnar is not None:
@@ -172,16 +178,13 @@ def _columnar_from_message(message: pb.ProfileMessage, lookup,
                            n_metrics: int):
     """Raise a wire message straight into a columnar CCT, or ``None``.
 
-    Handles the common shape — every point a sequence-0 PLAIN point with
-    in-range metric ids — node message by node message.  Advanced points
-    and out-of-schema metric ids return ``None`` for the object path.
+    Handles the common shape — every point a sequence-0 PLAIN point —
+    node message by node message.  Advanced points return ``None`` for
+    the object path.
     """
     for wire_point in message.points:
         if wire_point.kind != pb.POINT_PLAIN or wire_point.sequence != 0:
             return None
-        for metric_value in wire_point.values:
-            if not 0 <= metric_value.metric_id < n_metrics:
-                return None
 
     builder = ColumnarBuilder()
     descend = builder.descend

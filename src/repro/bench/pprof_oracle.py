@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from ..converters.pprof import _begin, _frame_chains
+from ..core.cct import CCT
 from ..core.profile import Profile
 from ..errors import FormatError, OversizedError
 from ..proto import pprof_pb
@@ -56,5 +57,6 @@ def parse_object(data: bytes) -> Profile:
 
     builder, metric_columns = _begin(message)
     profile = builder.build()
+    profile.cct = CCT()  # the object tree alone: no arrays
     _accumulate_object(message, profile, metric_columns)
     return profile

@@ -7,18 +7,19 @@ be given as plain strings, ``(name, file, line, module)`` tuples, or
 :meth:`ProfileBuilder.leaf_sample` for leaf-first stacks as produced by
 most unwinders).
 
-Advanced monitoring points — snapshot series, allocations with data-object
-contexts, and multi-context inefficiency points — are recorded as
-first-class :class:`~repro.core.monitor.MonitoringPoint` objects, exactly
-as the paper's representation requires (§IV-A).
+Paths descend a :class:`~repro.core.cct_columnar.ColumnarBuilder` trie,
+so a built profile has arrays and no object CCT.  Advanced monitoring
+points — snapshot series, allocations with data-object contexts, and
+multi-context inefficiency points — are recorded as first-class
+:class:`~repro.core.monitor.MonitoringPoint` objects, exactly as the
+paper's representation requires (§IV-A), bound to the object facade.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Union
+from typing import Dict, Iterable, Sequence, Union
 
-from ..core.cct import CCTNode
-from ..core.frame import Frame, FrameKind, data_object_frame, intern_frame
+from ..core.frame import Frame, data_object_frame, intern_frame
 from ..core.metric import Aggregation, Metric
 from ..core.monitor import MonitoringPoint, PointKind
 from ..core.profile import Profile, ProfileMeta
@@ -51,18 +52,18 @@ def _coerce_frame(spec: FrameSpec) -> Frame:
     raise TypeError("cannot interpret %r as a frame" % (spec,))
 
 
-def _coerce_path(frames: Iterable[FrameSpec]) -> List[Frame]:
-    return [_coerce_frame(spec) for spec in frames]
-
-
 class ProfileBuilder:
     """Incrementally assemble a :class:`~repro.core.profile.Profile`."""
 
     def __init__(self, tool: str = "", time_nanos: int = 0,
                  duration_nanos: int = 0) -> None:
+        from ..core.cct_columnar import ColumnarBuilder
         meta = ProfileMeta(tool=tool, time_nanos=time_nanos,
                            duration_nanos=duration_nanos)
         self._profile = Profile(meta=meta)
+        self._trie = ColumnarBuilder()
+        #: Row -> column -> value, summed as ``CCTNode.add_value`` sums.
+        self._cells: Dict[int, Dict[int, float]] = {}
         self._finished = False
 
     # -- schema ------------------------------------------------------------
@@ -84,21 +85,25 @@ class ProfileBuilder:
     # -- plain samples -----------------------------------------------------
 
     def sample(self, frames: Sequence[FrameSpec],
-               values: Dict[int, float]) -> CCTNode:
+               values: Dict[int, float]) -> None:
         """Record a root-first call path, accumulating values on the leaf."""
         self._check_open()
-        return self._profile.add_sample(_coerce_path(frames), dict(values))
+        values = dict(values)
+        self._profile.check_columns(values)
+        cell = self._cells.setdefault(self._row(frames), {})
+        for column, value in values.items():
+            cell[column] = cell.get(column, 0.0) + value
 
     def leaf_sample(self, frames: Sequence[FrameSpec],
-                    values: Dict[int, float]) -> CCTNode:
+                    values: Dict[int, float]) -> None:
         """Record a leaf-first stack (the order unwinders produce)."""
-        return self.sample(list(reversed(list(frames))), values)
+        self.sample(list(reversed(list(frames))), values)
 
     # -- advanced monitoring points ---------------------------------------
 
     def snapshot(self, sequence: int, frames: Sequence[FrameSpec],
                  values: Dict[int, float],
-                 kind: PointKind = PointKind.ALLOCATION) -> MonitoringPoint:
+                 kind: PointKind = PointKind.ALLOCATION) -> None:
         """Record one capture of a snapshot series (e.g. heap in-use).
 
         Snapshot values live on the point, tagged with the capture's
@@ -110,52 +115,69 @@ class ProfileBuilder:
         if sequence <= 0:
             raise ValueError("snapshot sequence must be positive, got %d"
                              % sequence)
-        node = self._profile.cct.add_path(_coerce_path(frames))
-        return self._profile.add_point(MonitoringPoint(
-            kind=kind, contexts=[node], values=dict(values),
-            sequence=sequence))
+        self._point(kind, [frames], values, sequence)
 
     def allocation(self, object_name: str, frames: Sequence[FrameSpec],
-                   values: Dict[int, float],
-                   sequence: int = 0) -> MonitoringPoint:
+                   values: Dict[int, float], sequence: int = 0) -> None:
         """Record an allocation: a data-object context under the call path.
 
         The allocated object becomes a ``DATA_OBJECT`` frame child of the
         allocation site, enabling data-centric views.
         """
         self._check_open()
-        path = _coerce_path(frames)
-        path.append(data_object_frame(object_name))
-        node = self._profile.cct.add_path(path)
-        return self._profile.add_point(MonitoringPoint(
-            kind=PointKind.ALLOCATION, contexts=[node],
-            values=dict(values), sequence=sequence))
+        path = list(frames) + [data_object_frame(object_name)]
+        self._point(PointKind.ALLOCATION, [path], values, sequence)
 
     def pair_point(self, kind: PointKind,
                    paths: Sequence[Sequence[FrameSpec]],
-                   values: Dict[int, float]) -> MonitoringPoint:
+                   values: Dict[int, float]) -> None:
         """Record a multi-context point (use/reuse, redundancy, races).
 
         ``paths`` are root-first call paths, one per context, in the
         kind-specific order documented on :class:`PointKind`.
         """
         self._check_open()
-        contexts = [self._profile.cct.add_path(_coerce_path(path))
-                    for path in paths]
-        return self._profile.add_point(MonitoringPoint(
-            kind=kind, contexts=contexts, values=dict(values)))
+        self._point(kind, paths, values, 0)
+
+    def _point(self, kind: PointKind, paths: Iterable[Sequence[FrameSpec]],
+               values: Dict[int, float], sequence: int) -> None:
+        """Add a point whose contexts are rows until :meth:`build` binds
+        them; ``add_point``'s column and arity checks run now."""
+        self._profile.add_point(MonitoringPoint(
+            kind=kind, contexts=[self._row(path) for path in paths],
+            values=dict(values), sequence=sequence))
+
+    def _row(self, frames: Iterable[FrameSpec]) -> int:
+        """The trie row of a root-first path, created as needed (every
+        spec is coerced before any node is)."""
+        trie = self._trie
+        fids = [trie.frame_token(_coerce_frame(spec)) for spec in frames]
+        row = 0
+        for fid in fids:
+            row = trie.descend(row, fid)
+        return row
 
     # -- finishing ---------------------------------------------------------
 
     def build(self) -> Profile:
         """Finalize and return the profile.
 
-        Further builder calls raise ``RuntimeError``; the returned profile
-        itself stays mutable (converters keep extending the CCT directly).
+        The summed cells become the columnar arrays; only a profile with
+        points gets its object facade now, to bind their contexts.
+        Further builder calls raise ``RuntimeError``; the profile stays
+        editable through its facade.
         """
+        from ..core.cct_columnar import value_cells
         self._check_open()
         self._finished = True
-        return self._profile
+        profile, trie, cells = self._profile, self._trie, self._cells
+        profile.attach_columnar(trie.finish(*value_cells(
+            trie.n_nodes, len(profile.schema),
+            [row for row, cell in cells.items() for _ in cell],
+            [column for cell in cells.values() for column in cell],
+            [value for cell in cells.values() for value in cell.values()])))
+        profile.bind_point_rows()
+        return profile
 
     def _check_open(self) -> None:
         if self._finished:

@@ -51,6 +51,9 @@ from .frame import Frame, ROOT_FRAME
 _to_cct_count = get_registry().counter(
     "core.cct_materializations",
     "object CCTs built from columnar CCTs (ColumnarCCT.to_cct)")
+#: Object-tree folds: opening a profile in any format makes none.
+_from_cct_count = get_registry().counter(
+    "core.cct_folds", "object CCTs folded into columnar CCTs (from_cct)")
 
 
 class ColumnarCCT:
@@ -340,6 +343,7 @@ def from_cct(cct: CCT, n_metrics: int) -> ColumnarCCT:
     identical tree.  The snapshot's ``node_objects`` are the folded
     tree's own nodes, so columnar ids resolve to them without a rebuild.
     """
+    _from_cct_count.inc()
     parents: List[int] = []
     frame_ids: List[int] = []
     depths: List[int] = []
@@ -451,12 +455,25 @@ class ColumnarBuilder:
     def n_nodes(self) -> int:
         return len(self.parents)
 
-    def finish(self, values, present, frames_override=None) -> ColumnarCCT:
+    def finish(self, values, present) -> ColumnarCCT:
         """Freeze the trie into a :class:`ColumnarCCT`."""
         return ColumnarCCT(
             parent=np.asarray(self.parents, dtype=np.int64),
             frame_id=np.asarray(self.frame_ids, dtype=np.int64),
             depth=np.asarray(self.depths, dtype=np.int64),
-            values=values, present=present,
-            frames=frames_override if frames_override is not None
-            else self.frames)
+            values=values, present=present, frames=self.frames)
+
+
+def value_cells(n: int, n_metrics: int, rows, cols, vals):
+    """``(values, present)`` for ``n`` nodes from (row, column, value)
+    records: each written cell is ``0.0 + v1 + v2 ...`` in record order,
+    exactly as :meth:`~repro.core.cct.CCTNode.add_value` accumulates
+    (``np.add.at`` is unbuffered and runs in index order)."""
+    values = np.zeros((n, n_metrics), dtype=np.float64)
+    present = np.zeros((n, n_metrics), dtype=bool)
+    if len(rows):
+        index = (np.asarray(rows, dtype=np.int64),
+                 np.asarray(cols, dtype=np.int64))
+        np.add.at(values, index, np.asarray(vals, dtype=np.float64))
+        present[index] = True
+    return values, present

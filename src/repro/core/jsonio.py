@@ -101,13 +101,16 @@ def from_dict(payload: Dict[str, Any]) -> Profile:
         duration_nanos=int(payload.get("durationNanos", 0)),
         attributes=dict(payload.get("attributes", {}))))
 
-    by_id: Dict[int, CCTNode] = {}
+    from .cct_columnar import ColumnarBuilder, value_cells
+    builder = ColumnarBuilder()
+    rows, cols, vals = [], [], []  # (row, column, value) records
+    row_of: Dict[Any, int] = {}
     for entry in payload.get("nodes", []):
         kind = FrameKind[entry.get("kind", "function").upper()]
         if kind is FrameKind.ROOT:
-            by_id[entry["id"]] = profile.root
+            row_of[entry["id"]] = 0
             continue
-        parent = by_id.get(entry.get("parent"))
+        parent = row_of.get(entry.get("parent"))
         if parent is None:
             raise FormatError("node %r references undefined parent %r"
                               % (entry.get("id"), entry.get("parent")))
@@ -117,25 +120,34 @@ def from_dict(payload: Dict[str, Any]) -> Profile:
                              module=entry.get("module", ""),
                              address=int(entry.get("address", 0)),
                              kind=kind)
-        node = parent.child(frame)
+        row = builder.descend(parent, builder.frame_token(frame))
         for key, value in entry.get("metrics", {}).items():
-            node.add_value(int(key), float(value))
-        by_id[entry["id"]] = node
+            rows.append(row)
+            cols.append(int(key))
+            vals.append(float(value))
+        row_of[entry["id"]] = row
 
     for spec in payload.get("points", []):
         contexts = []
         for context_id in spec.get("contexts", []):
-            node = by_id.get(context_id)
-            if node is None:
+            row = row_of.get(context_id)
+            if row is None:
                 raise FormatError("point references undefined node %r"
                                   % context_id)
-            contexts.append(node)
+            contexts.append(row)
         profile.points.append(MonitoringPoint(
             kind=PointKind[spec.get("kind", "plain").upper()],
             contexts=contexts,
             values={int(k): float(v)
                     for k, v in spec.get("values", {}).items()},
             sequence=int(spec.get("sequence", 0))))
+    for column in cols + [k for point in profile.points for k in point.values]:
+        if not 0 <= column < len(schema):  # no column to live in
+            raise FormatError("metric %d outside the schema (%d columns)"
+                              % (column, len(schema)))
+    profile.attach_columnar(builder.finish(
+        *value_cells(builder.n_nodes, len(schema), rows, cols, vals)))
+    profile.bind_point_rows()
     return profile
 
 

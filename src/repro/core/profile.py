@@ -41,19 +41,20 @@ class ProfileMeta:
 class Profile:
     """One profile: CCT + metric schema + monitoring points + metadata.
 
-    The CCT has two representations: the per-node object tree
-    (:class:`~repro.core.cct.CCT`) and a columnar struct-of-arrays
-    snapshot (:class:`~repro.core.cct_columnar.ColumnarCCT`).  Converters
-    for large formats attach the columnar form and leave the object tree
-    *unmaterialized*; touching :attr:`cct` (or :attr:`root`) materializes
-    it lazily, so facade consumers — callbacks, lint rules, the viewer —
-    never notice.  Mutating the object tree bumps its version counter,
+    The CCT has two representations: the columnar struct-of-arrays
+    snapshot (:class:`~repro.core.cct_columnar.ColumnarCCT`), which every
+    producer builds — :class:`~repro.builder.ProfileBuilder`, the pprof
+    converter and both file codecs — and the per-node object tree
+    (:class:`~repro.core.cct.CCT`), the facade.  Touching :attr:`cct` (or
+    :attr:`root`) materializes the facade lazily, so its consumers —
+    callbacks, lint rules, monitoring points — never notice, and edits
+    go through it.  Mutating the object tree bumps its version counter,
     which invalidates the columnar snapshot automatically.
     """
 
     def __init__(self, schema: Optional[MetricSchema] = None,
                  meta: Optional[ProfileMeta] = None) -> None:
-        self._cct: Optional[CCT] = CCT()
+        self._cct: Optional[CCT] = None
         self._columnar = None
         self.schema = schema if schema is not None else MetricSchema()
         self.points: List[MonitoringPoint] = []
@@ -67,10 +68,12 @@ class Profile:
 
     @property
     def cct(self) -> CCT:
-        """The object CCT, materialized from the columnar form on demand."""
+        """The object CCT, materialized from the columnar form on demand
+        (an empty tree for a profile that has neither)."""
         cct = self._cct
         if cct is None:
-            cct = self._cct = self._columnar.to_cct()
+            col = self._columnar
+            cct = self._cct = CCT() if col is None else col.to_cct()
         return cct
 
     @cct.setter
@@ -91,14 +94,15 @@ class Profile:
         """The columnar snapshot, or ``None`` when absent or stale.
 
         A snapshot is stale once the object tree mutated past the version
-        the snapshot was taken at.  With ``build=True`` a missing or stale
-        snapshot is (re)built from the object tree, as every view
-        transform does; the object tree stays, and so does a source key.
+        the snapshot was taken at, or the schema outgrew its columns.
+        With ``build=True`` a missing or stale snapshot is (re)built from
+        the object tree, as every view transform does; the object tree
+        stays, and so does a source key.
         """
         col = self._columnar
         cct = self._cct
-        if col is not None and (cct is None
-                                or cct._version == col._synced_version):
+        if (col is not None and col.n_metrics == len(self.schema)
+                and (cct is None or cct._version == col._synced_version)):
             return col
         if not build:
             return None
@@ -177,7 +181,7 @@ class Profile:
     def add_sample(self, frames: List[Frame],
                    values: Dict[int, float]) -> CCTNode:
         """Record a plain sample: merge the path, accumulate on the leaf."""
-        self._check_columns(values)
+        self.check_columns(values)
         return self.cct.add_sample(frames, values)
 
     def add_point(self, point: MonitoringPoint) -> MonitoringPoint:
@@ -187,7 +191,7 @@ class Profile:
         multi-context points are kept as first-class objects in addition to
         any per-node accumulation the caller performed.
         """
-        self._check_columns(point.values)
+        self.check_columns(point.values)
         if not point.arity_ok():
             raise SchemaError(
                 "point of kind %s expects %d contexts, got %d"
@@ -196,7 +200,17 @@ class Profile:
         self.points.append(point)
         return point
 
-    def _check_columns(self, values: Dict[int, float]) -> None:
+    def bind_point_rows(self) -> None:
+        """Resolve point contexts a producer recorded as columnar rows:
+        the object facade is built once, and each row becomes its node."""
+        if self.points:
+            self.cct
+            nodes = self._columnar.node_objects
+            for point in self.points:
+                point.contexts = [nodes[row] for row in point.contexts]
+
+    def check_columns(self, values: Dict[int, float]) -> None:
+        """Raise :class:`SchemaError` for a column outside the schema."""
         limit = len(self.schema)
         for index in values:
             if not 0 <= index < limit:
@@ -229,10 +243,7 @@ class Profile:
     def total(self, metric_name: str) -> float:
         """Program-wide total of a metric (sum of exclusive values)."""
         index = self.schema.index_of(metric_name)
-        col = self.columnar()
-        if col is not None:
-            return col.total(index)
-        return sum(node.exclusive(index) for node in self.nodes())
+        return self.columnar(build=True).total(index)
 
     def snapshot_sequences(self) -> List[int]:
         """Sorted distinct snapshot sequence numbers present in the points."""
@@ -248,25 +259,15 @@ class Profile:
 
     def summary(self) -> Dict[str, object]:
         """A floating-window style summary of the whole profile (§VI-B)."""
-        totals = {}
-        col = self.columnar()
-        if col is not None:
-            col_totals = col.totals()
-            for index, metric in enumerate(self.schema):
-                totals[metric.name] = metric.format_value(
-                    float(col_totals[index]))
-            max_depth = col.max_depth()
-        else:
-            for index, metric in enumerate(self.schema):
-                total = sum(node.exclusive(index) for node in self.nodes())
-                totals[metric.name] = metric.format_value(total)
-            max_depth = self.cct.max_depth()
+        col = self.columnar(build=True)
+        totals = col.totals().tolist()
         return {
             "tool": self.meta.tool,
-            "contexts": self.node_count(),
-            "max_depth": max_depth,
+            "contexts": col.node_count(),
+            "max_depth": col.max_depth(),
             "points": len(self.points),
-            "metrics": totals,
+            "metrics": {metric.name: metric.format_value(totals[index])
+                        for index, metric in enumerate(self.schema)},
         }
 
     def __repr__(self) -> str:

@@ -49,10 +49,6 @@ _UINT64_MASK = (1 << 64) - 1
 
 def to_columns(profile: Profile) -> pb.ProfileColumns:
     """Lower a profile into its columnar message form."""
-    if profile.points:
-        # The points' contexts are object nodes: with the tree in place,
-        # the snapshot's ``node_objects`` are that tree's nodes.
-        profile.cct
     col = profile.columnar(build=True)
     # Reversed post-order is pre-order with siblings in descending order.
     walk = col.postorder_ids()[::-1]
@@ -133,8 +129,9 @@ def _point_messages(profile: Profile, col,
     """The advanced points as messages, after the plain ones."""
     if not profile.points:
         return []
+    # Point contexts are the facade's nodes (see Profile.bind_point_rows).
     wire_id = {id(node): position[i]
-               for i, node in enumerate(col.node_objects)}
+               for i, node in enumerate(col.node_objects or ())}
     messages = []
     for k, point in enumerate(profile.points):
         context_ids = []
@@ -170,12 +167,10 @@ def from_columns(columns: pb.ProfileColumns) -> Profile:
     table or a point list in the encoder's shape is raised in bulk;
     anything else (duplicate sibling frames, forward parent references,
     duplicate metric ids in one point, ...) replays node by node and
-    point by point, with the same semantics and error order.  Snapshot
-    and multi-context points reference object nodes, and a PLAIN value
-    outside the schema has no column, so a profile with either is built
-    on the object tree instead (:func:`_object_profile`).
+    point by point, with the same semantics and error order.  Other
+    points bind to the object facade, built once for them.
     """
-    from .cct_columnar import ColumnarBuilder, ColumnarCCT
+    from .cct_columnar import ColumnarBuilder, ColumnarCCT, value_cells
     strings = columns.string_table or [""]
 
     def lookup(index: int) -> str:
@@ -193,60 +188,37 @@ def from_columns(columns: pb.ProfileColumns) -> Profile:
                        duration_nanos=columns.duration_nanos)
     profile = Profile(schema=schema, meta=meta)
     n_metrics = len(schema)
-    if _needs_objects(columns, n_metrics):
-        return _object_profile(profile, columns, lookup)
+    # A value outside the schema has no column to live in.
+    metric_ids = [mv.metric_id for _, point in columns.others
+                  for mv in point.values]
+    if columns.value_metric.size:
+        metric_ids.append(int(columns.value_metric.max()))
+    if metric_ids and max(metric_ids) >= n_metrics:
+        raise FormatError("metric %d outside the schema (%d columns)"
+                          % (max(metric_ids), n_metrics))
 
     tree = _bulk_tree(columns.nodes, lookup)
     if tree is not None:
         n = tree[0].size
-        bulk = _bulk_values(columns, n, n_metrics)
-        values, present = bulk if bulk is not None else _exact_values(
-            columns, lambda wire_id: wire_id if 0 <= wire_id < n else None,
-            n, n_metrics)
+        context = columns.plain_context
+        if not columns.others and (not context.size or (
+                context.min() >= 0 and context.max() < n)):
+            # Every point a PLAIN one decoded in bulk, on an existing node.
+            cells = (np.repeat(context, np.diff(columns.value_offsets)),
+                     columns.value_metric, columns.value)
+        else:
+            cells = _replay_points(
+                columns, lambda wire_id: wire_id if 0 <= wire_id < n
+                else None, profile.points)
         profile.attach_columnar(ColumnarCCT(
-            *tree[:3], values=values, present=present, frames=tree[3]))
+            *tree[:3], *value_cells(n, n_metrics, *cells), frames=tree[3]))
     else:
         builder = ColumnarBuilder()
-        col_of = _replay_nodes(columns.nodes, lookup, 0, builder.descend,
-                               builder.frame_token)
-        profile.attach_columnar(builder.finish(*_exact_values(
-            columns, col_of.get, builder.n_nodes, n_metrics)))
-    return profile
-
-
-def _needs_objects(columns: pb.ProfileColumns, n_metrics: int) -> bool:
-    """Whether a point needs object contexts or a column the schema lacks."""
-    metric = columns.value_metric
-    if metric.size and metric.max() >= n_metrics:
-        return True
-    for _, point in columns.others:
-        if point.kind != pb.POINT_PLAIN or point.sequence != 0:
-            return True
-        if any(mv.metric_id >= n_metrics for mv in point.values):
-            return True
-    return False
-
-
-def _object_profile(profile: Profile, columns: pb.ProfileColumns,
-                    lookup: Callable[[int], str]) -> Profile:
-    """Build the tree through the object API: the path of profiles whose
-    points reference contexts, which must be object nodes."""
-    root = profile.root
-    nodes = _replay_nodes(columns.nodes, lookup, root,
-                          lambda parent, frame: parent.child(frame),
-                          lambda frame: frame)
-    for kind, sequence, context_ids, pairs in columns.iter_points():
-        contexts = _contexts(context_ids, nodes.get)
-        values = dict(pairs)
-        if kind == pb.POINT_PLAIN and sequence == 0:
-            if len(contexts) != 1:
-                raise FormatError("plain point must reference one context")
-            for metric_index, value in values.items():
-                contexts[0].add_value(metric_index, value)
-        else:
-            profile.points.append(MonitoringPoint(
-                kind=_enum(PointKind, kind), contexts=contexts,
-                values=values, sequence=sequence))
+        row_of = _replay_nodes(columns.nodes, lookup, builder)
+        cells = _replay_points(columns, row_of.get, profile.points)
+        profile.attach_columnar(builder.finish(
+            *value_cells(builder.n_nodes, n_metrics, *cells)))
+    profile.bind_point_rows()
     return profile
 
 
@@ -340,90 +312,60 @@ def _depths(parent):
     return depth
 
 
-def _replay_nodes(nodes, lookup: Callable[[int], str], root, descend,
-                  token) -> Dict[int, object]:
-    """Replay the node table in wire order; returns wire id -> node.
-
-    ROOT nodes alias ``root``, a parent must be defined first (the last
-    definition of an id wins), and ``descend(parent, token(frame))``
-    merges sibling frames — on columnar ids or on object nodes.
-    """
-    node_of: Dict[int, object] = {}
+def _replay_nodes(nodes, lookup: Callable[[int], str],
+                  builder) -> Dict[int, int]:
+    """Replay the node table in wire order into a ``ColumnarBuilder``;
+    returns wire id -> row.  ROOT nodes alias the root, a parent must be
+    defined first (the last definition of an id wins), and sibling
+    frames merge."""
+    row_of: Dict[int, int] = {}
     for (wire_id, parent_id, kind, name, file, line, module,
          address) in nodes.tolist():
         frame_kind = _PB_TO_FRAME_KIND.get(kind, FrameKind.FUNCTION)
         if frame_kind is FrameKind.ROOT:
-            node_of[wire_id] = root
+            row_of[wire_id] = 0
             continue
-        parent = node_of.get(parent_id)
+        parent = row_of.get(parent_id)
         if parent is None:
             raise FormatError("context %d references undefined parent %d"
                               % (wire_id, parent_id))
         frame = intern_frame(name=lookup(name), file=lookup(file),
                              line=line, module=lookup(module),
                              address=address, kind=frame_kind)
-        node_of[wire_id] = descend(parent, token(frame))
-    return node_of
+        row_of[wire_id] = builder.descend(parent,
+                                          builder.frame_token(frame))
+    return row_of
 
 
-def _bulk_values(columns: pb.ProfileColumns, n: int, n_metrics: int):
-    """``(values, present)`` when every point was decoded in bulk and
-    references an existing node, else ``None``.  (Every point is a PLAIN
-    one with columns in the schema: see :func:`_needs_objects`.)"""
-    context = columns.plain_context
-    if columns.others or (context.size and (context.min() < 0
-                                            or context.max() >= n)):
-        return None
-    metric = columns.value_metric
-    rows = np.repeat(context, np.diff(columns.value_offsets))
-    cols = metric.astype(np.int64)
-    values = np.zeros((n, n_metrics), dtype=np.float64)
-    present = np.zeros((n, n_metrics), dtype=bool)
-    # Sequential per cell, in wire order: 0.0 + v1 + v2 ..., exactly as a
-    # point-by-point replay accumulates.
-    np.add.at(values, (rows, cols), columns.value)
-    present[rows, cols] = True
-    return values, present
-
-
-def _contexts(context_ids: List[int],
-              resolve: Callable[[int], Optional[int]]) -> List[int]:
-    contexts = []
-    for context_id in context_ids:
-        node = resolve(context_id)
-        if node is None:
-            raise FormatError(
-                "monitoring point references undefined context %d"
-                % context_id)
-        contexts.append(node)
-    return contexts
-
-
-def _exact_values(columns: pb.ProfileColumns,
-                  resolve: Callable[[int], Optional[int]], n: int,
-                  n_metrics: int):
-    """``(values, present)`` from replaying every point in wire order:
-    duplicate metric ids in one point collapse last-wins, points on one
-    node accumulate, and errors surface at the first offending point."""
+def _replay_points(columns: pb.ProfileColumns,
+                   resolve: Callable[[int], Optional[int]],
+                   points: List[MonitoringPoint]):
+    """Replay every point in wire order: the (row, column, value) records
+    of the plain points, with duplicate metric ids in one point collapsed
+    last-wins, and errors at the first offending point.  Every other
+    point goes to ``points`` with its contexts as rows."""
     rows: List[int] = []
     cols: List[int] = []
     vals: List[float] = []
-    for _, _, context_ids, pairs in columns.iter_points():
-        contexts = _contexts(context_ids, resolve)
+    for kind, sequence, context_ids, pairs in columns.iter_points():
+        contexts = [resolve(context_id) for context_id in context_ids]
+        if None in contexts:
+            raise FormatError(
+                "monitoring point references undefined context %d"
+                % context_ids[contexts.index(None)])
+        values = dict(pairs)
+        if kind != pb.POINT_PLAIN or sequence != 0:
+            points.append(MonitoringPoint(
+                kind=_enum(PointKind, kind), contexts=contexts,
+                values=values, sequence=sequence))
+            continue
         if len(contexts) != 1:
             raise FormatError("plain point must reference one context")
-        for metric_index, value in dict(pairs).items():
+        for metric_index, value in values.items():
             rows.append(contexts[0])
             cols.append(metric_index)
             vals.append(value)
-    values = np.zeros((n, n_metrics), dtype=np.float64)
-    present = np.zeros((n, n_metrics), dtype=bool)
-    if rows:
-        index = (np.array(rows, dtype=np.int64),
-                 np.array(cols, dtype=np.int64))
-        np.add.at(values, index, np.array(vals, dtype=np.float64))
-        present[index] = True
-    return values, present
+    return rows, cols, vals
 
 
 # -- files -----------------------------------------------------------------------

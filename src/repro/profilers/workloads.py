@@ -226,11 +226,10 @@ def lulesh_fused_profile(scale: int = 4, seed: int = 13) -> Profile:
     # loses part of its stores.
     for root in profile.find_by_name("CalcHourglassForceForElems"):
         for node in root.walk():
-            node.metrics[index] = (node.metrics.get(index, 0.0)
-                                   * (1 - LULESH_FUSION_SAVING))
+            node.set_value(index, node.exclusive(index)
+                           * (1 - LULESH_FUSION_SAVING))
     for node in profile.find_by_name("CalcVolumeForceForElems"):
-        node.metrics[index] = node.metrics.get(index, 0.0) * (1 - 0.35)
-    profile.cct.clear_inclusive_cache()
+        node.set_value(index, node.exclusive(index) * (1 - 0.35))
     return profile
 
 

@@ -24,14 +24,17 @@ from repro.core import profile as profile_module
 from repro.core.cct import CCT
 from repro.core.cct_columnar import ColumnarCCT
 from repro.core.digest import viewtree_digest
-from repro.core.frame import Frame
+from repro.core.frame import Frame, intern_frame
 from repro.core.keys import CONTENT, DERIVED, SOURCE
 from repro.core.metric import Metric
 from repro.core.monitor import MonitoringPoint
+from repro.core.profile import Profile, ProfileMeta
 from repro.engine import AnalysisEngine
 from repro.ide.server import StdioServer
 from repro.profilers import corpus
 from repro.serve.dispatch import parse_line
+
+from .twins import object_only
 
 
 def _small_bytes(seed: int = 1234) -> bytes:
@@ -255,11 +258,25 @@ class TestStamp:
         expected = viewtree_digest(merge_trees(
             [transform(parse_bytes(data, format="collapsed"), "top_down")]
             * 8))
+
+        def edited():
+            """The collapsed parse of ``data``, built through the edit
+            API (an object tree only) and keyed by those bytes."""
+            profile = Profile(meta=ProfileMeta(tool="collapsed"))
+            samples = profile.add_metric(Metric("samples", unit="count"))
+            for i in range(300):
+                profile.add_sample(
+                    [intern_frame(name) for name in
+                     ("main", "w%d" % (i % 7), "leaf%d" % (i % 13))],
+                    {samples: float(i + 1)})
+            profile.set_source("collapsed", data)
+            return profile
+
         old_interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(5):
-                profile = parse_bytes(data, format="collapsed")
+                profile = edited()
                 assert profile.columnar() is None
                 key = profile.cache_key()
                 assert key.startswith(SOURCE)
@@ -290,7 +307,7 @@ class TestStamp:
                             watched(profile_module.profile_digest))
         monkeypatch.setattr(cct_columnar, "from_cct",
                             watched(cct_columnar.from_cct))
-        profile = _valued(1.0)
+        profile = object_only(_valued(1.0))
         key = profile.cache_key()
         assert profile.columnar(build=True) is not None
         assert profile.cache_key() == key

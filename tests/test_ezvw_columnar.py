@@ -11,6 +11,7 @@ shapes only the per-field decode handles.
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 import random
 import struct
@@ -21,9 +22,9 @@ from hypothesis import given, settings, strategies as st
 from repro import ProfileBuilder
 from repro.bench import ezvw_oracle as oracle
 from repro.converters import parse_bytes, pprof
-from repro.core import serialize
+from repro.core import jsonio, serialize
 from repro.core.digest import profile_digest
-from repro.errors import EasyViewError, FormatError, SchemaError
+from repro.errors import EasyViewError, FormatError
 from repro.obs import get_registry
 from repro.profilers.corpus import generate_bytes, tier
 from repro.profilers.workloads import (deep_path_profile,
@@ -254,6 +255,9 @@ HAND_MADE = {
         [_point([1], [(0, -0.0)]), _point([2], [(0, math.nan)])]),
     "big-metric-id": _message(
         [ROOT, MAIN], [_point([1], [(300, 1.0)])], metrics=1),
+    "out-of-schema-snapshot": _message(
+        [ROOT, MAIN], [_point([1], [(0, 1.0)]),
+                       _point([1], [(4, 2.0)], kind=1, sequence=1)]),
     "no-nodes": _message([], [_point([0], [(0, 1.0)])]),
     "no-strings": _message([ROOT, MAIN], [_point([1], [(0, 1.0)])],
                            strings=()),
@@ -314,14 +318,32 @@ def test_mutants_decode_as_the_oracle_decodes():
     assert differ == []
 
 
-def test_a_value_outside_the_schema_loads_but_does_not_dump():
-    """Such a value (ProfLint's EV310) has no column to travel in: the
-    load keeps it on the object tree, and a dump refuses it."""
-    profile = serialize.loads(_frame(HAND_MADE["out-of-schema-metric"]))
-    (main,) = profile.root.children.values()
-    assert main.metrics == {0: 1.0, 5: 2.0}
-    with pytest.raises(SchemaError):
-        serialize.dumps(profile)
+@pytest.mark.parametrize("name", ["out-of-schema-metric", "big-metric-id",
+                                  "no-metrics-in-schema",
+                                  "out-of-schema-snapshot"])
+def test_a_value_outside_the_schema_fails_closed_at_load(name):
+    """Such a value (ProfLint's EV310) has no column to live in: the
+    decoder and its oracle refuse it at load, plain or on a point."""
+    data = _frame(HAND_MADE[name])
+    for loads in (serialize.loads, oracle.loads):
+        with pytest.raises(FormatError, match="outside the schema"):
+            loads(data)
+
+
+@pytest.mark.parametrize("where", ["metrics", "values"])
+def test_a_json_value_outside_the_schema_fails_closed_at_load(where):
+    builder = ProfileBuilder()
+    cpu = builder.metric("cpu")
+    builder.sample(["main"], {cpu: 1.0})
+    builder.snapshot(1, ["main"], {cpu: 2.0})
+    document = jsonio.to_dict(builder.build())
+    if where == "metrics":
+        document["nodes"][1]["metrics"]["7"] = 1.0
+    else:
+        document["points"][0]["values"]["7"] = 1.0
+    data = json.dumps(document).encode()
+    with pytest.raises(FormatError, match="metric 7 outside the schema"):
+        parse_bytes(data, format="easyview-json")
 
 
 def test_corrupt_input_is_a_format_error():

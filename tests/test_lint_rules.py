@@ -161,48 +161,49 @@ class TestProfileRules:
     def build(self):
         builder = ProfileBuilder(tool="t")
         cpu = builder.metric("cpu", unit="ns")
-        node = builder.sample(["main", "work"], {cpu: 5.0})
-        return builder, cpu, node
+        builder.sample(["main", "work"], {cpu: 5.0})
+        return builder, cpu
+
+    def built(self):
+        """The built profile, its metric and its ``work`` node."""
+        builder, cpu = self.build()
+        profile = builder.build()
+        (node,) = profile.find_by_name("work")
+        return profile, cpu, node
 
     def test_clean_profile_has_no_findings(self):
-        builder, _, _ = self.build()
+        builder, _ = self.build()
         assert lint_profile(builder.build()) == []
 
     def test_ev303_nan_metric(self):
-        builder, cpu, node = self.build()
-        profile = builder.build()
+        profile, cpu, node = self.built()
         node.metrics[cpu] = float("nan")
         assert "EV303" in rules_of(lint_profile(profile))
 
     def test_ev304_negative_summed_metric(self):
-        builder, cpu, node = self.build()
-        profile = builder.build()
+        profile, cpu, node = self.built()
         node.metrics[cpu] = -1.0
         diags = [d for d in lint_profile(profile) if d.rule == "EV304"]
         assert diags and diags[0].severity is Severity.WARNING
 
     def test_ev305_inclusive_smaller_than_exclusive(self):
-        builder, cpu, node = self.build()
-        profile = builder.build()
+        profile, cpu, node = self.built()
         node.inclusive[cpu] = 1.0  # exclusive is 5.0
         assert "EV305" in rules_of(lint_profile(profile))
 
     def test_ev306_cct_cycle(self):
-        builder, cpu, node = self.build()
-        profile = builder.build()
+        profile, cpu, node = self.built()
         node.children[profile.root.frame] = profile.root  # cycle
         profile.root.parent = node
         assert "EV306" in rules_of(lint_profile(profile))
 
     def test_ev307_broken_parent_link(self):
-        builder, cpu, node = self.build()
-        profile = builder.build()
+        profile, cpu, node = self.built()
         node.parent = CCTNode(intern_frame("elsewhere"))
         assert "EV307" in rules_of(lint_profile(profile))
 
     def test_ev307_point_context_outside_tree(self):
-        builder, cpu, node = self.build()
-        profile = builder.build()
+        profile, cpu, node = self.built()
         stray = CCTNode(intern_frame("stray"))
         profile.points.append(MonitoringPoint(kind=PointKind.PLAIN,
                                               contexts=[stray],
@@ -210,41 +211,36 @@ class TestProfileRules:
         assert "EV307" in rules_of(lint_profile(profile))
 
     def test_ev308_wrong_point_arity(self):
-        builder, cpu, node = self.build()
-        profile = builder.build()
+        profile, cpu, node = self.built()
         profile.points.append(MonitoringPoint(kind=PointKind.USE_REUSE,
                                               contexts=[node],
                                               values={cpu: 1.0}))
         assert "EV308" in rules_of(lint_profile(profile))
 
     def test_ev309_unused_metric_is_info(self):
-        builder, cpu, node = self.build()
+        builder, cpu = self.build()
         builder.metric("unused")
         profile = builder.build()
         diags = [d for d in lint_profile(profile) if d.rule == "EV309"]
         assert diags and diags[0].severity is Severity.INFO
 
     def test_ev310_out_of_schema_column(self):
-        builder, cpu, node = self.build()
-        profile = builder.build()
+        profile, cpu, node = self.built()
         node.metrics[9] = 1.0
         assert "EV310" in rules_of(lint_profile(profile))
 
     def test_ev312_negative_time_always_flagged(self):
-        builder, _, _ = self.build()
-        profile = builder.build()
+        profile, _, _ = self.built()
         profile.meta.time_nanos = -5
         assert "EV312" in rules_of(lint_profile(profile))
 
     def test_ev312_negative_duration_always_flagged(self):
-        builder, _, _ = self.build()
-        profile = builder.build()
+        profile, _, _ = self.built()
         profile.meta.duration_nanos = -1
         assert "EV312" in rules_of(lint_profile(profile))
 
     def test_ev312_missing_time_only_when_required(self):
-        builder, _, _ = self.build()
-        profile = builder.build()
+        profile, _, _ = self.built()
         assert profile.meta.time_nanos == 0
         # Ordinary lint tolerates a missing stamp (fixtures, conversions)...
         assert "EV312" not in rules_of(lint_profile(profile))
@@ -252,8 +248,7 @@ class TestProfileRules:
         assert "EV312" in rules_of(lint_profile(profile, require_time=True))
 
     def test_ev312_stamped_profile_is_clean_even_when_required(self):
-        builder, _, _ = self.build()
-        profile = builder.build()
+        profile, _, _ = self.built()
         profile.meta.time_nanos = 1_700_000_000_000_000_000
         assert "EV312" not in rules_of(lint_profile(profile,
                                                     require_time=True))

@@ -31,6 +31,8 @@ from repro.profilers.corpus import generate_bytes, tier
 from repro.profilers.workloads import (deep_path_profile, lulesh_profile,
                                        spark_profile)
 
+from .twins import object_only
+
 SHAPES = ("top_down", "bottom_up", "flat")
 
 
@@ -134,16 +136,16 @@ def assert_same_view(fast, oracle):
 
 
 def check(make, hook, shape):
-    """Both kinds of input (arrays, object-only) against the oracle on
-    an object-only copy."""
-    reference = make()
+    """Every kind of input (the builder's arrays, folded arrays,
+    object-only) against the oracle on an object-only copy."""
+    reference = object_only(make())
     oracle = view_oracle.transform(reference, shape, HOOKS[hook](reference))
-    with_arrays = make()
-    with_arrays.attach_columnar(from_cct(with_arrays.cct,
-                                         len(with_arrays.schema)))
-    object_only = make()
-    assert object_only.columnar() is None
-    for profile in (with_arrays, object_only):
+    built = make()
+    folded = make()
+    folded.attach_columnar(from_cct(folded.cct, len(folded.schema)))
+    objects = object_only(make())
+    assert objects.columnar() is None
+    for profile in (built, folded, objects):
         fast = transform(profile, shape, HOOKS[hook](profile))
         assert_same_view(fast, oracle)
     assert reference.columnar() is None  # the oracle never folds

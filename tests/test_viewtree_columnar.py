@@ -26,7 +26,6 @@ from repro.analysis import viewtree_columnar
 from repro.bench import view_oracle
 from repro.bench.pprof_oracle import parse_object
 from repro.converters import pprof
-from repro.core.cct_columnar import from_cct
 from repro.core.digest import viewtree_digest
 from repro.core.frame import FrameKind, intern_frame
 from repro.core.metric import Aggregation, Metric, MetricSchema
@@ -34,7 +33,8 @@ from repro.profilers.corpus import generate_bytes, tier
 from repro.profilers.workloads import (deep_path_profile, lulesh_profile,
                                        spark_profile)
 
-from .twins import assert_views_identical, facade_only, with_arrays
+from .twins import (assert_views_identical, facade_only, object_only,
+                    with_arrays)
 
 SHAPES = ("top_down", "bottom_up", "flat")
 
@@ -47,12 +47,6 @@ def _pair(raw):
 def _oracle(raw, shape):
     """The object-path view of an object-only profile off ``raw``."""
     return view_oracle.transform(parse_object(raw), shape)
-
-
-def _attach(profile):
-    """Give an object-built workload profile a columnar CCT."""
-    profile.attach_columnar(from_cct(profile.cct, len(profile.schema)))
-    return profile
 
 
 @pytest.fixture(scope="module")
@@ -94,11 +88,12 @@ class TestTransformOracle:
     @pytest.mark.parametrize("shape", SHAPES)
     @pytest.mark.parametrize("workload", [lulesh_profile, spark_profile])
     def test_workloads(self, workload, shape):
-        self.check(_attach(workload()), workload(), shape)
+        self.check(workload(), object_only(workload()), shape)
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_deep_chain(self, shape):
-        self.check(_attach(deep_path_profile()), deep_path_profile(), shape)
+        self.check(deep_path_profile(), object_only(deep_path_profile()),
+                   shape)
 
 
 class TestAggregateOracle:
