@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-from typing import Dict, Iterable, Optional
+from typing import Callable, Dict, Iterable, List, Optional
 
-from ..core.cct import CCTNode
+from ..core.cct_columnar import ColumnarBuilder, replay, value_cells
 from ..core.frame import Frame, FrameKind, intern_frame
 from ..core.monitor import MonitoringPoint
 from ..core.profile import Profile, ProfileMeta
@@ -47,16 +47,9 @@ def _pseudonym(key: bytes, kind: str, text: str, length: int = 10) -> str:
     return "%s_%s" % (kind, digest[:length])
 
 
-def anonymize(profile: Profile, key: str,
-              keep_lines: bool = False,
-              keep_modules: Iterable[str] = ()) -> Profile:
-    """Return an anonymized copy of ``profile``.
-
-    ``key`` seeds the pseudonym hash — use the same key across profiles
-    that must stay diffable against each other.  ``keep_modules`` lists
-    module names to leave readable (e.g. well-known system libraries,
-    whose names are not secrets and which reviewers need to recognize).
-    """
+def _scrubber(key: str, keep_lines: bool,
+              keep_modules: Iterable[str]) -> Callable[[Frame], Frame]:
+    """The frame scrub :func:`anonymize` applies (same arguments)."""
     secret = key.encode("utf-8")
     keep = frozenset(keep_modules)
 
@@ -77,26 +70,46 @@ def anonymize(profile: Profile, key: str,
                             frame.line if keep_lines else 0,
                             module, 0, frame.kind)
 
+    return scrub_frame
+
+
+def anonymize(profile: Profile, key: str,
+              keep_lines: bool = False,
+              keep_modules: Iterable[str] = ()) -> Profile:
+    """Return an anonymized copy of ``profile``.
+
+    ``key`` seeds the pseudonym hash — use the same key across profiles
+    that must stay diffable against each other.  ``keep_modules`` lists
+    module names to leave readable (e.g. well-known system libraries,
+    whose names are not secrets and which reviewers need to recognize).
+    Each distinct frame is scrubbed once; contexts whose scrubbed frames
+    coincide under one parent merge.
+    """
+    scrub_frame = _scrubber(key, keep_lines, keep_modules)
+    col = profile.columnar()
+    builder = ColumnarBuilder()
+    tokens: List[Optional[int]] = [None] * len(col.frames)
+
+    def descend(target: int, row: int) -> int:
+        fid = int(col.frame_id[row])
+        token = tokens[fid]
+        if token is None:
+            token = tokens[fid] = builder.frame_token(
+                scrub_frame(col.frames[fid]))
+        return builder.descend(target, token)
+
+    out_of, cells = replay(col, descend)
     result = Profile(schema=profile.schema.copy(),
                      meta=ProfileMeta(tool=profile.meta.tool,
                                       time_nanos=0, duration_nanos=
                                       profile.meta.duration_nanos))
-    node_map: Dict[int, CCTNode] = {id(profile.root): result.root}
-    stack = [(profile.root, result.root)]
-    while stack:
-        src, dst = stack.pop()
-        for index, value in src.metrics.items():
-            dst.add_value(index, value)
-        for child in src.children.values():
-            copy = dst.child(scrub_frame(child.frame))
-            node_map[id(child)] = copy
-            stack.append((child, copy))
-    for point in profile.points:
-        result.points.append(MonitoringPoint(
-            kind=point.kind,
-            contexts=[node_map[id(ctx)] for ctx in point.contexts],
-            values=dict(point.values),
-            sequence=point.sequence))
+    result.attach_columnar(builder.finish(*value_cells(
+        builder.n_nodes, len(result.schema), *cells)))
+    result.points = [MonitoringPoint(point.kind, out_of[rows].tolist(),
+                                     dict(point.values), point.sequence)
+                     for point, rows in zip(profile.points,
+                                            profile.point_rows())]
+    result.bind_point_rows()
     return result
 
 

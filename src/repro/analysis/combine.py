@@ -18,11 +18,39 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core.cct import CCTNode
-from ..core.metric import Metric
+import numpy as np
+
+from ..core.cct_columnar import ColumnarBuilder, replay, value_cells
+from ..core.metric import Metric, MetricSchema
 from ..core.monitor import MonitoringPoint
 from ..core.profile import Profile, ProfileMeta
 from ..errors import AnalysisError
+
+
+def _header(profiles: Sequence[Profile],
+            tool_names: Optional[Sequence[str]]
+            ) -> Tuple[ProfileMeta, MetricSchema, List[List[int]]]:
+    """The combined profile's metadata and schema, and each input's
+    column remap into that schema (see :func:`combine`)."""
+    labels = list(tool_names) if tool_names is not None else [
+        profile.meta.tool or ("tool%d" % i)
+        for i, profile in enumerate(profiles)]
+    meta = ProfileMeta(tool="+".join(dict.fromkeys(labels)),
+                       attributes={"combined_from": ", ".join(labels)})
+    schema = MetricSchema()
+    remaps: List[List[int]] = []
+    for label, profile in zip(labels, profiles):
+        remap: List[int] = []
+        for metric in profile.schema:
+            existing = schema.get(metric.name)
+            if existing is not None and schema[existing] != metric:
+                metric = Metric(name="%s:%s" % (label, metric.name),
+                                unit=metric.unit,
+                                description=metric.description,
+                                aggregation=metric.aggregation)
+            remap.append(schema.add(metric))
+        remaps.append(remap)
+    return meta, schema, remaps
 
 
 def combine(profiles: Sequence[Profile],
@@ -38,54 +66,41 @@ def combine(profiles: Sequence[Profile],
         raise AnalysisError("cannot combine zero profiles")
     if tool_names is not None and len(tool_names) != len(profiles):
         raise AnalysisError("tool_names must match profiles in length")
-
-    labels = list(tool_names) if tool_names is not None else [
-        profile.meta.tool or ("tool%d" % i)
-        for i, profile in enumerate(profiles)]
-
-    merged = Profile(meta=ProfileMeta(
-        tool="+".join(dict.fromkeys(labels)),
-        attributes={"combined_from": ", ".join(labels)}))
-
-    # Column remapping per input profile.
-    remaps: List[List[int]] = []
-    for label, profile in zip(labels, profiles):
-        remap: List[int] = []
-        for metric in profile.schema:
-            existing = merged.schema.get(metric.name)
-            if existing is not None and merged.schema[existing] != metric:
-                metric = Metric(name="%s:%s" % (label, metric.name),
-                                unit=metric.unit,
-                                description=metric.description,
-                                aggregation=metric.aggregation)
-            remap.append(merged.schema.add(metric))
-        remaps.append(remap)
+    meta, schema, remaps = _header(profiles, tool_names)
+    merged = Profile(schema=schema, meta=meta)
 
     # Cross-tool identity: merge on (name, file, module) so line-number
     # differences between tools do not split contexts; the first-seen
     # frame's attribution wins.  The index keeps merging linear.
-    merge_index: Dict[Tuple[int, Tuple], CCTNode] = {}
+    builder = ColumnarBuilder()
+    merge_index: Dict[Tuple[int, Tuple], int] = {}
+    rows, columns, values = [], [], []
     for profile, remap in zip(profiles, remaps):
-        node_map: Dict[int, CCTNode] = {id(profile.root): merged.root}
-        stack = [(profile.root, merged.root)]
-        while stack:
-            src, dst = stack.pop()
-            for index, value in src.metrics.items():
-                dst.add_value(remap[index], value)
-            for child in src.children.values():
-                key = (id(dst), child.frame.merge_key())
-                target = merge_index.get(key)
-                if target is None:
-                    target = dst.child(child.frame)
-                    merge_index[key] = target
-                node_map[id(child)] = target
-                stack.append((child, target))
-        for point in profile.points:
+        col = profile.columnar()
+        keys = [frame.merge_key() for frame in col.frames]
+
+        def descend(target: int, row: int) -> int:
+            fid = int(col.frame_id[row])
+            key = (target, keys[fid])
+            found = merge_index.get(key)
+            if found is None:
+                found = merge_index[key] = builder.descend(
+                    target, builder.frame_token(col.frames[fid]))
+            return found
+
+        out_of, (cell_rows, cell_columns, cell_values) = replay(col, descend)
+        rows.append(cell_rows)
+        columns.append(np.asarray(remap, dtype=np.int64)[cell_columns])
+        values.append(cell_values)
+        for point, point_rows in zip(profile.points, profile.point_rows()):
             merged.points.append(MonitoringPoint(
                 kind=point.kind,
-                contexts=[node_map[id(ctx)] for ctx in point.contexts],
+                contexts=out_of[point_rows].tolist(),
                 values={remap[index]: value
                         for index, value in point.values.items()},
                 sequence=point.sequence))
-    merged.cct.clear_inclusive_cache()
+    merged.attach_columnar(builder.finish(*value_cells(
+        builder.n_nodes, len(merged.schema), np.concatenate(rows),
+        np.concatenate(columns), np.concatenate(values))))
+    merged.bind_point_rows()
     return merged

@@ -2,8 +2,10 @@
 
 A node's *exclusive* value is what was measured at exactly that context; its
 *inclusive* value adds everything measured in the subtree below it.  The
-computation is one post-order pass and the result is cached on the nodes, so
-repeated view construction does not recompute it.
+arrays compute it for every node at once
+(:meth:`~repro.core.cct_columnar.ColumnarCCT.inclusive`), and
+:func:`compute_inclusive` copies it into the object facade's per-node
+caches for the consumers that read nodes (callbacks, elide hooks).
 """
 
 from __future__ import annotations
@@ -17,40 +19,31 @@ from .traversal import postorder
 
 def compute_inclusive(profile: Profile,
                       metric_indices: Optional[Iterable[int]] = None) -> None:
-    """Fill every CCT node's inclusive cache for the given metric columns.
+    """Fill every facade node's inclusive cache for the given metric
+    columns (all schema columns when omitted).
 
-    With ``metric_indices`` omitted, all schema columns are computed.
+    The values are the arrays' inclusive matrix: each node's exclusive
+    value plus its children's inclusive values in creation order, the
+    sums a post-order pass over the nodes makes.
     """
     if metric_indices is None:
         indices: List[int] = list(range(len(profile.schema)))
     else:
         indices = list(metric_indices)
-    cct = profile.cct
-    if cct._inclusive_stamp != cct._version:
-        # The tree was mutated since the caches were last filled: every
-        # cached value is suspect, so drop them all before recomputing.
-        cct.clear_inclusive_cache()
-    # Cached-result fast path: the stamp matches and the root's cache
-    # covers every requested column iff a previous pass computed them.
+    # The facade never changes, so a root cache that covers every
+    # requested column means a previous pass computed them.
     root_cache = profile.root.inclusive
     if root_cache and all(index in root_cache for index in indices):
         return
-    for node in postorder(profile.root):
-        inclusive = node.inclusive
-        metrics = node.metrics
-        children = node.children
-        for index in indices:
-            total = metrics.get(index, 0.0)
-            for child in children.values():
-                total += child.inclusive.get(index, 0.0)
-            inclusive[index] = total
+    rows = profile.columnar().inclusive()[:, indices].tolist()
+    for node, row in zip(profile.row_nodes(), rows):
+        node.inclusive.update(zip(indices, row))
 
 
 def inclusive_value(profile: Profile, node: CCTNode, metric_name: str) -> float:
     """Inclusive value of one metric at one node, computing caches lazily."""
     index = profile.schema.index_of(metric_name)
-    cct = profile.cct
-    if cct._inclusive_stamp != cct._version or index not in node.inclusive:
+    if index not in node.inclusive:
         compute_inclusive(profile, [index])
     return node.inclusive.get(index, 0.0)
 
@@ -67,7 +60,7 @@ def check_inclusive_invariant(profile: Profile,
     """Verify inclusive(node) == exclusive(node) + sum(inclusive(children)).
 
     Returns a list of violation descriptions (empty when the invariant
-    holds).  Used by tests and by converters in paranoid mode.
+    holds) over the facade's cached values, for the tests.
     """
     violations: List[str] = []
     for node in postorder(profile.root):

@@ -11,9 +11,13 @@ behavior across different threads" workflow of §VI-A(b).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from collections import Counter
+from typing import Dict, List, Tuple
+
+import numpy as np
 
 from ..core.cct import CCTNode
+from ..core.cct_columnar import ColumnarCCT
 from ..core.frame import FrameKind
 from ..core.monitor import MonitoringPoint
 from ..core.profile import Profile, ProfileMeta
@@ -21,25 +25,65 @@ from ..errors import AnalysisError
 from .viewtree import ViewTree
 
 
-def thread_roots(profile: Profile) -> List[CCTNode]:
-    """The profile's thread contexts (anywhere in the top two levels).
+def _thread_rows(profile: Profile) -> List[Tuple[str, int]]:
+    """``(key, row)`` of every thread context, in creation order.
 
-    Converters place threads directly under the root, or under a process
-    context; both layouts are recognized.
+    A thread sits directly under the root or under a process context.
+    A ``THREAD`` context with ``THREAD`` children is itself a process
+    (Austin marks both), and its children are the threads.  The key is
+    the thread's name, or its path label (``process 100 > thread 1``)
+    when another thread has the same name.
     """
-    roots: List[CCTNode] = []
-    for child in profile.root.children.values():
-        if child.frame.kind is FrameKind.THREAD:
-            roots.append(child)
+    col = profile.columnar()
+    order, start = col.children_csr()
+
+    def children(row):
+        return order[start[row]:start[row + 1]].tolist()
+
+    def frame(row):
+        return col.frames[col.frame_id[row]]
+
+    def is_thread(row):
+        return frame(row).kind is FrameKind.THREAD
+
+    paths: List[List[int]] = []
+    for top in children(0):
+        inner = [row for row in children(top) if is_thread(row)]
+        if is_thread(top) and not inner:
+            paths.append([top])
         else:
-            roots.extend(grand for grand in child.children.values()
-                         if grand.frame.kind is FrameKind.THREAD)
-    return roots
+            paths.extend([top, row] for row in inner)
+    names = [frame(path[-1]).name for path in paths]
+    repeated = {name for name, count in Counter(names).items() if count > 1}
+    return [(" > ".join(frame(row).label() for row in path)
+             if name in repeated else name, path[-1])
+            for name, path in zip(names, paths)]
+
+
+def thread_roots(profile: Profile) -> List[CCTNode]:
+    """The profile's thread contexts (see :func:`_thread_rows`)."""
+    nodes = profile.row_nodes()
+    return [nodes[row] for _, row in _thread_rows(profile)]
 
 
 def is_threaded(profile: Profile) -> bool:
     """Whether the profile carries thread contexts to split on."""
-    return bool(thread_roots(profile))
+    return bool(_thread_rows(profile))
+
+
+def _reroot(col: ColumnarCCT, inside) -> ColumnarCCT:
+    """The rows in ``inside``, one subtree, as a tree of their own: its
+    top row becomes the root, with the root's frame and no values."""
+    keep = np.flatnonzero(inside)
+    parent = (np.cumsum(inside) - 1)[col.parent[keep]]
+    parent[0] = -1
+    frame_id = col.frame_id[keep]
+    frame_id[0] = col.frame_id[0]
+    values, present = col.values[keep], col.present[keep]
+    values[0] = 0.0
+    present[0] = False
+    return ColumnarCCT(parent, frame_id, col.depth[keep] - col.depth[keep[0]],
+                       values, present, col.frames)
 
 
 def split_by_thread(profile: Profile) -> Dict[str, Profile]:
@@ -48,55 +92,42 @@ def split_by_thread(profile: Profile) -> Dict[str, Profile]:
     Each extracted profile contains the thread's subtree re-rooted at the
     top (the thread frame itself is dropped — within one thread's profile
     it carries no information).  Monitoring points whose contexts live in
-    the subtree move along.
+    the subtree move along.  Parts are keyed by thread name, or by path
+    label where names repeat (see :func:`_thread_rows`).
     """
-    roots = thread_roots(profile)
-    if not roots:
+    threads = _thread_rows(profile)
+    if not threads:
         raise AnalysisError("profile has no thread contexts to split on")
 
+    col = profile.columnar()
+    point_rows = profile.point_rows()
     result: Dict[str, Profile] = {}
-    for thread_node in roots:
-        name = thread_node.frame.name
+    for key, row in threads:
+        inside = col.subtree(row)
         sub = Profile(schema=profile.schema.copy(),
                       meta=ProfileMeta(
                           tool=profile.meta.tool,
                           time_nanos=profile.meta.time_nanos,
                           duration_nanos=profile.meta.duration_nanos,
                           attributes=dict(profile.meta.attributes,
-                                          thread=name)))
-        # Copy the thread's subtree, skipping the thread frame itself.
-        mapping: Dict[int, CCTNode] = {id(thread_node): sub.root}
-        stack = [thread_node]
-        while stack:
-            node = stack.pop()
-            target = mapping[id(node)]
-            for child in node.children.values():
-                copy = target.child(child.frame)
-                for index, value in child.metrics.items():
-                    copy.add_value(index, value)
-                mapping[id(child)] = copy
-                stack.append(child)
-        for point in profile.points:
-            if all(id(ctx) in mapping for ctx in point.contexts):
-                sub.points.append(MonitoringPoint(
-                    kind=point.kind,
-                    contexts=[mapping[id(ctx)] for ctx in point.contexts],
-                    values=dict(point.values),
-                    sequence=point.sequence))
-        result[name] = sub
+                                          thread=key)))
+        sub.attach_columnar(_reroot(col, inside))
+        remap = np.cumsum(inside) - 1
+        sub.points = [MonitoringPoint(point.kind,
+                                      [int(remap[r]) for r in rows],
+                                      dict(point.values), point.sequence)
+                      for point, rows in zip(profile.points, point_rows)
+                      if inside[rows].all()]
+        sub.bind_point_rows()
+        result[key] = sub
     return result
 
 
 def thread_totals(profile: Profile, metric: str) -> Dict[str, float]:
     """Per-thread total of one metric (inclusive over each subtree)."""
     index = profile.schema.index_of(metric)
-    totals: Dict[str, float] = {}
-    for thread_node in thread_roots(profile):
-        total = 0.0
-        for node in thread_node.walk():
-            total += node.metrics.get(index, 0.0)
-        totals[thread_node.frame.name] = total
-    return totals
+    inclusive = profile.columnar().inclusive()[:, index].tolist()
+    return {key: inclusive[row] for key, row in _thread_rows(profile)}
 
 
 def imbalance(profile: Profile, metric: str) -> float:

@@ -17,12 +17,12 @@ same time dimension (sequence numbers), so the equivalent operations are:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
-from ..core.monitor import MonitoringPoint, PointKind
-from ..core.profile import Profile, ProfileMeta
+from ..builder import ProfileBuilder
+from ..core.profile import Profile
 from ..errors import AnalysisError
 from .aggregate import snapshot_totals
 from .viewtree import ViewTree
@@ -53,18 +53,25 @@ def range_profile(profile: Profile, start: int, end: int,
 
     Each context's value inside the window combines per ``combine``:
     ``"mean"`` (live-value semantics, the default for heap series),
-    ``"sum"`` (event semantics), or ``"last"`` (the window's final state).
-    The result is an ordinary profile — every view applies.
+    ``"sum"`` (event semantics), or ``"last"`` (the window's final state:
+    the values recorded at its last selected snapshot, so a context gone
+    by then is absent).  The result is an ordinary profile — every view
+    applies.
     """
     if combine not in ("mean", "sum", "last"):
         raise AnalysisError("combine must be mean, sum, or last")
-    selected = set(_check_window(profile, start, end))
+    window = _check_window(profile, start, end)
+    if combine == "last":
+        window = window[-1:]  # the state recorded at the window's end
+    selected = set(window)
 
-    sub = Profile(schema=profile.schema.copy(),
-                  meta=ProfileMeta(tool=profile.meta.tool,
-                                   attributes=dict(
-                                       profile.meta.attributes,
-                                       window="%d..%d" % (start, end))))
+    builder = ProfileBuilder(tool=profile.meta.tool)
+    for metric in profile.schema:
+        builder.metric(metric.name, metric.unit, metric.description,
+                       metric.aggregation)
+    for key, value in profile.meta.attributes.items():
+        builder.attribute(key, value)
+    builder.attribute("window", "%d..%d" % (start, end))
     # context-id → {metric: [values in window]}, keyed per sequence.
     per_context: Dict[int, Tuple[object, Dict[int, Dict[int, float]]]] = {}
     for point in profile.points:
@@ -79,18 +86,14 @@ def range_profile(profile: Profile, start: int, end: int,
                 by_seq[index].get(point.sequence, 0.0) + value)
 
     for node, table in per_context.values():
-        path = node.call_path()
-        target = sub.cct.add_path(path)
+        values = {}
         for index, by_seq in table.items():
-            values = list(by_seq.values())
-            if combine == "sum":
-                combined = float(sum(values))
-            elif combine == "last":
-                combined = by_seq[max(by_seq)]
+            if combine == "mean":
+                values[index] = float(sum(by_seq.values())) / len(selected)
             else:
-                combined = float(sum(values)) / len(selected)
-            target.add_value(index, combined)
-    return sub
+                values[index] = float(sum(by_seq.values()))
+        builder.sample(node.call_path(), values)
+    return builder.build()
 
 
 def range_diff(profile: Profile, first: Tuple[int, int],

@@ -11,8 +11,7 @@
 Every transform merges contexts on their frame's merge key (name + file +
 module, :meth:`~repro.core.frame.Frame.merge_key`) and produces a
 columnar-backed :class:`~repro.analysis.viewtree.ViewTree` carrying both
-inclusive and exclusive values.  A profile without arrays is folded into
-them first (:meth:`~repro.core.profile.Profile.columnar`).  The user's
+inclusive and exclusive values, built from the profile's arrays.  The user's
 customization hooks (§V-B) run on the arrays too: remap callbacks over the
 frame table, elide callbacks into one mask that drops each elided context
 with its subtree in every shape, and derived-metric callbacks into new
@@ -32,7 +31,7 @@ from .viewtree import ViewTree
 def _build(builder: Callable[..., ViewTree], profile: Profile,
            customization: Optional[Customization]) -> ViewTree:
     custom = customization or Customization.empty()
-    tree = builder(profile, profile.columnar(build=True), custom)
+    tree = builder(profile, profile.columnar(), custom)
     custom.finish(tree)
     return tree
 

@@ -195,10 +195,7 @@ class _CCTSources:
 
     ``ids[start[row]:start[row + 1]]`` are the contributing CCT node ids
     for a view row, in the same order the object transform would have
-    appended them.  Resolution materializes the CCT facade on demand —
-    and, when the owning profile has since swapped its CCT out (so
-    ``profile.cct`` no longer fills this snapshot's ``node_objects``),
-    falls back to materializing from the snapshot itself.
+    appended them.  Resolution materializes the CCT facade on demand.
     """
 
     __slots__ = ("profile", "col", "ids", "start")
@@ -222,14 +219,12 @@ class _CCTSources:
 
 
 def _cct_nodes(profile, col) -> List:
-    """The ``CCTNode`` per columnar id of ``col``: the profile's own object
-    tree while ``col`` is its snapshot, else one materialized from ``col``."""
-    if col.node_objects is None and profile is not None \
-            and profile.columnar() is col:
-        profile.cct  # materialize the facade; fills node_objects
-    if col.node_objects is None:
-        col.to_cct()
-    return col.node_objects
+    """The ``CCTNode`` per columnar id of ``col``: its own when an elide
+    filter set them, else the profile's facade (a metric added since
+    widens the arrays but keeps their rows)."""
+    if col.node_objects is not None:
+        return col.node_objects
+    return profile.row_nodes()
 
 
 class _UnionSources:

@@ -51,8 +51,9 @@ from ..core.cct_columnar import ColumnarCCT
 from ..core.digest import profile_digest, viewtree_digest
 from ..profilers.corpus import generate_bytes, tier
 from ..viz.layout import layout
-from . import view_oracle
+from . import profile_oracle, view_oracle
 from .pprof_oracle import parse_object
+from .profile_oracle import ObjectProfile
 
 #: Tier sets: quick keeps CI under a few seconds, full adds the tier the
 #: cold-open target is defined on.
@@ -143,10 +144,11 @@ _GATE_FORMULA = "if(`{0}` > 0, `{0}` / (`{0}` + 1), `{0}` % 7) ^ 0.5"
 
 def _check_equality(name: str, fast, ref, fast_other, other) -> None:
     """The oracle gate: digests, trees, views, ops, and rects must agree."""
-    if ref.columnar() is not None or other.columnar() is not None:
+    if not (isinstance(ref, ObjectProfile)
+            and isinstance(other, ObjectProfile)):
         raise OracleMismatch(
             "tier %r: a reference profile carries arrays" % name)
-    if profile_digest(fast) != profile_digest(ref):
+    if profile_digest(fast) != profile_oracle.digest(ref):
         raise OracleMismatch(
             "tier %r: profile digests differ (columnar vs object)" % name)
     _assert_trees_equal(name, fast.root, ref.root)
@@ -238,7 +240,7 @@ def bench_tier(name: str, repeats: int = 3) -> Dict[str, object]:
         "open_object": lambda: parse_object(raw),
         "digest_columnar": lambda: profile_digest(
             pprof_converter.parse(raw)),
-        "digest_object": lambda: profile_digest(ref),
+        "digest_object": lambda: profile_oracle.digest(ref),
     }, repeats)
 
     # Warm profile, cold view: every call builds a fresh view tree off an

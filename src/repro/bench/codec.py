@@ -130,7 +130,7 @@ def bench_ezvw(name: str, raw: bytes, repeats: int = 3) -> Dict[str, object]:
     from ..converters import pprof as pprof_converter
     from ..core import serialize
     from ..core.digest import profile_digest
-    from . import ezvw_oracle
+    from . import ezvw_oracle, profile_oracle
 
     profile = pprof_converter.parse(raw)
     data = serialize.dumps(profile)
@@ -139,7 +139,7 @@ def bench_ezvw(name: str, raw: bytes, repeats: int = 3) -> Dict[str, object]:
             ".ezvw bytes differ on tier %r (columnar vs per-node oracle)"
             % name)
     if (profile_digest(serialize.loads(data))
-            != profile_digest(ezvw_oracle.loads(data))):
+            != profile_oracle.digest(ezvw_oracle.loads(data))):
         raise CodecMismatch(
             ".ezvw profiles differ on tier %r (columnar vs per-node oracle)"
             % name)

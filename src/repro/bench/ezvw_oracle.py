@@ -2,8 +2,9 @@
 
 :func:`to_message` lowers a profile into one ``ContextNode`` message per
 CCT node and one ``MonitoringPoint`` message per valued node, walking the
-object tree; :func:`from_message` raises such a message back through the
-object API.  That is how the codec worked before it ran on arrays
+object tree; :func:`from_message` raises such a message back into an
+object-only profile (:class:`~repro.bench.profile_oracle.ObjectProfile`).
+That is how the codec worked before it ran on arrays
 (:mod:`repro.core.serialize`), and :func:`build_segment` is how segments
 were composed: decode every WAL record into messages, remap their string
 indices one by one, serialize again.
@@ -19,10 +20,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-import numpy as np
-
 from ..core.cct import CCTNode
-from ..core.cct_columnar import ColumnarBuilder
 from ..core.frame import FrameKind, intern_frame
 from ..core.metric import Aggregation, Metric, MetricSchema
 from ..core.monitor import MonitoringPoint, PointKind
@@ -36,6 +34,7 @@ from ..store.segment import (SEGMENT_END, SEGMENT_MAGIC, RecordMeta,
                              Segment, _FOOTER_LEN, _footer_bytes,
                              segment_address)
 from ..store.wal import WalRecord
+from .profile_oracle import ObjectProfile, add_value, child
 
 
 def to_message(profile: Profile) -> pb.ProfileMessage:
@@ -100,8 +99,9 @@ def to_message(profile: Profile) -> pb.ProfileMessage:
     return message
 
 
-def from_message(message: pb.ProfileMessage) -> Profile:
-    """Raise a Protocol Buffer message back into a :class:`Profile`."""
+def from_message(message: pb.ProfileMessage) -> ObjectProfile:
+    """Raise a Protocol Buffer message back into an object-only
+    profile."""
     strings = message.string_table or [""]
 
     def lookup(index: int) -> str:
@@ -118,18 +118,13 @@ def from_message(message: pb.ProfileMessage) -> Profile:
     meta = ProfileMeta(tool=lookup(message.tool),
                        time_nanos=message.time_nanos,
                        duration_nanos=message.duration_nanos)
-    profile = Profile(schema=schema, meta=meta)
+    profile = ObjectProfile(schema=schema, meta=meta)
     # A value outside the schema has no column to live in.
     for wire_point in message.points:
         for metric_value in wire_point.values:
             if metric_value.metric_id >= len(schema):
                 raise FormatError("metric %d outside the schema (%d columns)"
                                   % (metric_value.metric_id, len(schema)))
-
-    columnar = _columnar_from_message(message, lookup, len(schema))
-    if columnar is not None:
-        profile.attach_columnar(columnar)
-        return profile
 
     nodes_by_id: Dict[int, CCTNode] = {}
     for wire_node in message.nodes:
@@ -148,7 +143,7 @@ def from_message(message: pb.ProfileMessage) -> Profile:
                              module=lookup(wire_node.module),
                              address=wire_node.address,
                              kind=kind)
-        nodes_by_id[wire_node.id] = parent.child(frame)
+        nodes_by_id[wire_node.id] = child(parent, frame)
 
     for wire_point in message.points:
         contexts = []
@@ -164,7 +159,7 @@ def from_message(message: pb.ProfileMessage) -> Profile:
             if len(contexts) != 1:
                 raise FormatError("plain point must reference one context")
             for metric_index, value in values.items():
-                contexts[0].add_value(metric_index, value)
+                add_value(contexts[0], metric_index, value)
         else:
             profile.points.append(MonitoringPoint(
                 kind=_enum(PointKind, wire_point.kind),
@@ -172,63 +167,6 @@ def from_message(message: pb.ProfileMessage) -> Profile:
                 values=values,
                 sequence=wire_point.sequence))
     return profile
-
-
-def _columnar_from_message(message: pb.ProfileMessage, lookup,
-                           n_metrics: int):
-    """Raise a wire message straight into a columnar CCT, or ``None``.
-
-    Handles the common shape — every point a sequence-0 PLAIN point —
-    node message by node message.  Advanced points return ``None`` for
-    the object path.
-    """
-    for wire_point in message.points:
-        if wire_point.kind != pb.POINT_PLAIN or wire_point.sequence != 0:
-            return None
-
-    builder = ColumnarBuilder()
-    descend = builder.descend
-    frame_token = builder.frame_token
-    col_of: Dict[int, int] = {}
-    for wire_node in message.nodes:
-        kind = _PB_TO_FRAME_KIND.get(wire_node.kind, FrameKind.FUNCTION)
-        if kind is FrameKind.ROOT:
-            col_of[wire_node.id] = 0
-            continue
-        parent = col_of.get(wire_node.parent_id)
-        if parent is None:
-            raise FormatError(
-                "context %d references undefined parent %d"
-                % (wire_node.id, wire_node.parent_id))
-        frame = intern_frame(name=lookup(wire_node.name),
-                             file=lookup(wire_node.file),
-                             line=wire_node.line,
-                             module=lookup(wire_node.module),
-                             address=wire_node.address,
-                             kind=kind)
-        col_of[wire_node.id] = descend(parent, frame_token(frame))
-
-    values = np.zeros((builder.n_nodes, n_metrics), dtype=np.float64)
-    present = np.zeros((builder.n_nodes, n_metrics), dtype=bool)
-    for wire_point in message.points:
-        contexts = []
-        for context_id in wire_point.context_id:
-            node = col_of.get(context_id)
-            if node is None:
-                raise FormatError(
-                    "monitoring point references undefined context %d"
-                    % context_id)
-            contexts.append(node)
-        if len(contexts) != 1:
-            raise FormatError("plain point must reference one context")
-        node = contexts[0]
-        # Duplicate metric ids within one point collapse last-wins before
-        # accumulating, matching the object path's value-dict semantics.
-        merged = {mv.metric_id: mv.value for mv in wire_point.values}
-        for metric_index, value in merged.items():
-            values[node, metric_index] += value
-            present[node, metric_index] = True
-    return builder.finish(values, present)
 
 
 def parse_file(data: bytes) -> pb.ProfileMessage:
@@ -241,7 +179,7 @@ def dumps(profile: Profile) -> bytes:
     return pb.dumps(to_message(profile))
 
 
-def loads(data: bytes) -> Profile:
+def loads(data: bytes) -> ObjectProfile:
     """Parse an ``.ezvw`` file through the per-node message."""
     try:
         return from_message(parse_file(data))

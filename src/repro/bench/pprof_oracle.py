@@ -12,13 +12,12 @@ from __future__ import annotations
 from typing import Dict, List
 
 from ..converters.pprof import _begin, _frame_chains
-from ..core.cct import CCT
-from ..core.profile import Profile
 from ..errors import FormatError, OversizedError
 from ..proto import pprof_pb
+from .profile_oracle import ObjectProfile, child
 
 
-def _accumulate_object(message: "pprof_pb.Profile", profile: Profile,
+def _accumulate_object(message: "pprof_pb.Profile", profile: ObjectProfile,
                        metric_columns: List[int]) -> None:
     """Replay ``message.sample`` through the object CCT."""
     frames_by_location = _frame_chains(message)
@@ -39,14 +38,14 @@ def _accumulate_object(message: "pprof_pb.Profile", profile: Profile,
                         "sample references undefined location %d"
                         % location_id)
                 for frame in chain:
-                    node = node.child(frame)
+                    node = child(node, frame)
             leaf_cache[key] = node
         metrics = node.metrics
         for column, value in zip(metric_columns, sample.value):
             metrics[column] = metrics.get(column, 0.0) + value
 
 
-def parse_object(data: bytes) -> Profile:
+def parse_object(data: bytes) -> ObjectProfile:
     """Convert a (possibly gzipped) pprof payload through the object CCT."""
     try:
         message = pprof_pb.loads(data)
@@ -56,7 +55,7 @@ def parse_object(data: bytes) -> Profile:
         raise FormatError("not a pprof profile: %s" % exc) from exc
 
     builder, metric_columns = _begin(message)
-    profile = builder.build()
-    profile.cct = CCT()  # the object tree alone: no arrays
+    built = builder.build()  # the schema and metadata; its tree is unused
+    profile = ObjectProfile(built.schema, built.meta)
     _accumulate_object(message, profile, metric_columns)
     return profile

@@ -42,7 +42,6 @@ import numpy as np
 
 from ..analysis import aggregate, diff, formula as formula_mod, query
 from ..analysis.callbacks import Customization
-from ..analysis.metrics import compute_inclusive
 from ..analysis.viewtree import MergeKey, SourceList, ViewNode
 from ..analysis.viewtree_columnar import (_TAG_CODE, ColumnarViewTree,
                                           _if_unordered)
@@ -53,6 +52,7 @@ from ..core.metric import Aggregation, MetricSchema
 from ..core.profile import Profile
 from ..viz.layout import FlameLayout, FlameRect
 from ..viz.terminal import format_summary
+from .profile_oracle import compute_inclusive
 
 LineKey = Tuple[str, int]
 

@@ -8,7 +8,8 @@ be given as plain strings, ``(name, file, line, module)`` tuples, or
 most unwinders).
 
 Paths descend a :class:`~repro.core.cct_columnar.ColumnarBuilder` trie,
-so a built profile has arrays and no object CCT.  Advanced monitoring
+so a built profile has arrays — its only state — and no object CCT
+until a consumer asks for the read-only facade.  Advanced monitoring
 points — snapshot series, allocations with data-object contexts, and
 multi-context inefficiency points — are recorded as first-class
 :class:`~repro.core.monitor.MonitoringPoint` objects, exactly as the
@@ -62,7 +63,8 @@ class ProfileBuilder:
                            duration_nanos=duration_nanos)
         self._profile = Profile(meta=meta)
         self._trie = ColumnarBuilder()
-        #: Row -> column -> value, summed as ``CCTNode.add_value`` sums.
+        #: Row -> column -> value, each cell ``0.0 + v1 + v2 ...`` in
+        #: arrival order.
         self._cells: Dict[int, Dict[int, float]] = {}
         self._finished = False
 
@@ -162,10 +164,10 @@ class ProfileBuilder:
     def build(self) -> Profile:
         """Finalize and return the profile.
 
-        The summed cells become the columnar arrays; only a profile with
-        points gets its object facade now, to bind their contexts.
-        Further builder calls raise ``RuntimeError``; the profile stays
-        editable through its facade.
+        The summed cells become the columnar arrays, the profile's only
+        state; only a profile with points gets its read-only object facade
+        now, to bind their contexts.  Further builder calls raise
+        ``RuntimeError``.
         """
         from ..core.cct_columnar import value_cells
         self._check_open()

@@ -7,17 +7,18 @@ attribution plus the *exclusive* metric values measured at that exact
 context; inclusive values are computed by the analysis engine
 (:mod:`repro.analysis.metrics`) and cached on the node.
 
-Every mutation — creating a node, accumulating or overwriting a value —
-bumps the owning tree's *version counter*.  Derived state (the per-node
-inclusive caches, a profile's columnar snapshot in
-:mod:`repro.core.cct_columnar`) records the version it was computed at and
-is considered stale the moment the versions disagree, so callers never have
-to remember to invalidate anything by hand.
+A profile's tree is its columnar arrays
+(:class:`~repro.core.cct_columnar.ColumnarCCT`); the classes here are the
+read-only facade :meth:`~repro.core.cct_columnar.ColumnarCCT.to_cct`
+builds from them for callbacks, elide hooks, lint rules, monitoring
+points and the text writers.  They offer no way to add a node or a
+value: a profile is built (:class:`~repro.builder.ProfileBuilder`), not
+edited.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .frame import Frame, FrameKind, ROOT_FRAME
 
@@ -44,8 +45,7 @@ class CCTNode:
         inclusive: cached inclusive values (filled by the analysis engine).
     """
 
-    __slots__ = ("frame", "parent", "children", "metrics", "inclusive",
-                 "_tree")
+    __slots__ = ("frame", "parent", "children", "metrics", "inclusive")
 
     def __init__(self, frame: Frame,
                  parent: Optional["CCTNode"] = None) -> None:
@@ -54,40 +54,6 @@ class CCTNode:
         self.children: Dict[Frame, CCTNode] = {}
         self.metrics: Dict[int, float] = {}
         self.inclusive: Dict[int, float] = {}
-        # Back-pointer to the owning CCT (None for detached nodes) so
-        # mutations can bump the tree version in O(1).
-        self._tree = parent._tree if parent is not None else None
-
-    # -- construction ----------------------------------------------------
-
-    def child(self, frame: Frame) -> "CCTNode":
-        """Return the child for ``frame``, creating it if absent.
-
-        This is the prefix-merge operation: two call paths that share a
-        prefix share the corresponding chain of nodes.
-        """
-        node = self.children.get(frame)
-        if node is None:
-            node = CCTNode(frame, parent=self)
-            self.children[frame] = node
-            tree = self._tree
-            if tree is not None:
-                tree._version += 1
-        return node
-
-    def add_value(self, metric_index: int, value: float) -> None:
-        """Accumulate an exclusive metric value on this node."""
-        self.metrics[metric_index] = self.metrics.get(metric_index, 0.0) + value
-        tree = self._tree
-        if tree is not None:
-            tree._version += 1
-
-    def set_value(self, metric_index: int, value: float) -> None:
-        """Overwrite an exclusive metric value on this node."""
-        self.metrics[metric_index] = value
-        tree = self._tree
-        if tree is not None:
-            tree._version += 1
 
     # -- queries ----------------------------------------------------------
 
@@ -157,36 +123,10 @@ class CCTNode:
 
 
 class CCT:
-    """A calling context tree with a synthetic root.
-
-    ``_version`` counts mutations (node creation, value accumulation);
-    ``_inclusive_stamp`` records the version the nodes' inclusive caches
-    were computed at.  The two agreeing is the validity condition checked
-    by :func:`repro.analysis.metrics.compute_inclusive`, which makes the
-    caches self-invalidating: mutate, and the next inclusive query simply
-    recomputes.
-    """
+    """A calling context tree with a synthetic root."""
 
     def __init__(self) -> None:
-        self._version = 0
-        self._inclusive_stamp = 0
         self.root = CCTNode(ROOT_FRAME)
-        self.root._tree = self
-
-    def add_path(self, frames: Iterable[Frame]) -> CCTNode:
-        """Merge a root-first call path into the tree; returns the leaf node."""
-        node = self.root
-        for frame in frames:
-            node = node.child(frame)
-        return node
-
-    def add_sample(self, frames: Iterable[Frame],
-                   values: Dict[int, float]) -> CCTNode:
-        """Merge a call path and accumulate its metric values on the leaf."""
-        node = self.add_path(frames)
-        for metric_index, value in values.items():
-            node.add_value(metric_index, value)
-        return node
 
     def node_count(self) -> int:
         """Total number of nodes including the root."""
@@ -218,21 +158,3 @@ class CCT:
     def leaf_nodes(self) -> Iterator[CCTNode]:
         """All leaves (contexts with no callees)."""
         return (node for node in self.nodes() if node.is_leaf())
-
-    def clear_inclusive_cache(self) -> None:
-        """Drop cached inclusive values.
-
-        Mutation through the node API invalidates automatically (the
-        version stamp no longer matches), so calling this by hand is only
-        needed after writing ``node.metrics`` dictionaries directly.
-
-        Such direct writes (into node dicts, or into a profile's point
-        objects) bypass the engine's cache-key stamp too
-        (:meth:`~repro.core.profile.Profile.stamp`): a profile parsed
-        from bytes keeps serving its source key.  Go through the node API
-        (``add_value``/``set_value``), or assign a new tree to
-        ``Profile.cct``, to change a profile that may already be cached.
-        """
-        for node in self.nodes():
-            node.inclusive.clear()
-        self._inclusive_stamp = self._version

@@ -25,20 +25,18 @@ five parallel numpy arrays instead:
 
 Everything else — child ranges in CSR form, per-node depth grouping,
 inclusive values, traversal orders, subtree sizes — is derived lazily and
-vectorized.  The object API stays available: :meth:`ColumnarCCT.to_cct`
-materializes a real ``CCTNode`` tree on demand (the facade consumers like
-lint rules and the viewer see exactly what they always saw), and
-:func:`from_cct` folds an object tree back into arrays, which is what the
-differential-oracle tests round-trip through.
-
-A columnar snapshot is valid for a profile only while the object tree is
-unmaterialized or unmutated; validity is tracked with the CCT version
-counter (see :class:`~repro.core.cct.CCT`), never by hand.
+vectorized.  The arrays are a built profile's only state.
+:meth:`ColumnarCCT.to_cct` materializes the read-only ``CCTNode`` facade
+on demand (the facade consumers like lint rules and the viewer see
+exactly what they always saw), and :func:`from_cct` folds an object tree
+into arrays, for the object-path oracles and the tests.
+:func:`replay` walks the arrays the way the analyses that copy a profile
+walked object trees.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -60,7 +58,7 @@ class ColumnarCCT:
     """A calling context tree as parallel arrays (see module docstring)."""
 
     __slots__ = ("parent", "frame_id", "depth", "values", "present",
-                 "frames", "_synced_version", "node_objects",
+                 "frames", "node_objects",
                  "_inclusive", "_csr", "_csr_sorted", "_depth_groups",
                  "_pre", "_size")
 
@@ -72,8 +70,6 @@ class ColumnarCCT:
         self.values = values
         self.present = present
         self.frames = frames
-        #: CCT version this snapshot mirrors (set when attached/materialized).
-        self._synced_version: Optional[int] = None
         #: The object node per columnar id, once :meth:`to_cct` built
         #: them (or :func:`from_cct` folded them).
         self.node_objects: Optional[List[CCTNode]] = None
@@ -248,6 +244,12 @@ class ColumnarCCT:
         seq[post] = np.arange(self.n_nodes, dtype=np.int64)
         return seq
 
+    def subtree(self, row: int):
+        """bool[n]: ``row`` and every row below it (a pre-order range)."""
+        pre = self.preorder_positions()
+        first = pre[row]
+        return (pre >= first) & (pre < first + self.subtree_sizes()[row])
+
     def bfs_ids(self):
         """Node ids level by level, siblings in pre-order within a level."""
         return np.lexsort((self.preorder_positions(), self.depth))
@@ -295,12 +297,24 @@ class ColumnarCCT:
 
     # -- conversion ---------------------------------------------------------
 
+    def widened(self, n_metrics: int) -> "ColumnarCCT":
+        """The same tree with absent columns appended up to ``n_metrics``;
+        its rows, and so the facade built for them, stay the same."""
+        extra = n_metrics - self.n_metrics
+        col = ColumnarCCT(
+            self.parent, self.frame_id, self.depth,
+            np.pad(self.values, ((0, 0), (0, extra))),
+            np.pad(self.present, ((0, 0), (0, extra))), self.frames)
+        col.node_objects = self.node_objects
+        return col
+
     def to_cct(self) -> CCT:
         """Materialize the full object tree (the lazy facade).
 
         Children are inserted in creation order, so the materialized tree
         is indistinguishable — dict orders included — from one built by
-        replaying the original samples through the object API.
+        replaying the original samples through the object mutators of
+        :mod:`repro.bench.profile_oracle`.
         """
         _to_cct_count.inc()
         cct = CCT()
@@ -321,7 +335,6 @@ class ColumnarCCT:
             node.children = {}
             node.metrics = {}
             node.inclusive = {}
-            node._tree = cct
             parent.children[frame] = node
             nodes[i] = node
         rows, cols = np.nonzero(self.present)
@@ -329,9 +342,6 @@ class ColumnarCCT:
         for r, c, v in zip(rows.tolist(), cols.tolist(), vals.tolist()):
             nodes[r].metrics[c] = v
         self.node_objects = nodes
-        cct._version = n  # any nonzero marker; snapshots sync to it
-        cct._inclusive_stamp = cct._version
-        self._synced_version = cct._version
         return cct
 
 
@@ -391,16 +401,46 @@ def from_cct(cct: CCT, n_metrics: int) -> ColumnarCCT:
                       frame_id=np.asarray(frame_ids, dtype=np.int64),
                       depth=np.asarray(depths, dtype=np.int64),
                       values=values, present=present, frames=frame_table)
-    col._synced_version = cct._version
     col.node_objects = records
     return col
+
+
+def replay(col: ColumnarCCT, descend: Callable[[int, int], int]):
+    """Walk ``col`` the way the analyses that copied a profile walked its
+    object tree, giving every row an output row.
+
+    A popped row's children get, in creation order, the output row
+    ``descend(output row of the parent, child row)`` and are pushed, so
+    they pop last-first.  Returns ``(out_of, cells)``: each row's output
+    row (the root's is 0), and the ``(output row, column, value)``
+    records of the written cells in pop order, columns ascending within
+    a row — the order in which the copies summed the values of contexts
+    that merged.
+    """
+    order, start = col.children_csr()
+    order, start = order.tolist(), start.tolist()
+    popped: List[int] = []
+    out_of = [0] * col.n_nodes
+    stack = [(0, 0)]
+    while stack:
+        row, target = stack.pop()
+        popped.append(row)
+        out_of[row] = target
+        for child in order[start[row]:start[row + 1]]:
+            stack.append((child, descend(target, child)))
+    rows = np.asarray(popped, dtype=np.int64)
+    cell_rows, cols = np.nonzero(col.present[rows])
+    rows = rows[cell_rows]
+    out_of = np.asarray(out_of, dtype=np.int64)
+    return out_of, (out_of[rows], cols, col.values[rows, cols])
 
 
 class ColumnarBuilder:
     """Incremental trie builder for columnar CCTs.
 
-    Drives the same prefix-merge a ``CCTNode.child`` walk performs, but on
-    integer ids: the child map is one flat dict keyed
+    The prefix merge of every profile producer (two paths that share a
+    prefix share its chain of nodes), on integer ids: the child map is
+    one flat dict keyed
     ``(parent_id << shift) | frame_table_id``, so descending a path costs
     an int shift and a dict probe instead of a dataclass hash.  Values are
     accumulated separately (vectorized by the callers), keeping this class
@@ -466,8 +506,7 @@ class ColumnarBuilder:
 
 def value_cells(n: int, n_metrics: int, rows, cols, vals):
     """``(values, present)`` for ``n`` nodes from (row, column, value)
-    records: each written cell is ``0.0 + v1 + v2 ...`` in record order,
-    exactly as :meth:`~repro.core.cct.CCTNode.add_value` accumulates
+    records: each written cell is ``0.0 + v1 + v2 ...`` in record order
     (``np.add.at`` is unbuffered and runs in index order)."""
     values = np.zeros((n, n_metrics), dtype=np.float64)
     present = np.zeros((n, n_metrics), dtype=bool)

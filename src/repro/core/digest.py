@@ -109,8 +109,9 @@ def _frame_bytes(frame) -> bytes:
 def _update_cct_columnar(h, col) -> None:
     """Feed the hash the enter/exit walk straight from columnar arrays.
 
-    Byte-identical to the object walk in :func:`profile_digest`: the
-    pre-order comes from the vectorized frame-sorted traversal, per-node
+    Byte-identical to the object walk of the profile oracle
+    (:func:`repro.bench.profile_oracle.digest`): the pre-order comes
+    from the vectorized frame-sorted traversal, per-node
     value bytes are one structured-array encode over every written cell
     (rows ascend with node id, columns ascend within a row — exactly the
     sorted-index order the object walk emits), and EXIT markers fall out
@@ -148,32 +149,7 @@ def profile_digest(profile: "Profile") -> str:
     """Hex digest of a profile's schema, CCT, values, and points."""
     h = _new_hash()
     _update_schema(h, profile.schema)
-
-    columnar = profile.columnar()
-    if columnar is not None:
-        # Digest straight off the arrays — same bytes, no facade
-        # materialization.  Points still hash below (they reference object
-        # contexts, but a profile carrying points materialized already).
-        _update_cct_columnar(h, columnar)
-        _update_points(h, profile)
-        return h.hexdigest()
-
-    # Iterative enter/exit walk; children sorted by frame identity so the
-    # digest does not depend on sample insertion order.
-    stack = [(profile.root, False)]
-    while stack:
-        node, exiting = stack.pop()
-        if exiting:
-            h.update(_EXIT)
-            continue
-        h.update(_ENTER)
-        _update_frame(h, node.frame)
-        _update_values(h, node.metrics)
-        stack.append((node, True))
-        children = sorted(node.children.values(),
-                          key=lambda n: n.frame.key())
-        stack.extend((child, False) for child in reversed(children))
-
+    _update_cct_columnar(h, profile.columnar())
     _update_points(h, profile)
     return h.hexdigest()
 

@@ -12,8 +12,9 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List
 
+import numpy as np
+
 from ..errors import FormatError
-from .cct import CCTNode
 from .frame import FrameKind, intern_frame
 from .metric import Aggregation, Metric, MetricSchema
 from .monitor import MonitoringPoint, PointKind
@@ -23,44 +24,53 @@ FORMAT_NAME = "easyview-json"
 FORMAT_VERSION = 1
 
 
-def to_dict(profile: Profile) -> Dict[str, Any]:
-    """Lower a profile to JSON-ready plain data."""
-    nodes: List[Dict[str, Any]] = []
-    points: List[Dict[str, Any]] = []
-    ids: Dict[int, int] = {}
-    stack: List[CCTNode] = [profile.root]
-    while stack:
-        node = stack.pop()
-        node_id = len(nodes)
-        ids[id(node)] = node_id
-        frame = node.frame
-        entry: Dict[str, Any] = {
-            "id": node_id,
-            "parent": ids[id(node.parent)] if node.parent else None,
-            "kind": frame.kind.name.lower(),
-            "name": frame.name,
-        }
-        if frame.file:
-            entry["file"] = frame.file
-        if frame.line:
-            entry["line"] = frame.line
-        if frame.module:
-            entry["module"] = frame.module
-        if frame.address:
-            entry["address"] = frame.address
-        if node.metrics:
-            entry["metrics"] = {str(k): v
-                                for k, v in sorted(node.metrics.items())}
-        nodes.append(entry)
-        stack.extend(node.sorted_children())
+def _frame_fields(frame) -> Dict[str, Any]:
+    """A node entry's frame fields, the empty ones left out."""
+    fields: Dict[str, Any] = {"kind": frame.kind.name.lower(),
+                              "name": frame.name}
+    if frame.file:
+        fields["file"] = frame.file
+    if frame.line:
+        fields["line"] = frame.line
+    if frame.module:
+        fields["module"] = frame.module
+    if frame.address:
+        fields["address"] = frame.address
+    return fields
 
-    for point in profile.points:
-        points.append({
-            "kind": point.kind.name.lower(),
-            "contexts": [ids[id(ctx)] for ctx in point.contexts],
-            "values": {str(k): v for k, v in sorted(point.values.items())},
-            "sequence": point.sequence,
-        })
+
+def to_dict(profile: Profile) -> Dict[str, Any]:
+    """Lower a profile to JSON-ready plain data.
+
+    Nodes are numbered in pre-order with siblings in descending frame
+    order, the walk :func:`repro.core.serialize.to_columns` writes.
+    """
+    col = profile.columnar()
+    walk = col.postorder_ids()[::-1]
+    position = np.empty(walk.size, dtype=np.int64)
+    position[walk] = np.arange(walk.size, dtype=np.int64)
+    parents = [None] + position[col.parent[walk[1:]]].tolist()
+    rows, columns = np.nonzero(col.present[walk])
+    metrics: Dict[int, Dict[str, float]] = {}
+    for row, column, value in zip(rows.tolist(), columns.tolist(),
+                                  col.values[walk[rows], columns].tolist()):
+        metrics.setdefault(row, {})[str(column)] = value
+    fields = [_frame_fields(frame) for frame in col.frames]
+    nodes: List[Dict[str, Any]] = []
+    for node_id, fid in enumerate(col.frame_id[walk].tolist()):
+        entry: Dict[str, Any] = {"id": node_id, "parent": parents[node_id]}
+        entry.update(fields[fid])
+        if node_id in metrics:
+            entry["metrics"] = metrics[node_id]
+        nodes.append(entry)
+
+    position_l = position.tolist()
+    points = [{
+        "kind": point.kind.name.lower(),
+        "contexts": [position_l[row] for row in context_rows],
+        "values": {str(k): v for k, v in sorted(point.values.items())},
+        "sequence": point.sequence,
+    } for point, context_rows in zip(profile.points, profile.point_rows())]
 
     return {
         "format": FORMAT_NAME,

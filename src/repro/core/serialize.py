@@ -49,7 +49,7 @@ _UINT64_MASK = (1 << 64) - 1
 
 def to_columns(profile: Profile) -> pb.ProfileColumns:
     """Lower a profile into its columnar message form."""
-    col = profile.columnar(build=True)
+    col = profile.columnar()
     # Reversed post-order is pre-order with siblings in descending order.
     walk = col.postorder_ids()[::-1]
     n = walk.size
@@ -117,37 +117,23 @@ def to_columns(profile: Profile) -> pb.ProfileColumns:
         plain_index=np.arange(context.size), plain_context=context,
         value_offsets=offsets, value_metric=metric_ids,
         value=col.values[walk[rows], metric_ids],
-        others=_point_messages(profile, col, position.tolist(),
-                               context.size),
+        others=_point_messages(profile, position.tolist(), context.size),
         time_nanos=profile.meta.time_nanos,
         duration_nanos=profile.meta.duration_nanos)
 
 
-def _point_messages(profile: Profile, col,
-                    position: List[int], first_index: int
+def _point_messages(profile: Profile, position: List[int],
+                    first_index: int
                     ) -> List[Tuple[int, pb.MonitoringPoint]]:
     """The advanced points as messages, after the plain ones."""
-    if not profile.points:
-        return []
-    # Point contexts are the facade's nodes (see Profile.bind_point_rows).
-    wire_id = {id(node): position[i]
-               for i, node in enumerate(col.node_objects or ())}
-    messages = []
-    for k, point in enumerate(profile.points):
-        context_ids = []
-        for ctx in point.contexts:
-            found = wire_id.get(id(ctx))
-            if found is None:
-                raise FormatError(
-                    "monitoring point references a context outside the CCT")
-            context_ids.append(found)
-        messages.append((first_index + k, pb.MonitoringPoint(
-            context_id=context_ids,
-            values=[pb.MetricValue(metric_id=i, value=v)
-                    for i, v in sorted(point.values.items())],
-            kind=int(point.kind),
-            sequence=point.sequence)))
-    return messages
+    return [(first_index + k, pb.MonitoringPoint(
+        context_id=[position[row] for row in rows],
+        values=[pb.MetricValue(metric_id=i, value=v)
+                for i, v in sorted(point.values.items())],
+        kind=int(point.kind),
+        sequence=point.sequence))
+        for k, (point, rows) in enumerate(zip(profile.points,
+                                              profile.point_rows()))]
 
 
 # -- decode --------------------------------------------------------------------

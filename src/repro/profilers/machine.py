@@ -153,6 +153,17 @@ class ProgramMachine:
         context's live bytes evolve (default: constant — i.e. leak-shaped).
         """
         builder = ProfileBuilder(tool=tool)
+        self.record(builder, metric, unit, max_cycle_depth, snapshots,
+                    snapshot_decay)
+        return builder.build()
+
+    def record(self, builder: ProfileBuilder, metric: str = "cpu",
+               unit: str = "nanoseconds", max_cycle_depth: int = 3,
+               snapshots: int = 0,
+               snapshot_decay: Optional[Dict[str, Sequence[float]]] = None
+               ) -> None:
+        """Execute the program into ``builder`` (see :meth:`run`), so a
+        workload can record more metrics and points before it builds."""
         cost_metric = builder.metric(metric, unit=unit)
         alloc_metric = None
         if any(f.alloc_bytes for f in self._functions.values()):
@@ -202,30 +213,18 @@ class ProgramMachine:
                 if cycles.get(callee.name, 0) >= max_cycle_depth:
                     continue
                 stack.append((callee, count * callee_edge.calls, True))
-        return builder.build()
 
 
-def add_reuse_pairs(profile: Profile,
+def add_reuse_pairs(builder: ProfileBuilder,
                     pairs: Sequence[Tuple[Sequence, Sequence, Sequence, float]],
-                    metric: str = "accesses") -> Profile:
-    """Attach use/reuse monitoring points to an existing profile.
+                    metric: str = "accesses") -> None:
+    """Record use/reuse monitoring points on a profile being built.
 
     Each entry is ``(alloc_stack, use_stack, reuse_stack, count)`` with
-    stacks as builder frame specs (root first).  Returns the same profile.
+    stacks as builder frame specs (root first).
     """
-    from ..builder.builder import _coerce_frame
-    index = profile.schema.get(metric)
-    if index is None:
-        from ..core.metric import Metric
-        index = profile.add_metric(Metric(name=metric, unit="count"))
-    from ..core.monitor import MonitoringPoint
+    index = builder.metric(metric, unit="count")
     for alloc_stack, use_stack, reuse_stack, count in pairs:
-        contexts = [
-            profile.cct.add_path([_coerce_frame(s) for s in alloc_stack]),
-            profile.cct.add_path([_coerce_frame(s) for s in use_stack]),
-            profile.cct.add_path([_coerce_frame(s) for s in reuse_stack]),
-        ]
-        profile.add_point(MonitoringPoint(
-            kind=PointKind.USE_REUSE, contexts=contexts,
-            values={index: count}))
-    return profile
+        builder.pair_point(PointKind.USE_REUSE,
+                           [alloc_stack, use_stack, reuse_stack],
+                           {index: count})

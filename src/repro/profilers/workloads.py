@@ -20,6 +20,13 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
+from ..builder import ProfileBuilder
+from ..core.cct_columnar import ColumnarCCT
+from ..core.frame import FrameKind, intern_frame
+from ..core.metric import Metric
+from ..core.monitor import MonitoringPoint, PointKind
 from ..core.profile import Profile
 from .machine import Callee, Func, ProgramMachine, add_reuse_pairs
 
@@ -96,6 +103,13 @@ def lulesh_profile(allocator: str = "libc", scale: int = 8,
     Fig. 6 picture.  With ``allocator="tcmalloc"``, the allocator leaf
     costs shrink to ~10% of their libc values, modeling the TCMalloc swap.
     """
+    return _lulesh_machine(allocator, scale, seed).run(
+        metric="cpu_time", unit="nanoseconds", tool="hpctoolkit")
+
+
+def _lulesh_machine(allocator: str, scale: int,
+                    seed: int) -> ProgramMachine:
+    """The program :func:`lulesh_profile` runs."""
     if allocator not in ("libc", "tcmalloc"):
         raise ValueError("allocator must be 'libc' or 'tcmalloc'")
     cheap = allocator == "tcmalloc"
@@ -150,10 +164,7 @@ def lulesh_profile(allocator: str = "libc", scale: int = 8,
         Func(alloc_leaf, "sbrk.c" if not cheap else "tcmalloc.cc",
              45, alloc_module, self_cost=brk_cost),
     ]
-    machine = ProgramMachine(functions, entry="main", seed=seed,
-                             jitter=0.03)
-    return machine.run(metric="cpu_time", unit="nanoseconds",
-                       tool="hpctoolkit")
+    return ProgramMachine(functions, entry="main", seed=seed, jitter=0.03)
 
 
 def lulesh_reuse_profile(scale: int = 4, seed: int = 13) -> Profile:
@@ -165,7 +176,9 @@ def lulesh_reuse_profile(scale: int = 4, seed: int = 13) -> Profile:
     sites — the fusable pattern whose optimization the paper credits with a
     28% speedup.
     """
-    profile = lulesh_profile(scale=scale, seed=seed)
+    builder = ProfileBuilder(tool="hpctoolkit")
+    _lulesh_machine("libc", scale, seed).record(
+        builder, metric="cpu_time", unit="nanoseconds")
     base = [("main", "lulesh.cc", 2650, LULESH_MOD),
             ("LagrangeLeapFrog", "lulesh.cc", 2350, LULESH_MOD),
             ("LagrangeNodal", "lulesh.cc", 1050, LULESH_MOD),
@@ -204,7 +217,8 @@ def lulesh_reuse_profile(scale: int = 4, seed: int = 13) -> Profile:
                        LULESH_MOD)],
          15000.0 * scale),
     ]
-    return add_reuse_pairs(profile, pairs)
+    add_reuse_pairs(builder, pairs)
+    return builder.build()
 
 
 #: Fraction of hourglass-loop time the fused variant saves (paper: ≈28%
@@ -220,17 +234,41 @@ def lulesh_fused_profile(scale: int = 4, seed: int = 13) -> Profile:
     """
     profile = lulesh_profile(scale=scale, seed=seed)
     index = profile.schema.index_of("cpu_time")
+    col = profile.columnar()
+    values, present = col.values.copy(), col.present.copy()
     # Model the fusion: the fused loop eliminates the hourglass loop's
     # redundant traversal *and* its temporary allocations, so the whole
     # subtree under CalcHourglassForceForElems shrinks; the volume loop
     # loses part of its stores.
-    for root in profile.find_by_name("CalcHourglassForceForElems"):
-        for node in root.walk():
-            node.set_value(index, node.exclusive(index)
-                           * (1 - LULESH_FUSION_SAVING))
-    for node in profile.find_by_name("CalcVolumeForceForElems"):
-        node.set_value(index, node.exclusive(index) * (1 - 0.35))
-    return profile
+    for row in _rows_named(col, "CalcHourglassForceForElems"):
+        inside = col.subtree(row)
+        values[inside, index] *= 1 - LULESH_FUSION_SAVING
+        present[inside, index] = True
+    volume = _rows_named(col, "CalcVolumeForceForElems")
+    values[volume, index] *= 1 - 0.35
+    present[volume, index] = True
+    return _with_cells(profile, profile.schema, values, present)
+
+
+def _rows_named(col: ColumnarCCT, name: str):
+    """The rows whose frame is named ``name``."""
+    return np.flatnonzero(np.isin(col.frame_id, [
+        fid for fid, frame in enumerate(col.frames) if frame.name == name]))
+
+
+def _with_cells(profile: Profile, schema, values, present) -> Profile:
+    """A new profile: ``profile``'s tree, metadata and points, with
+    ``schema`` and the cells ``values``/``present``."""
+    col = profile.columnar()
+    result = Profile(schema=schema, meta=profile.meta)
+    result.attach_columnar(ColumnarCCT(col.parent, col.frame_id, col.depth,
+                                       values, present, col.frames))
+    result.points = [MonitoringPoint(point.kind, rows, dict(point.values),
+                                     point.sequence)
+                     for point, rows in zip(profile.points,
+                                            profile.point_rows())]
+    result.bind_point_rows()
+    return result
 
 
 SPARK_MOD = "spark-assembly"
@@ -324,9 +362,6 @@ def redundancy_workload(scale: int = 4, seed: int = 23) -> Profile:
     caller), plus an intra-function pair where a temporary is written
     twice on the same path.
     """
-    from ..builder.builder import _coerce_frame
-    from ..core.monitor import MonitoringPoint, PointKind
-
     functions = [
         Func("main", "solver.c", 10, "solver",
              callees=[Callee("iterate", calls=scale)]),
@@ -337,14 +372,10 @@ def redundancy_workload(scale: int = 4, seed: int = 23) -> Profile:
              callees=[Callee("update_cell", calls=4)]),
         Func("update_cell", "solver.c", 160, "solver", self_cost=3e5),
     ]
-    machine = ProgramMachine(functions, entry="main", seed=seed,
-                             jitter=0.02)
-    profile = machine.run(metric="stores", unit="count", tool="redspy")
-
-    ops = profile.schema.get("redundant_ops")
-    if ops is None:
-        from ..core.metric import Metric
-        ops = profile.add_metric(Metric("redundant_ops", unit="count"))
+    builder = ProfileBuilder(tool="redspy")
+    ProgramMachine(functions, entry="main", seed=seed, jitter=0.02).record(
+        builder, metric="stores", unit="count")
+    ops = builder.metric("redundant_ops", unit="count")
 
     base = [("main", "solver.c", 10, "solver"),
             ("iterate", "solver.c", 40, "solver")]
@@ -352,20 +383,13 @@ def redundancy_workload(scale: int = 4, seed: int = 23) -> Profile:
     compute = base + [("compute_matrix", "solver.c", 120, "solver")]
     cell_a = compute + [("update_cell", "solver.c", 160, "solver")]
 
-    def ctx(stack):
-        return profile.cct.add_path([_coerce_frame(s) for s in stack])
-
     # Cross-function: the zeroing stores die in the compute loop.
-    profile.add_point(MonitoringPoint(
-        kind=PointKind.REDUNDANCY,
-        contexts=[ctx(init), ctx(compute)],
-        values={ops: 90_000.0 * scale}))
+    builder.pair_point(PointKind.REDUNDANCY, [init, compute],
+                       {ops: 90_000.0 * scale})
     # Intra-function: update_cell writes the same cell twice.
-    profile.add_point(MonitoringPoint(
-        kind=PointKind.REDUNDANCY,
-        contexts=[ctx(cell_a), ctx(cell_a)],
-        values={ops: 12_000.0 * scale}))
-    return profile
+    builder.pair_point(PointKind.REDUNDANCY, [cell_a, cell_a],
+                       {ops: 12_000.0 * scale})
+    return builder.build()
 
 
 def false_sharing_workload(threads: int = 2, scale: int = 4,
@@ -376,11 +400,6 @@ def false_sharing_workload(threads: int = 2, scale: int = 4,
     struct: their accesses ping-pong the cache line (false sharing on the
     named object), and an unsynchronized flag update forms a data race.
     """
-    from ..builder.builder import _coerce_frame
-    from ..core.frame import FrameKind, intern_frame
-    from ..core.metric import Metric
-    from ..core.monitor import MonitoringPoint, PointKind
-
     functions = [
         Func("main", "server.c", 5, "server",
              callees=[Callee("worker_loop", calls=threads)]),
@@ -390,39 +409,33 @@ def false_sharing_workload(threads: int = 2, scale: int = 4,
         Func("bump_counter", "server.c", 60, "server", self_cost=1e5),
         Func("set_flag", "server.c", 90, "server", self_cost=2e4),
     ]
-    machine = ProgramMachine(functions, entry="main", seed=seed)
-    profile = machine.run(metric="cpu", unit="nanoseconds",
-                          tool="featherlight")
-    events = profile.add_metric(Metric("pingpongs", unit="count"))
+    builder = ProfileBuilder(tool="featherlight")
+    ProgramMachine(functions, entry="main", seed=seed).record(
+        builder, metric="cpu", unit="nanoseconds")
+    events = builder.metric("pingpongs", unit="count")
 
     def access(thread, fn, line):
-        stack = [
-            intern_frame("main", "server.c", 5, "server"),
-            intern_frame("thread-%d" % thread, kind=FrameKind.THREAD),
-            intern_frame("stats", "server.c", 12, "server",
-                         kind=FrameKind.DATA_OBJECT),
-            intern_frame(fn, "server.c", line, "server"),
-        ]
-        return profile.cct.add_path(stack)
+        return [intern_frame("main", "server.c", 5, "server"),
+                intern_frame("thread-%d" % thread, kind=FrameKind.THREAD),
+                intern_frame("stats", "server.c", 12, "server",
+                             kind=FrameKind.DATA_OBJECT),
+                intern_frame(fn, "server.c", line, "server")]
 
     # False sharing: each thread's counter bumps hit one cache line.
-    profile.add_point(MonitoringPoint(
-        kind=PointKind.FALSE_SHARING,
-        contexts=[access(0, "bump_counter", 61),
-                  access(1, "bump_counter", 62)],
-        values={events: 50_000.0 * scale}))
+    builder.pair_point(PointKind.FALSE_SHARING,
+                       [access(0, "bump_counter", 61),
+                        access(1, "bump_counter", 62)],
+                       {events: 50_000.0 * scale})
     # A smaller ping-pong on the flag field.
-    profile.add_point(MonitoringPoint(
-        kind=PointKind.FALSE_SHARING,
-        contexts=[access(0, "set_flag", 91),
-                  access(1, "bump_counter", 62)],
-        values={events: 4_000.0 * scale}))
+    builder.pair_point(PointKind.FALSE_SHARING,
+                       [access(0, "set_flag", 91),
+                        access(1, "bump_counter", 62)],
+                       {events: 4_000.0 * scale})
     # And a genuine race on the flag.
-    profile.add_point(MonitoringPoint(
-        kind=PointKind.DATA_RACE,
-        contexts=[access(0, "set_flag", 91), access(1, "set_flag", 91)],
-        values={events: 700.0 * scale}))
-    return profile
+    builder.pair_point(PointKind.DATA_RACE,
+                       [access(0, "set_flag", 91), access(1, "set_flag", 91)],
+                       {events: 700.0 * scale})
+    return builder.build()
 
 
 def scaling_workload(ranks: int, seed: int = 31) -> Profile:
@@ -456,11 +469,16 @@ def scaling_workload(ranks: int, seed: int = 31) -> Profile:
     profile.meta.attributes["ranks"] = str(ranks)
     # Fold allocation points into per-node alloc_bytes metrics for the
     # scaling comparison (live-bytes semantics, one value per run).
-    from ..core.monitor import PointKind
     index = profile.schema.index_of("alloc_bytes")
-    for point in profile.points_of_kind(PointKind.ALLOCATION):
-        point.primary().add_value(index, point.value(index))
-    return profile
+    col = profile.columnar()
+    values, present = col.values.copy(), col.present.copy()
+    allocations = [(rows[0], point.value(index)) for point, rows
+                   in zip(profile.points, profile.point_rows())
+                   if point.kind is PointKind.ALLOCATION]
+    rows = [row for row, _ in allocations]
+    np.add.at(values[:, index], rows, [value for _, value in allocations])
+    present[rows, index] = True
+    return _with_cells(profile, profile.schema, values, present)
 
 
 def go_service_profile(requests: int = 200, seed: int = 37) -> Profile:
@@ -504,16 +522,20 @@ def go_service_profile(requests: int = 200, seed: int = 37) -> Profile:
                              jitter=0.04)
     profile = machine.run(metric="cpu", unit="nanoseconds", tool="pprof")
     # Companion metrics the real pprof would report separately.
-    from ..core.metric import Metric
-    alloc = profile.add_metric(Metric("alloc_ops", unit="count"))
-    lock = profile.add_metric(Metric("lock_wait", unit="nanoseconds"))
-    cpu = profile.schema.index_of("cpu")
-    for node in profile.find_by_name("runtime.mallocgc"):
-        node.add_value(alloc, node.exclusive(cpu) / 250.0)
-    for node in profile.find_by_name("sync.(*Mutex).Lock"):
-        node.add_value(lock, node.exclusive(cpu) * 3.0)
-    profile.cct.clear_inclusive_cache()
-    return profile
+    schema = profile.schema.copy()
+    alloc = schema.add(Metric("alloc_ops", unit="count"))
+    lock = schema.add(Metric("lock_wait", unit="nanoseconds"))
+    cpu = schema.index_of("cpu")
+    col = profile.columnar()
+    values = np.pad(col.values, ((0, 0), (0, 2)))
+    present = np.pad(col.present, ((0, 0), (0, 2)))
+    mallocgc = _rows_named(col, "runtime.mallocgc")
+    values[mallocgc, alloc] = values[mallocgc, cpu] / 250.0
+    present[mallocgc, alloc] = True
+    locks = _rows_named(col, "sync.(*Mutex).Lock")
+    values[locks, lock] = values[locks, cpu] * 3.0
+    present[locks, lock] = True
+    return _with_cells(profile, schema, values, present)
 
 
 def deep_path_profile(depth: int = 10000, fanout_every: int = 500,

@@ -8,6 +8,7 @@ from repro.analysis.threads import (aggregate_threads, imbalance,
                                     is_threaded, split_by_thread,
                                     thread_roots, thread_totals)
 from repro.analysis.transform import top_down
+from repro.converters import parse_bytes
 from repro.core.frame import FrameKind, intern_frame
 from repro.errors import AnalysisError
 
@@ -48,8 +49,30 @@ class TestThreads:
                         intern_frame("thread 1", kind=FrameKind.THREAD),
                         ("f", "x.c", 1)], {cpu: 5})
         roots = thread_roots(builder.build())
-        # The process context itself plus the nested thread.
-        assert {n.frame.name for n in roots} >= {"process 9"}
+        # A THREAD context with THREAD children is the process: its
+        # children are the threads.
+        assert {n.frame.name for n in roots} == {"thread 1"}
+
+    def test_austin_threads_split_under_their_process(self):
+        profile = parse_bytes(b"P100;T1 300\nP100;T2 200\n",
+                              format="austin")
+        metric = profile.schema.names()[0]
+        assert thread_totals(profile, metric) == {"thread 1": 300.0,
+                                                  "thread 2": 200.0}
+        assert imbalance(profile, metric) == pytest.approx(1.2)
+        assert set(split_by_thread(profile)) == {"thread 1", "thread 2"}
+
+    def test_same_named_threads_are_keyed_by_their_path(self):
+        builder = ProfileBuilder()
+        cpu = builder.metric("cpu")
+        main = intern_frame("main-thread", kind=FrameKind.THREAD)
+        builder.sample([("proc-1",), main, ("work",)], {cpu: 10})
+        builder.sample([("proc-2",), main, ("work",)], {cpu: 30})
+        profile = builder.build()
+        parts = split_by_thread(profile)
+        assert {key: part.total("cpu") for key, part in parts.items()} == {
+            "proc-1 > main-thread": 10.0, "proc-2 > main-thread": 30.0}
+        assert imbalance(profile, "cpu") == pytest.approx(1.5)
 
     def test_split_reroots_subtrees(self):
         parts = split_by_thread(threaded_profile())

@@ -59,6 +59,9 @@ class TestRangeProfile:
         sub = range_profile(phased_profile(), 3, 6, combine="last")
         serve = sub.find_by_name("serve")[0]
         assert serve.exclusive(0) == 300.0   # the value at snapshot 6
+        # The window's final state: startup is gone after snapshot 4.
+        assert not sub.find_by_name("startup")
+        assert sub.total("inuse") == 300.0
 
     def test_window_excludes_other_contexts(self):
         sub = range_profile(phased_profile(), 5, 8)

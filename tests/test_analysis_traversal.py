@@ -5,16 +5,16 @@ import pytest
 from repro.analysis.traversal import (Order, VisitAction, ancestors, bfs,
                                       common_ancestor, iterate, postorder,
                                       preorder, visit)
-from repro.core.cct import CCT
+from repro.bench.profile_oracle import ObjectProfile, add_path
 from repro.core.frame import intern_frame
 
 
 @pytest.fixture
 def tree():
-    cct = CCT()
-    cct.add_path([intern_frame(n) for n in ("main", "a", "b")])
-    cct.add_path([intern_frame(n) for n in ("main", "a", "c")])
-    cct.add_path([intern_frame(n) for n in ("main", "d")])
+    cct = ObjectProfile()
+    add_path(cct, [intern_frame(n) for n in ("main", "a", "b")])
+    add_path(cct, [intern_frame(n) for n in ("main", "a", "c")])
+    add_path(cct, [intern_frame(n) for n in ("main", "d")])
     return cct
 
 
@@ -48,8 +48,8 @@ class TestOrders:
         assert names(iterate(tree.root, Order.BFS)) == names(bfs(tree.root))
 
     def test_postorder_deep_tree_no_recursion_error(self):
-        cct = CCT()
-        cct.add_path([intern_frame("f%d" % i) for i in range(3000)])
+        cct = ObjectProfile()
+        add_path(cct, [intern_frame("f%d" % i) for i in range(3000)])
         assert len(list(postorder(cct.root))) == 3001
 
 

@@ -9,7 +9,13 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis.anonymize import anonymize
+from repro.analysis.combine import combine
+from repro.analysis.threads import split_by_thread
+from repro.analysis.timerange import range_profile
 from repro.analysis.transform import transform
+from repro.bench.profile_oracle import (ObjectProfile, add_path, add_sample,
+                                        fold)
 from repro.builder import ProfileBuilder, validate
 from repro.builder.builder import _coerce_frame
 from repro.converters import names, parse_bytes
@@ -18,7 +24,7 @@ from repro.core.digest import profile_digest, viewtree_digest
 from repro.core.frame import Frame, FrameKind, data_object_frame, intern_frame
 from repro.core.metric import Metric
 from repro.core.monitor import POINT_ARITY, MonitoringPoint, PointKind
-from repro.core.profile import Profile, ProfileMeta
+from repro.core.profile import ProfileMeta
 from repro.errors import SchemaError
 from repro.obs import export, get_registry
 from repro.obs.tracer import Span
@@ -30,7 +36,8 @@ from repro.profilers.workloads import (checkout_service_profile,
                                        grpc_client_profile,
                                        lulesh_fused_profile, lulesh_profile,
                                        lulesh_reuse_profile,
-                                       redundancy_workload, spark_profile)
+                                       redundancy_workload,
+                                       scaling_workload, spark_profile)
 
 from .test_converters_robustness import _valid_inputs
 from .twins import assert_views_identical
@@ -216,41 +223,41 @@ def _built(n_metrics, calls):
 
 
 def _edited(n_metrics, calls):
-    """The same calls through the edit API: the object tree, folded."""
-    profile = Profile(meta=ProfileMeta(tool="t"))
+    """The same calls through the oracle's object mutators: the object
+    tree, folded."""
+    profile = ObjectProfile(meta=ProfileMeta(tool="t"))
     for index in range(n_metrics):
         profile.add_metric(Metric("m%d" % index))
 
     def context(path):
-        return profile.cct.add_path([_coerce_frame(s) for s in path])
+        return add_path(profile, [_coerce_frame(s) for s in path])
 
     for name, *args in calls:
         if name == "sample":
             path, values = args
-            profile.add_sample([_coerce_frame(s) for s in path], values)
+            add_sample(profile, [_coerce_frame(s) for s in path], values)
         elif name == "leaf_sample":
             path, values = args
-            profile.add_sample([_coerce_frame(s) for s in reversed(path)],
-                               values)
+            add_sample(profile, [_coerce_frame(s) for s in reversed(path)],
+                       values)
         elif name == "snapshot":
             sequence, path, values = args
-            profile.add_point(MonitoringPoint(
+            profile.points.append(MonitoringPoint(
                 kind=PointKind.ALLOCATION, contexts=[context(path)],
                 values=dict(values), sequence=sequence))
         elif name == "allocation":
             object_name, path, values, sequence = args
-            profile.add_point(MonitoringPoint(
+            profile.points.append(MonitoringPoint(
                 kind=PointKind.ALLOCATION,
                 contexts=[context(list(path)
                                   + [data_object_frame(object_name)])],
                 values=dict(values), sequence=sequence))
         else:
             kind, paths, values = args
-            profile.add_point(MonitoringPoint(
+            profile.points.append(MonitoringPoint(
                 kind=kind, contexts=[context(path) for path in paths],
                 values=dict(values)))
-    assert profile.columnar(build=True) is not None
-    return profile
+    return fold(profile)
 
 
 @settings(max_examples=150, deadline=None)
@@ -291,12 +298,12 @@ def test_column_and_arity_checks_raise_at_call_time():
 
 
 def test_a_metric_added_after_a_parse_gets_its_column():
-    """A snapshot narrower than the schema is stale, so the next use folds
-    the facade with every column (the parsed arrays stayed one column
-    short, and ``total`` of the new metric raised ``IndexError``)."""
+    """The parsed arrays widen by one absent column (they stayed one
+    column short once, and ``total`` of the new metric raised
+    ``IndexError``)."""
     profile = parse_bytes(_valid_inputs()["pprof"], format="pprof")
-    profile.add_metric(Metric("extra"))
-    assert profile.columnar() is None
+    index = profile.add_metric(Metric("extra"))
+    assert not profile.columnar().present[:, index].any()
     assert profile.total("extra") == 0.0
     tree = transform(profile, "top_down")
     assert tree.columnar().inclusive.shape[1] == len(profile.schema)
@@ -486,7 +493,24 @@ def _producers():
         "sampling-all-threads": lambda: _sampled(True),
         "memsnap": _heap_snapshots,
         "obs-export": _spans,
+        "machine-scaling": lambda: scaling_workload(ranks=4),
+        "anonymize-lulesh-reuse": lambda: anonymize(
+            lulesh_reuse_profile(scale=2), key="golden"),
+        "anonymize-lulesh-reuse-keep": lambda: anonymize(
+            lulesh_reuse_profile(scale=2), key="golden", keep_lines=True,
+            keep_modules=["libc-2.31.so"]),
+        "combine-lulesh": lambda: combine(
+            [lulesh_profile(), lulesh_reuse_profile(scale=2)]),
+        "range-grpc-mean": lambda: range_profile(
+            grpc_client_profile(clients=6, snapshots=4), 2, 4),
+        "range-grpc-sum": lambda: range_profile(
+            grpc_client_profile(clients=6, snapshots=4), 2, 4,
+            combine="sum"),
     })
+    for thread in ("thread-0", "thread-1"):
+        producers["threads-false-sharing-" + thread] = (
+            lambda thread=thread: split_by_thread(
+                false_sharing_workload())[thread])
     return producers
 
 

@@ -6,8 +6,7 @@ trees (child order included), same digests, same view trees, same
 aggregate and diff results.  These tests hold the two representations
 against each other on converter fixtures, synthetic workloads, randomized
 trees, and a deliberately deep 10k-frame chain — plus regression tests
-for the two correctness fixes that landed with the columnar core (stale
-inclusive caches, nondeterministic walk order).
+for the deterministic walk order that landed with the columnar core.
 """
 
 import numpy as np
@@ -16,15 +15,14 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis.aggregate import aggregate_profiles
 from repro.analysis.diff import diff_profiles
-from repro.analysis.metrics import compute_inclusive, inclusive_value
 from repro.analysis.traversal import bfs, postorder, preorder
 from repro.analysis.transform import bottom_up, top_down
 from repro.analysis.viewtree import SourceList
-from repro.bench import view_oracle
+from repro.bench import profile_oracle, view_oracle
 from repro.bench.pprof_oracle import parse_object
+from repro.bench.profile_oracle import ObjectProfile, add_path
 from repro.builder import ProfileBuilder
 from repro.converters import pprof as pprof_converter
-from repro.core.cct import CCT
 from repro.core.cct_columnar import ColumnarBuilder, from_cct
 from repro.core.digest import profile_digest, viewtree_digest
 from repro.core.frame import intern_frame
@@ -33,7 +31,7 @@ from repro.profilers.corpus import generate_bytes, tier
 from repro.profilers.workloads import (deep_path_profile, lulesh_profile,
                                        spark_profile)
 
-from .twins import assert_views_identical
+from .twins import assert_views_identical, object_only
 
 
 def assert_trees_identical(a, b):
@@ -62,7 +60,7 @@ class TestConverterOracle:
 
     def test_digests_identical_without_materialization(self, pair):
         fast, ref = pair
-        assert profile_digest(fast) == profile_digest(ref)
+        assert profile_digest(fast) == profile_oracle.digest(ref)
         assert fast._cct is None  # digest ran off the arrays
 
     def test_summary_and_totals_off_arrays(self, pair):
@@ -84,9 +82,10 @@ class TestConverterOracle:
 
     def test_diff_and_aggregate_identical(self, pair):
         fast, ref = pair
-        other = parse_object(
-            generate_bytes(tier("small"), compress=False))
-        ref_views = [view_oracle.top_down(ref), view_oracle.top_down(other)]
+        raw = generate_bytes(tier("small"), compress=False)
+        other = pprof_converter.parse(raw)
+        ref_views = [view_oracle.top_down(ref),
+                     view_oracle.top_down(parse_object(raw))]
         assert (viewtree_digest(diff_profiles(fast, other))
                 == view_oracle.digest(view_oracle.diff_trees(*ref_views)))
         assert (viewtree_digest(aggregate_profiles([fast, other]))
@@ -113,8 +112,8 @@ class TestRoundTrips:
         assert np.array_equal(col.present, again.present)
 
     def test_inclusive_matrix_matches_object_pass(self):
-        profile = lulesh_profile(scale=3)
-        compute_inclusive(profile)
+        profile = object_only(lulesh_profile(scale=3))
+        profile_oracle.compute_inclusive(profile)
         col = from_cct(profile.cct, len(profile.schema))
         inc = col.inclusive()
         # from_cct assigns ids in insertion-order pre-order; replay that
@@ -182,57 +181,23 @@ class TestHypothesisRoundTrip:
     @settings(max_examples=60, deadline=None)
     @given(profiles())
     def test_digest_agrees_across_representations(self, profile):
-        object_digest = profile_digest(profile)
+        object_digest = profile_oracle.digest(object_only(profile))
+        assert profile_digest(profile) == object_digest
         clone = ProfileBuilder(tool="hyp").build()
         clone.schema = profile.schema
         clone.attach_columnar(from_cct(profile.cct, len(profile.schema)))
         assert profile_digest(clone) == object_digest
 
 
-class TestStaleInclusiveCacheRegression:
-    """Mutation must invalidate cached inclusive values automatically."""
-
-    def test_requery_after_new_sample(self):
-        builder = ProfileBuilder(tool="t")
-        cpu = builder.metric("cpu")
-        profile = builder.build()
-        profile.add_sample([intern_frame("main"), intern_frame("work")],
-                           {cpu: 10.0})
-        assert inclusive_value(profile, profile.root, "cpu") == 10.0
-        # Second sample lands after the cache was filled; the version
-        # stamp must force a recompute on the next query.
-        profile.add_sample([intern_frame("main"), intern_frame("other")],
-                           {cpu: 5.0})
-        assert inclusive_value(profile, profile.root, "cpu") == 15.0
-
-    def test_direct_node_mutation_invalidates(self):
-        builder = ProfileBuilder(tool="t")
-        cpu = builder.metric("cpu")
-        profile = builder.build()
-        leaf = profile.add_sample([intern_frame("main")], {cpu: 4.0})
-        compute_inclusive(profile)
-        assert profile.root.inclusive[cpu] == 4.0
-        leaf.add_value(cpu, 6.0)
-        compute_inclusive(profile)
-        assert profile.root.inclusive[cpu] == 10.0
-
-    def test_columnar_snapshot_invalidated_by_mutation(self):
-        profile = lulesh_profile(scale=2)
-        col = profile.columnar(build=True)
-        assert profile.columnar() is col
-        profile.root.add_value(0, 1.0)
-        assert profile.columnar() is None  # stale snapshot must not serve
-
-
 class TestDeterministicWalkRegression:
     """Pre-order sibling order must be frame-sorted, not reversed-insertion."""
 
     def golden_tree(self):
-        tree = CCT()
+        tree = ObjectProfile()
         # Insert children deliberately out of key order.
         for name in ("zeta", "alpha", "mid"):
-            tree.add_path([intern_frame("main", "t.c", 1),
-                           intern_frame(name, "t.c", 2)])
+            add_path(tree, [intern_frame("main", "t.c", 1),
+                            intern_frame(name, "t.c", 2)])
         return tree
 
     def test_walk_golden_order(self):
@@ -246,12 +211,12 @@ class TestDeterministicWalkRegression:
             "<root>", "main", "alpha", "mid", "zeta"]
 
     def test_insertion_order_does_not_change_walk(self):
-        one = CCT()
-        two = CCT()
+        one = ObjectProfile()
+        two = ObjectProfile()
         for name in ("c", "a", "b"):
-            one.add_path([intern_frame(name, "t.c", 1)])
+            add_path(one, [intern_frame(name, "t.c", 1)])
         for name in ("b", "c", "a"):
-            two.add_path([intern_frame(name, "t.c", 1)])
+            add_path(two, [intern_frame(name, "t.c", 1)])
         assert ([n.frame.name for n in one.root.walk()]
                 == [n.frame.name for n in two.root.walk()])
 
@@ -347,8 +312,7 @@ class TestBenchGate:
 
     def test_reference_profile_with_arrays(self, raw):
         from repro.bench.cct import OracleMismatch, _check_equality
-        ref = parse_object(raw)
-        ref.columnar(build=True)
+        ref = pprof_converter.parse(raw)
         with pytest.raises(OracleMismatch, match="arrays"):
             _check_equality("small", pprof_converter.parse(raw), ref,
                             pprof_converter.parse(raw), parse_object(raw))
@@ -360,4 +324,4 @@ class TestBenchGate:
                              view_oracle.top_down(parse_object(raw)))
         with pytest.raises(OracleMismatch, match="arrays"):
             _assert_view_digests("small", "top_down", fast,
-                                 top_down(parse_object(raw)))
+                                 top_down(pprof_converter.parse(raw)))

@@ -83,3 +83,22 @@ class TestErrors:
                 "points": [{"kind": "plain", "contexts": [42],
                             "values": {}, "sequence": 0}],
             }))
+
+
+def test_dumping_a_profile_without_points_builds_no_object_tree():
+    """``to_dict`` walks the arrays, as the ``.ezvw`` encoder does."""
+    from repro.converters import parse_bytes
+    from repro.obs import get_registry
+    from repro.profilers.corpus import generate_bytes, tier
+
+    def builds():
+        counters = get_registry().snapshot()["counters"]
+        return [counters["core.cct_materializations"],
+                counters["core.cct_folds"]]
+
+    profile = parse_bytes(generate_bytes(tier("small"), compress=False),
+                          format="pprof")
+    before = builds()
+    text = jsonio.dumps(profile)
+    assert builds() == before
+    assert jsonio.loads(text).node_count() == profile.node_count()

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.builder import ProfileBuilder
 from repro.core.frame import intern_frame
 from repro.core.metric import Metric
 from repro.core.monitor import MonitoringPoint, PointKind
@@ -9,50 +10,73 @@ from repro.core.profile import Profile
 from repro.errors import SchemaError
 
 
+def make_builder():
+    builder = ProfileBuilder()
+    builder.metric("cpu", unit="nanoseconds")
+    builder.metric("bytes", unit="bytes")
+    return builder
+
+
 def make_profile():
-    profile = Profile()
-    profile.add_metric(Metric("cpu", unit="nanoseconds"))
-    profile.add_metric(Metric("bytes", unit="bytes"))
-    return profile
+    """A built profile with one context, ``main``."""
+    builder = make_builder()
+    builder.sample([intern_frame("main")], {})
+    return builder.build()
 
 
 class TestSamples:
     def test_add_sample_builds_tree(self):
-        profile = make_profile()
-        profile.add_sample([intern_frame("main"), intern_frame("f")],
-                           {0: 10.0})
+        builder = make_builder()
+        builder.sample([intern_frame("main"), intern_frame("f")], {0: 10.0})
+        profile = builder.build()
         assert profile.node_count() == 3
         assert profile.total("cpu") == 10.0
 
     def test_out_of_range_column_rejected(self):
-        profile = make_profile()
+        builder = make_builder()
         with pytest.raises(SchemaError):
-            profile.add_sample([intern_frame("main")], {5: 1.0})
+            builder.sample([intern_frame("main")], {5: 1.0})
 
     def test_total_of_unknown_metric_raises(self):
         profile = make_profile()
         with pytest.raises(SchemaError):
             profile.total("nope")
 
+    def test_a_bare_profile_is_the_root_alone(self):
+        profile = Profile()
+        profile.add_metric(Metric("cpu"))
+        assert profile.node_count() == 1
+        assert profile.total("cpu") == 0.0
+        assert profile.root.children == {}
+
+    def test_a_metric_added_to_a_built_profile_is_absent_everywhere(self):
+        profile = make_profile()
+        main = profile.find_by_name("main")[0]
+        index = profile.add_metric(Metric("extra"))
+        col = profile.columnar()
+        assert col.n_metrics == len(profile.schema) == 3
+        assert not col.present[:, index].any()
+        assert profile.find_by_name("main")[0] is main  # same facade
+
 
 class TestPoints:
     def test_point_arity_enforced(self):
         profile = make_profile()
-        node = profile.cct.add_path([intern_frame("main")])
+        node = profile.find_by_name("main")[0]
         with pytest.raises(SchemaError, match="expects 3 contexts"):
             profile.add_point(MonitoringPoint(
                 kind=PointKind.USE_REUSE, contexts=[node], values={}))
 
     def test_point_column_checked(self):
         profile = make_profile()
-        node = profile.cct.add_path([intern_frame("main")])
+        node = profile.find_by_name("main")[0]
         with pytest.raises(SchemaError):
             profile.add_point(MonitoringPoint(
                 kind=PointKind.ALLOCATION, contexts=[node], values={9: 1.0}))
 
     def test_points_of_kind(self):
         profile = make_profile()
-        node = profile.cct.add_path([intern_frame("main")])
+        node = profile.find_by_name("main")[0]
         profile.add_point(MonitoringPoint(kind=PointKind.ALLOCATION,
                                           contexts=[node], values={1: 8.0}))
         profile.add_point(MonitoringPoint(kind=PointKind.DATA_RACE,
@@ -62,7 +86,7 @@ class TestPoints:
 
     def test_snapshot_sequences_sorted_unique(self):
         profile = make_profile()
-        node = profile.cct.add_path([intern_frame("main")])
+        node = profile.find_by_name("main")[0]
         for seq in (3, 1, 3, 2):
             profile.add_point(MonitoringPoint(
                 kind=PointKind.ALLOCATION, contexts=[node],

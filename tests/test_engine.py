@@ -29,6 +29,9 @@ ENTRIES = [(("main", "work"), (10.0,)),
            (("main", "work", "inner"), (4.0,)),
            (("main", "idle"), (2.0,))]
 
+#: One more sample, at a context ``ENTRIES`` lacks.
+LATE = [(("main", "late"), (3.0,))]
+
 
 class TestDigests:
     def test_profile_digest_deterministic(self):
@@ -40,13 +43,8 @@ class TestDigests:
                 == profile_digest(build(list(reversed(ENTRIES)))))
 
     def test_profile_digest_changes_on_new_sample(self):
-        from repro.core.frame import Frame
-        profile = build(ENTRIES)
-        before = profile_digest(profile)
-        profile.add_sample([Frame(name="main", file="s.c", line=1),
-                            Frame(name="late", file="s.c", line=9)],
-                           {0: 3.0})
-        assert profile_digest(profile) != before
+        before = profile_digest(build(ENTRIES))
+        assert profile_digest(build(ENTRIES + LATE)) != before
 
     def test_profile_digest_changes_on_value_change(self):
         changed = [(("main", "work"), (11.0,))] + ENTRIES[1:]
@@ -336,11 +334,7 @@ class TestEngineInvalidation:
         engine = AnalysisEngine()
         profile = build(ENTRIES)
         tree = engine.transform(profile, "top_down")
-        from repro.core.frame import Frame
-        cpu = profile.schema.index_of("cpu")
-        profile.add_sample([Frame(name="main", file="s.c", line=1),
-                            Frame(name="late", file="s.c", line=9)],
-                           {cpu: 3.0})
+        profile.attach_columnar(build(ENTRIES + LATE).columnar())
         fresh = engine.transform(profile, "top_down")
         assert fresh is not tree
         assert fresh.find_by_name("late")

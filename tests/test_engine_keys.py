@@ -1,6 +1,6 @@
 """Engine cache keys: source keys for parsed profiles, derivation keys for
-engine results, the content-digest fallback, and the mutation stamp that
-decides between them."""
+engine results, the content-digest fallback, and the stamp that decides
+between them."""
 
 from __future__ import annotations
 
@@ -13,28 +13,21 @@ import threading
 import pytest
 
 from repro import ProfileBuilder
-from repro.analysis.aggregate import merge_trees
 from repro.analysis.callbacks import Customization
 from repro.analysis.diff import add_delta_column
 from repro.analysis.formula import derive
 from repro.analysis.transform import transform
 from repro.converters import parse_bytes
-from repro.core import cct_columnar, digest, serialize
-from repro.core import profile as profile_module
-from repro.core.cct import CCT
+from repro.core import digest, serialize
 from repro.core.cct_columnar import ColumnarCCT
 from repro.core.digest import viewtree_digest
-from repro.core.frame import Frame, intern_frame
 from repro.core.keys import CONTENT, DERIVED, SOURCE
 from repro.core.metric import Metric
 from repro.core.monitor import MonitoringPoint
-from repro.core.profile import Profile, ProfileMeta
 from repro.engine import AnalysisEngine
 from repro.ide.server import StdioServer
 from repro.profilers import corpus
 from repro.serve.dispatch import parse_line
-
-from .twins import object_only
 
 
 def _small_bytes(seed: int = 1234) -> bytes:
@@ -118,8 +111,8 @@ class TestRequestPath:
 
     def test_object_format_keeps_its_source_key(self, tmp_path,
                                                 digest_calls):
-        """A collapsed file parses into an object CCT; the session folds
-        it into arrays, which must not cost a content digest."""
+        """A collapsed file parses into arrays under its source key, and
+        the session's views must not cost a content digest."""
         path = tmp_path / "stacks.folded"
         path.write_text("main;work;inner 7\nmain;work 2\nmain;idle 1\n")
         server = StdioServer(stdin=io.StringIO(""), stdout=io.StringIO())
@@ -133,11 +126,6 @@ class TestRequestPath:
         assert digest_calls == []
 
 
-def _late_frames():
-    return [Frame(name="main", file="m.c", line=1),
-            Frame(name="late", file="late.c", line=9)]
-
-
 def _valued(value: float):
     builder = ProfileBuilder(tool="t")
     cpu = builder.metric("cpu")
@@ -148,13 +136,11 @@ def _valued(value: float):
 
 #: Every mutation the stamp must see, applied to a parsed profile.
 MUTATIONS = {
-    "add_sample": lambda p, other: p.add_sample(_late_frames(), {0: 5.0}),
     "add_metric": lambda p, other: p.add_metric(Metric("extra")),
     "add_point": lambda p, other: p.add_point(
         MonitoringPoint(contexts=[p.root], values={0: 1.0})),
     "attach_columnar": lambda p, other: p.attach_columnar(
         parse_bytes(other).columnar()),
-    "cct_setter": lambda p, other: setattr(p, "cct", parse_bytes(other).cct),
 }
 
 
@@ -191,7 +177,7 @@ class TestStamp:
             engine.transform(profile, "top_down")
             engine.transform(profile, "flat")
         assert digest_calls == ["profile_digest"]
-        profile.add_sample(_late_frames(), {0: 2.0})
+        profile.add_metric(Metric("extra"))
         engine.transform(profile, "top_down")
         engine.transform(profile, "top_down")
         assert digest_calls == ["profile_digest"] * 2
@@ -212,8 +198,8 @@ class TestStamp:
         assert engine.transform(profile, "top_down").total(0) == 1.0
         for step in range(1, 40):
             engine.transform(_valued(float(step)), "top_down")
-            arrays = _valued(float(step)).columnar(build=True)
-            profile.cct = CCT()    # frees the previous snapshot
+            arrays = _valued(float(step)).columnar()
+            profile.attach_columnar(arrays)  # frees the previous snapshot
             profile.attach_columnar(ColumnarCCT(
                 arrays.parent, arrays.frame_id, arrays.depth,
                 arrays.values, arrays.present, arrays.frames))
@@ -247,71 +233,6 @@ class TestStamp:
         assert len(keys) == 8 * 50
         assert len(set(keys)) == 1
         assert keys[0][2] == CONTENT + viewtree_digest(outside)
-
-    def test_concurrent_folds_keep_the_source_key(self, digest_calls):
-        # The per-profile transforms of an aggregate run on pool workers;
-        # each folds the object-only profile into arrays, and a key read
-        # half-way through a fold must not see the new snapshot under
-        # the old stamp (it would fall back to a content digest).
-        data = "".join("main;w%d;leaf%d %d\n" % (i % 7, i % 13, i + 1)
-                       for i in range(300)).encode()
-        expected = viewtree_digest(merge_trees(
-            [transform(parse_bytes(data, format="collapsed"), "top_down")]
-            * 8))
-
-        def edited():
-            """The collapsed parse of ``data``, built through the edit
-            API (an object tree only) and keyed by those bytes."""
-            profile = Profile(meta=ProfileMeta(tool="collapsed"))
-            samples = profile.add_metric(Metric("samples", unit="count"))
-            for i in range(300):
-                profile.add_sample(
-                    [intern_frame(name) for name in
-                     ("main", "w%d" % (i % 7), "leaf%d" % (i % 13))],
-                    {samples: float(i + 1)})
-            profile.set_source("collapsed", data)
-            return profile
-
-        old_interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(5):
-                profile = edited()
-                assert profile.columnar() is None
-                key = profile.cache_key()
-                assert key.startswith(SOURCE)
-                engine = AnalysisEngine(max_workers=8)
-                merged = engine.aggregate_profiles([profile] * 8)
-                assert profile.cache_key() == key
-                assert profile.columnar() is not None
-                cvt = merged.columnar()
-                series = cvt.hist[cvt.hist_present]
-                assert (series == series[:, :1]).all()  # eight equal trees
-                assert viewtree_digest(merged) == expected
-        finally:
-            sys.setswitchinterval(old_interval)
-        assert digest_calls == []
-
-    def test_fold_and_digest_run_outside_the_lock(self, monkeypatch):
-        # The lock covers only a fold's publish and the key reads, so a
-        # long fold or digest of one profile stalls no other key read.
-        held = []
-
-        def watched(fn):
-            def wrapper(*args):
-                held.append(profile_module._FOLD_LOCK.locked())
-                return fn(*args)
-            return wrapper
-
-        monkeypatch.setattr(profile_module, "profile_digest",
-                            watched(profile_module.profile_digest))
-        monkeypatch.setattr(cct_columnar, "from_cct",
-                            watched(cct_columnar.from_cct))
-        profile = object_only(_valued(1.0))
-        key = profile.cache_key()
-        assert profile.columnar(build=True) is not None
-        assert profile.cache_key() == key
-        assert held == [False, False]
 
 
 class TestRekeying:

@@ -20,7 +20,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import ProfileBuilder
-from repro.bench import ezvw_oracle as oracle
+from repro.bench import ezvw_oracle as oracle, profile_oracle
+from repro.bench.profile_oracle import ObjectProfile, fold, set_value
 from repro.converters import parse_bytes, pprof
 from repro.core import jsonio, serialize
 from repro.core.digest import profile_digest
@@ -34,6 +35,7 @@ from repro.proto import easyview_pb as pb
 from repro.proto.fastwire import WireError, Writer, encode_varint
 
 from tests.test_converters_robustness import _valid_inputs
+from tests.twins import object_only
 
 
 def _bits(value: float) -> bytes:
@@ -49,7 +51,8 @@ def _points(profile):
 
 
 def assert_same_profile(fast, slow):
-    assert profile_digest(fast) == profile_digest(slow)
+    assert isinstance(slow, ObjectProfile)
+    assert profile_digest(fast) == profile_oracle.digest(slow)
     assert ([(m.name, m.unit, m.description, m.aggregation)
              for m in fast.schema]
             == [(m.name, m.unit, m.description, m.aggregation)
@@ -64,8 +67,10 @@ def _outcome(loads, data: bytes):
         profile = loads(data)
     except EasyViewError as exc:
         return ("error", type(exc).__name__)
-    return ("ok", profile_digest(profile), profile.meta.tool,
-            _points(profile))
+    digest = (profile_oracle.digest(profile)
+              if isinstance(profile, ObjectProfile) else
+              profile_digest(profile))
+    return ("ok", digest, profile.meta.tool, _points(profile))
 
 
 # -- byte identity and decode equality on real profiles ---------------------
@@ -127,11 +132,11 @@ def valued_profiles(draw):
             builder.sample(path, cells)
         else:
             builder.snapshot(draw(st.integers(1, 3)), path, cells)
-    profile = builder.build()
+    profile = object_only(builder.build())
     for node in list(profile.nodes())[1:]:
         if draw(st.booleans()):
-            node.set_value(draw(st.sampled_from(metrics)), draw(values))
-    return profile
+            set_value(node, draw(st.sampled_from(metrics)), draw(values))
+    return fold(profile)
 
 
 @settings(max_examples=80, deadline=None)

@@ -132,10 +132,9 @@ def test_deep_chain():
 def _root_only(value):
     builder = ProfileBuilder(tool="test")
     cpu = builder.metric("cpu")
-    profile = builder.build()
     if value is not None:
-        profile.add_sample([], {cpu: value})
-    return profile
+        builder.sample([], {cpu: value})
+    return builder.build()
 
 
 @pytest.mark.parametrize("value", [None, 5.0])

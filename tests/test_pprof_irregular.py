@@ -15,6 +15,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.bench import profile_oracle
 from repro.bench.pprof_oracle import parse_object
 from repro.converters import pprof
 from repro.core.digest import profile_digest
@@ -96,7 +97,7 @@ def assert_same_profile(raw: bytes) -> None:
     fast = pprof.parse(raw)
     oracle = parse_object(raw)
     assert fast.schema.names() == oracle.schema.names()
-    assert profile_digest(fast) == profile_digest(oracle)
+    assert profile_digest(fast) == profile_oracle.digest(oracle)
     stack = [(fast.root, oracle.root)]
     while stack:
         x, y = stack.pop()

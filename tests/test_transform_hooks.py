@@ -2,8 +2,8 @@
 
 ``transform(profile, shape, customization)`` runs remap, elide and
 derived-metric callbacks on the arrays and returns a columnar-backed
-tree, whether the profile came with arrays or had to be folded.  Every
-check holds it against :mod:`repro.bench.view_oracle` run on an
+tree, whether the builder made the arrays or ``from_cct`` folded them.
+Every check holds it against :mod:`repro.bench.view_oracle` run on an
 object-only copy of the same profile: equal digests and an identical
 node-by-node comparison (values, child order and sources), for each
 shape and each hook setting, on corpus, workload, deep, root-only and
@@ -22,6 +22,7 @@ from repro.analysis.callbacks import Customization
 from repro.analysis.transform import transform
 from repro.bench import view_oracle
 from repro.bench.pprof_oracle import parse_object
+from repro.bench.profile_oracle import ObjectProfile
 from repro.converters import pprof
 from repro.core.cct_columnar import from_cct
 from repro.core.digest import viewtree_digest
@@ -136,19 +137,17 @@ def assert_same_view(fast, oracle):
 
 
 def check(make, hook, shape):
-    """Every kind of input (the builder's arrays, folded arrays,
-    object-only) against the oracle on an object-only copy."""
+    """Both kinds of arrays (the builder's, folded ones) against the
+    oracle on an object-only copy."""
     reference = object_only(make())
     oracle = view_oracle.transform(reference, shape, HOOKS[hook](reference))
     built = make()
     folded = make()
     folded.attach_columnar(from_cct(folded.cct, len(folded.schema)))
-    objects = object_only(make())
-    assert objects.columnar() is None
-    for profile in (built, folded, objects):
+    for profile in (built, folded):
         fast = transform(profile, shape, HOOKS[hook](profile))
         assert_same_view(fast, oracle)
-    assert reference.columnar() is None  # the oracle never folds
+    assert isinstance(reference, ObjectProfile)  # the oracle never folds
 
 
 @pytest.fixture(scope="module")
@@ -165,9 +164,6 @@ def test_corpus(corpus_raw, hook, shape):
     assert fast_profile.columnar() is not None
     fast = transform(fast_profile, shape, HOOKS[hook](fast_profile))
     assert_same_view(fast, oracle)
-    object_only = parse_object(corpus_raw)
-    assert_same_view(transform(object_only, shape,
-                               HOOKS[hook](object_only)), oracle)
 
 
 def deep_chain():
@@ -189,10 +185,9 @@ def _root_only(value=None):
     def make():
         builder = ProfileBuilder(tool="test")
         cpu = builder.metric("cpu")
-        profile = builder.build()
         if value is not None:
-            profile.add_sample([], {cpu: value})
-        return profile
+            builder.sample([], {cpu: value})
+        return builder.build()
     return make
 
 

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import ProfileBuilder
 from repro.analysis import viewrows
 from repro.analysis.aggregate import merge_trees
 from repro.analysis.diff import diff_trees
@@ -25,8 +26,6 @@ from repro.analysis.transform import transform
 from repro.bench import view_oracle
 from repro.converters import pprof
 from repro.core.frame import FrameKind, intern_frame
-from repro.core.metric import Metric
-from repro.core.profile import Profile
 from repro.ide.annotations import (assembly_attribution,
                                    build_floating_window, line_attribution)
 from repro.profilers.corpus import generate_bytes, tier
@@ -92,13 +91,12 @@ def _samples(draw):
 
 
 def _build(n_metrics, samples):
-    profile = Profile()
+    builder = ProfileBuilder()
     for index in range(n_metrics):
-        profile.add_metric(Metric(name="m%d" % index))
+        builder.metric("m%d" % index)
     for path, values in samples:
-        profile.add_sample(path, values)
-    assert profile.columnar(build=True) is not None
-    return profile
+        builder.sample(path, values)
+    return builder.build()
 
 
 # -- the comparisons ------------------------------------------------------------

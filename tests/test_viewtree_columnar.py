@@ -25,6 +25,7 @@ from repro.analysis.transform import bottom_up, flat, top_down, transform
 from repro.analysis import viewtree_columnar
 from repro.bench import view_oracle
 from repro.bench.pprof_oracle import parse_object
+from repro.bench.profile_oracle import ObjectProfile, fold
 from repro.converters import pprof
 from repro.core.digest import viewtree_digest
 from repro.core.frame import FrameKind, intern_frame
@@ -69,7 +70,7 @@ class TestTransformOracle:
         of the array-backed one, node by node, and against the view of
         the object-only one, folded, by digest."""
         assert col_profile.columnar() is not None
-        assert obj_profile.columnar() is None
+        assert isinstance(obj_profile, ObjectProfile)
         obj_tree = view_oracle.transform(obj_profile, shape)
         col_tree = transform(col_profile, shape)
         assert col_tree.columnar() is not None
@@ -77,7 +78,7 @@ class TestTransformOracle:
         assert_views_identical(col_tree, obj_tree)
         expected = view_oracle.digest(obj_tree)
         assert viewtree_digest(col_tree) == expected
-        folded = transform(obj_profile, shape)
+        folded = transform(fold(obj_profile), shape)
         assert folded.columnar() is not None
         assert viewtree_digest(folded) == expected
 

@@ -2,15 +2,16 @@
 views, and the node-by-node comparison of two views."""
 
 from repro.analysis.viewtree import ViewTree
+from repro.bench.profile_oracle import from_profile
 from repro.bench.view_oracle import ObjectTree, to_arrays
 from repro.core.metric import MetricSchema
 
 
 def object_only(profile):
-    """``profile`` with its arrays dropped: its object facade, built now,
-    becomes its only tree, as the object-path oracles need."""
-    profile.cct = profile.cct
-    return profile
+    """An object-only copy of ``profile``
+    (:class:`~repro.bench.profile_oracle.ObjectProfile`), as the
+    object-path oracles need."""
+    return from_profile(profile)
 
 
 def facade_only(tree):
