@@ -27,8 +27,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..core.frame import Frame, FrameKind
-from .viewtree_columnar import (_TAGS, ColumnarViewTree, _CCTSources,
-                                value_column)
+from .viewtree_columnar import (_TAG_CODE, _TAGS, ColumnarViewTree,
+                                _CCTSources, value_column)
 
 LineKey = Tuple[str, int]
 
@@ -89,11 +89,17 @@ def row_frame(cvt: ColumnarViewTree, row: int) -> Frame:
     return cvt.frames[int(cvt.frame_id[row])]
 
 
+def row_tag(cvt: ColumnarViewTree, row: int) -> Optional[str]:
+    """``ViewNode.tag`` of one row: its differential tag, or None."""
+    return _TAGS[int(cvt.tag_codes[row])] if cvt.tag_codes is not None \
+        else None
+
+
 def row_label(cvt: ColumnarViewTree, row: int) -> str:
     """``ViewNode.label()`` of one row: the frame label plus its diff tag."""
     label = row_frame(cvt, row).label()
-    code = int(cvt.tag_codes[row]) if cvt.tag_codes is not None else 0
-    return "[%s] %s" % (_TAGS[code], label) if code else label
+    tag = row_tag(cvt, row)
+    return "[%s] %s" % (tag, label) if tag else label
 
 
 def _frame_mask(cvt: ColumnarViewTree,
@@ -156,6 +162,66 @@ def top_rows(cvt: ColumnarViewTree, metric_index: int, count: int,
     values = value_column(cvt, metric_index,
                           "inclusive" if inclusive else "exclusive")[rows]
     return rows[np.argsort(-values, kind="stable")][:count]
+
+
+def diff_deltas(cvt: ColumnarViewTree, metric_index: int):
+    """Per row of a diff tree: ``(before, after, delta, self_delta)`` as
+    float64[R].  A row's self delta is its delta minus its children's,
+    added left to right in insertion order from 0.0."""
+    before = value_column(cvt, metric_index, "baseline")
+    after = value_column(cvt, metric_index)
+    delta = after - before
+    # bincount adds each parent's weights in input order — ascending row
+    # ids, the children's insertion order.
+    below = np.bincount(cvt.parent[1:], weights=delta[1:],
+                        minlength=cvt.n_rows)
+    return before, after, delta, delta - below
+
+
+def tag_rows(cvt: ColumnarViewTree, tag: str) -> np.ndarray:
+    """Mask of the rows carrying the differential ``tag``."""
+    if cvt.tag_codes is None:
+        return np.zeros(cvt.n_rows, dtype=bool)
+    return cvt.tag_codes == _TAG_CODE[tag]
+
+
+def row_path(cvt: ColumnarViewTree, row: int) -> str:
+    """``" > ".join(n.frame.name for n in node.path())`` of one row: frame
+    names from below the nearest ROOT-kind ancestor down to the row."""
+    names: List[str] = []
+    while row >= 0:
+        frame = row_frame(cvt, row)
+        if frame.kind is FrameKind.ROOT:
+            break
+        names.append(frame.name)
+        row = int(cvt.parent[row])
+    names.reverse()
+    return " > ".join(names)
+
+
+def rank_rows(cvt: ColumnarViewTree, rows, key,
+              count: int) -> List[Tuple[int, str]]:
+    """The first ``count`` of ``rows`` with their paths, ordered by ``key``
+    (float64[R], ascending), then by :func:`row_path`, then by walk
+    position: a stable sort by (key, path) of the rows in walk order.
+
+    Only the rows that can reach the cut get a path: every row keyed
+    below the ``count``-th key, and every row tied with it.
+    """
+    if count <= 0 or not rows.shape[0]:
+        return []
+    keys = key[rows]
+    order = np.lexsort((cvt.creation_visit_positions()[rows], keys))
+    rows = rows[order]
+    keys = keys[order]
+    if count < rows.shape[0]:
+        reach = int(np.searchsorted(keys, keys[count - 1], side="right"))
+        rows = rows[:reach]
+        keys = keys[:reach]
+    ranked = [(value, row_path(cvt, row), row)
+              for value, row in zip(keys.tolist(), rows.tolist())]
+    ranked.sort(key=lambda entry: entry[:2])
+    return [(row, path) for _, path, row in ranked[:count]]
 
 
 def hot_path_rows(cvt: ColumnarViewTree, metric_index: int,

@@ -15,7 +15,8 @@ have nothing but objects (:class:`ObjectTree`):
 * :func:`layout`, :func:`search`, :func:`match_fraction`,
   :func:`line_attribution`, :func:`assembly_attribution`, :func:`top`,
   :func:`hot_path` and :func:`render_summary` are the renderer's and the
-  IDE's reads;
+  IDE's reads, and :func:`rank_regressions` is the regression watch's
+  ranking;
 * :func:`prune`, :func:`collapse_recursion`, :func:`truncate_depth`,
   :func:`filter_tree` and :func:`filter_by_name` are the §V-A(a)
   hygiene operations.
@@ -45,6 +46,7 @@ from ..analysis.callbacks import Customization
 from ..analysis.viewtree import MergeKey, SourceList, ViewNode
 from ..analysis.viewtree_columnar import (_TAG_CODE, ColumnarViewTree,
                                           _if_unordered)
+from ..continuous.watch import Regression
 from ..core import digest as digest_mod
 from ..core.cct import CCTNode
 from ..core.frame import Frame, FrameKind, ROOT_FRAME, intern_frame
@@ -562,6 +564,59 @@ def top(tree: ObjectTree, metric_index: int = 0, count: int = 10,
                   if n.frame.kind is not FrameKind.ROOT]
     candidates.sort(key=lambda n: -n.value(metric_index, inclusive))
     return candidates[:count]
+
+
+def rank_regressions(tree: ObjectTree, metric_index: int,
+                     min_self_delta: float = 0.0, min_ratio: float = 1.0,
+                     top: int = 20
+                     ) -> Tuple[List[Regression], List[Regression]]:
+    """:func:`repro.continuous.watch.rank_regressions`, node by node: one
+    entry per non-root node of the walk, path built for each, then the
+    filters and a stable sort by (∓self delta, path).
+
+    The child deltas are added with an explicit left-to-right ``+=``:
+    from Python 3.12 on, builtin ``sum`` of floats is compensated and can
+    differ from it in the last bit.
+    """
+    entries: List[Regression] = []
+    for node in tree.nodes():
+        if node is tree.root:
+            continue
+        before = node.baseline.get(metric_index, 0.0)
+        after = node.inclusive.get(metric_index, 0.0)
+        delta = after - before
+        child_delta = 0.0
+        for child in node.children.values():
+            child_delta += (child.inclusive.get(metric_index, 0.0)
+                            - child.baseline.get(metric_index, 0.0))
+        entries.append(Regression(
+            path=" > ".join(n.frame.name for n in node.path()),
+            tag=node.tag or "=", baseline=before, current=after,
+            delta=delta, self_delta=delta - child_delta,
+            ratio=after / before if before else 0.0))
+
+    def floor(entry: Regression) -> float:
+        noise = 1e-9 * (abs(entry.baseline) + abs(entry.current))
+        return max(min_self_delta, noise)
+
+    def keep_regression(entry: Regression) -> bool:
+        if entry.tag == diff.TAG_DELETED:
+            return False
+        if entry.self_delta <= floor(entry):
+            return False
+        if entry.tag != diff.TAG_ADDED and entry.baseline \
+                and entry.current / entry.baseline < min_ratio:
+            return False
+        return True
+
+    regressions = sorted(
+        (e for e in entries if keep_regression(e)),
+        key=lambda e: (-e.self_delta, e.path))
+    improvements = sorted(
+        (e for e in entries
+         if e.self_delta < -floor(e) or e.tag == diff.TAG_DELETED),
+        key=lambda e: (e.self_delta, e.path))
+    return regressions[:top], improvements[:top]
 
 
 def render_summary(tree: ObjectTree, metric_index: int = 0,

@@ -823,8 +823,15 @@ def _cmd_watch(args: argparse.Namespace) -> int:
             print(report.render())
 
     try:
-        watch.run(args.ticks, interval_seconds=args.interval,
-                  on_report=report_out)
+        if args.ticks:
+            watch.run(args.ticks, interval_seconds=args.interval,
+                      on_report=report_out)
+        else:
+            import time
+            while True:  # scheduled mode: tick until interrupted
+                report_out(watch.tick())
+                if args.interval > 0:
+                    time.sleep(args.interval)
     except KeyboardInterrupt:
         print("watch: interrupted", file=sys.stderr)
     report = last.get("report")
@@ -1360,7 +1367,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "timestamp instead of the wall clock "
                               "(reproducible reports)")
     p_watch.add_argument("--ticks", type=int, default=1,
-                         help="comparisons to run (1 = one-shot)")
+                         help="comparisons to run (1 = one-shot, "
+                              "0 = until interrupted)")
     p_watch.add_argument("--interval", type=float, default=30.0,
                          help="seconds between comparisons")
     p_watch.add_argument("--json", default=None,

@@ -19,7 +19,10 @@ node's **self delta** is its inclusive delta minus its children's, so
 a slowdown injected into one function ranks that function first — not
 every ancestor on its call path (whose inclusive deltas are just as
 large but explain nothing).  Ordering is completely deterministic
-(self delta descending, then path) so reports golden-test cleanly.
+(self delta descending, then path, then the facade walk's order) so
+reports golden-test cleanly.  The ranking runs on the diff tree's rows
+(:func:`rank_regressions`); it builds no ``ViewNode``, and path strings
+only for the rows that can reach a report section.
 """
 
 from __future__ import annotations
@@ -27,10 +30,13 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
+import numpy as np
+
+from ..analysis import viewrows
 from ..analysis.diff import TAG_ADDED, TAG_DELETED, diff_trees, summarize
-from ..analysis.viewtree import ViewNode, ViewTree
+from ..analysis.viewtree import ViewTree
 from ..core.gcguard import no_gc
 from ..errors import EasyViewError
 from ..obs import get_registry, get_tracer
@@ -126,10 +132,6 @@ class WatchReport:
         return "\n".join(lines)
 
 
-def _node_path(node: ViewNode) -> str:
-    return " > ".join(n.frame.name for n in node.path())
-
-
 def _pick_metric(tree: ViewTree, metric: Optional[str]) -> str:
     """Resolve the column to diff on.
 
@@ -150,6 +152,52 @@ def _pick_metric(tree: ViewTree, metric: Optional[str]) -> str:
         if name.endswith(":mean"):
             return name
     return names[0]
+
+
+def rank_regressions(diff: ViewTree, metric_index: int,
+                     min_self_delta: float = 0.0, min_ratio: float = 1.0,
+                     top: int = 20
+                     ) -> Tuple[List[Regression], List[Regression]]:
+    """A watch report's two sections, ranked over a diff tree's rows.
+
+    Regressions: every non-root row not deleted whose self delta exceeds
+    its noise floor and, unless added, whose current/baseline reaches
+    ``min_ratio``; improvements: every non-root row whose self delta is
+    below minus its floor, plus every deleted row.  Each section is
+    ordered by self delta (descending for regressions), then path, then
+    walk position, and cut to ``top`` entries.
+    """
+    cvt = diff.columnar()
+    before, after, delta, self_delta = viewrows.diff_deltas(cvt,
+                                                            metric_index)
+    # Aggregation sums floats in pool-arrival order, so "equal" windows
+    # can differ by a few ulps; a scale-relative epsilon keeps that noise
+    # out of reports without a unit-dependent absolute threshold.
+    noise = 1e-9 * (np.abs(before) + np.abs(after))
+    floor = np.where(noise > min_self_delta, noise, min_self_delta)
+    deleted = viewrows.tag_rows(cvt, TAG_DELETED)
+    with np.errstate(all="ignore"):
+        ratio = np.divide(after, before, out=np.zeros_like(after),
+                          where=before != 0)
+    slight = (before != 0) & (ratio < min_ratio) \
+        & ~viewrows.tag_rows(cvt, TAG_ADDED)
+    body = np.arange(cvt.n_rows) > 0
+    regressed = body & ~deleted & ~(self_delta <= floor) & ~slight
+    improved = body & ((self_delta < -floor) | deleted)
+
+    def section(mask, key) -> List[Regression]:
+        entries = []
+        for row, path in viewrows.rank_rows(cvt, np.flatnonzero(mask),
+                                            key, top):
+            base, current = float(before[row]), float(after[row])
+            entries.append(Regression(
+                path=path, tag=viewrows.row_tag(cvt, row) or "=",
+                baseline=base, current=current, delta=float(delta[row]),
+                self_delta=float(self_delta[row]),
+                ratio=current / base if base else 0.0))
+        return entries
+
+    return section(regressed, -self_delta), section(improved, self_delta)
 
 
 class RegressionWatch:
@@ -179,6 +227,9 @@ class RegressionWatch:
         #: Relative floor: current/baseline must reach this to count as a
         #: regression (1.0 = any growth).
         self.min_ratio = min_ratio
+        if top < 0:
+            raise EasyViewError("watch top must be 0 or more, not %d" % top)
+        #: Entries per report section.
         self.top = top
         self.clock = clock or getattr(store, "clock", None) \
             or (lambda: time.time_ns())
@@ -248,52 +299,8 @@ class RegressionWatch:
                           metric_index=schema.index_of(metric_name))
         index = diff.schema.index_of(metric_name)
         report.tags = summarize(diff)
-
-        entries: List[Regression] = []
-        for node in diff.nodes():
-            if node is diff.root:
-                continue
-            before = node.baseline.get(index, 0.0)
-            after = node.inclusive.get(index, 0.0)
-            delta = after - before
-            child_delta = sum(
-                child.inclusive.get(index, 0.0)
-                - child.baseline.get(index, 0.0)
-                for child in node.children.values())
-            self_delta = delta - child_delta
-            ratio = after / before if before else 0.0
-            entries.append(Regression(
-                path=_node_path(node), tag=node.tag or "=",
-                baseline=before, current=after, delta=delta,
-                self_delta=self_delta, ratio=ratio))
-
-        def floor(entry: Regression) -> float:
-            # Aggregation sums floats in pool-arrival order, so "equal"
-            # windows can differ by a few ulps; a scale-relative epsilon
-            # keeps that noise out of reports without a unit-dependent
-            # absolute threshold.
-            noise = 1e-9 * (abs(entry.baseline) + abs(entry.current))
-            return max(self.min_self_delta, noise)
-
-        def keep_regression(entry: Regression) -> bool:
-            if entry.tag == TAG_DELETED:
-                return False
-            if entry.self_delta <= floor(entry):
-                return False
-            if entry.tag != TAG_ADDED and entry.baseline \
-                    and entry.current / entry.baseline < self.min_ratio:
-                return False
-            return True
-
-        regressions = sorted(
-            (e for e in entries if keep_regression(e)),
-            key=lambda e: (-e.self_delta, e.path))
-        improvements = sorted(
-            (e for e in entries
-             if e.self_delta < -floor(e) or e.tag == TAG_DELETED),
-            key=lambda e: (e.self_delta, e.path))
-        report.regressions = regressions[:self.top]
-        report.improvements = improvements[:self.top]
+        report.regressions, report.improvements = rank_regressions(
+            diff, index, self.min_self_delta, self.min_ratio, self.top)
         return report
 
     # -- scheduling --------------------------------------------------------

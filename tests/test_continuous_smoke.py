@@ -74,7 +74,12 @@ def test_continuous_loop_end_to_end(tmp_path):
 
     watch = RegressionWatch(store, query="service=checkout type=cpu",
                             window="3s", baseline="3s")
+    # The watch ranks on the diff rows: a tick builds no ViewNode facade
+    # and no object CCT.
+    builds = ("analysis.view_materializations", "core.cct_materializations")
+    before_tick = [counter_value(name) for name in builds]
     report = watch.tick(now_nanos=6 * SECOND)
+    assert [counter_value(name) for name in builds] == before_tick
 
     assert report.current_captures == 3
     assert report.baseline_captures == 3
