@@ -1,7 +1,8 @@
 """View-row kernels: the IDE's requests answered on columnar view rows.
 
-A hover, code lens, search, summary, zoom, click or tree-table request
-reads a handful of values per row; it never needs the whole ``ViewNode``
+A hover, code lens, search, summary, zoom, click or tree-table request,
+like a regression watch's ranking of a diff tree, reads a handful of
+values per row; it never needs the whole ``ViewNode``
 facade, nor the object CCT behind the rows' sources.  The kernels here
 read a :class:`~repro.analysis.viewtree_columnar.ColumnarViewTree`
 directly:
